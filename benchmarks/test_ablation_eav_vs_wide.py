@@ -10,6 +10,7 @@ costs, the trade-off behind the ESG observations in §6.2.
 
 from repro.bench.timing import count_until_stopped, run_workers
 from repro.bench.sweeps import get_environment
+from repro.core import ObjectQuery
 from repro.db import Database
 from repro.workloads import (
     STANDARD_ATTRIBUTES,
@@ -68,7 +69,7 @@ def test_ablation_eav_vs_wide_table(benchmark, config):
         workload = QueryWorkload(spec, seed=77)
 
         def eav_op(_):
-            client.query_files_by_attributes(workload.complex_query_conditions(10))
+            client.query(ObjectQuery().where_equal(workload.complex_query_conditions(10)))
 
         rates["eav"] = _measure(eav_op, threads=2, duration=config.duration)
 

@@ -13,7 +13,7 @@ into one monolithic catalog for comparison:
 """
 
 from repro.bench.timing import count_until_stopped, run_workers
-from repro.core import MetadataCatalog
+from repro.core import MetadataCatalog, ObjectQuery
 from repro.federation import FederatedMCS, LocalMCS, MCSIndexNode
 from repro.ligo import generate_products
 from repro.ligo.ontology import LIGO_ATTRIBUTES
@@ -66,11 +66,11 @@ def test_ablation_federated_routing(benchmark, config):
     def sweep():
         rates = {}
         rates["mono_scoped"] = _measure(
-            lambda _: mono.query_files_by_attributes(site_scoped), config.duration
+            lambda _: mono.query(ObjectQuery().where_equal(site_scoped)), config.duration
         )
         before = federation.subqueries_issued
         rates["fed_scoped"] = _measure(
-            lambda _: federation.query_files_by_attributes(site_scoped),
+            lambda _: federation.query(ObjectQuery().where_equal(site_scoped)),
             config.duration,
         )
         scoped_calls = federation.subqueries_issued - before
@@ -78,10 +78,10 @@ def test_ablation_federated_routing(benchmark, config):
             1, int(rates["fed_scoped"] * config.duration)
         )
         rates["mono_global"] = _measure(
-            lambda _: mono.query_files_by_attributes(global_query), config.duration
+            lambda _: mono.query(ObjectQuery().where_equal(global_query)), config.duration
         )
         rates["fed_global"] = _measure(
-            lambda _: federation.query_files_by_attributes(global_query),
+            lambda _: federation.query(ObjectQuery().where_equal(global_query)),
             config.duration,
         )
         return rates

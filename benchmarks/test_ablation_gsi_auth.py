@@ -12,7 +12,7 @@ This bench measures simple-query throughput across policy levels:
 
 from repro.bench.sweeps import get_environment
 from repro.bench.timing import count_until_stopped, run_workers
-from repro.core import MCSClient, MCSService, ObjectType
+from repro.core import MCSClient, MCSService, ObjectQuery, ObjectType
 from repro.security import (
     CertificateAuthority,
     DistinguishedName,
@@ -31,7 +31,7 @@ def _measure(make_client, env, duration: float, threads: int = 2) -> float:
 
         def op(_, client=client, workload=workload):
             field, value = workload.simple_query_args()
-            client.simple_query(field, value)
+            client.query(ObjectQuery().where_field(field, "=", value))
 
         worker_fns.append(lambda stop, op=op: count_until_stopped(op, stop))
     return run_workers(worker_fns, duration).rate

@@ -12,6 +12,7 @@ import threading
 import time
 
 from repro.bench.timing import count_until_stopped, run_workers
+from repro.core import ObjectQuery
 from repro.core.replicated import ReplicatedMCS
 from repro.workloads import PopulationSpec, QueryWorkload, populate_catalog
 
@@ -33,7 +34,7 @@ def test_ablation_replica_reads_during_long_write_txn(benchmark, config):
 
             def op(_):
                 field, value = workload.simple_query_args()
-                client.simple_query(field, value)
+                client.query(ObjectQuery().where_field(field, "=", value))
 
             worker_fns = [
                 (lambda stop, op=op: count_until_stopped(op, stop))

@@ -10,6 +10,7 @@ reproducing that conclusion.
 
 from repro.bench.sweeps import get_environment
 from repro.bench.timing import count_until_stopped, run_workers
+from repro.core import ObjectQuery
 from repro.core.xmlbackend import XmlMetadataBackend
 from repro.workloads import PopulationSpec, QueryWorkload, attribute_values_for
 
@@ -46,10 +47,10 @@ def test_ablation_relational_vs_xml_backend(benchmark, config):
 
         def rel_simple(_):
             field, value = rel_wl.simple_query_args()
-            client.simple_query(field, value)
+            client.query(ObjectQuery().where_field(field, "=", value))
 
         def rel_complex(_):
-            client.query_files_by_attributes(rel_wl.complex_query_conditions(10))
+            client.query(ObjectQuery().where_equal(rel_wl.complex_query_conditions(10)))
 
         xml_wl = QueryWorkload(spec, seed=5)
 

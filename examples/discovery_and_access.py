@@ -25,7 +25,7 @@ from repro.security import (
     Permission,
 )
 from repro.security.gsi import create_proxy
-from repro.soap import SoapServer
+from repro.soap import DirectTransport, HttpTransport, SoapServer
 
 
 def main() -> None:
@@ -47,8 +47,9 @@ def main() -> None:
     service.catalog.set_permissions(
         ObjectType.SERVICE, None, admin_dn, Permission.all()
     )
-    admin = MCSClient.in_process(service)
-    admin._gsi = GSIContext(admin_cred)
+    admin = MCSClient(
+        DirectTransport(service.handle), gsi_context=GSIContext(admin_cred)
+    )
 
     # -- Storage fabric + RLS --------------------------------------------------
     sites = {
@@ -90,8 +91,9 @@ def main() -> None:
 
     # -- (1)-(2): attribute discovery over SOAP with GSI ------------------------
     with SoapServer(service.handle, fault_mapper=service.fault_mapper) as soap:
-        client = MCSClient.connect(*soap.endpoint)
-        client._gsi = GSIContext(proxy)
+        client = MCSClient(
+            HttpTransport(*soap.endpoint), gsi_context=GSIContext(proxy)
+        )
 
         names = client.query(
             ObjectQuery().where("variable", "=", "precipitation")

@@ -328,43 +328,6 @@ class MetricRegistryRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# MCS006 — no new callers of the deprecated query shims
-# --------------------------------------------------------------------------
-
-
-@register
-class DeprecatedQueryShimRule(Rule):
-    """The fluent ``query()`` API replaced the 2003-era shims.
-
-    ``simple_query`` and ``query_files_by_attributes`` survive only as
-    ``DeprecationWarning`` wrappers for wire compatibility.  In-repo
-    code must build an ``ObjectQuery`` — new callers of the shims are
-    how a deprecation stops being one.
-    """
-
-    id = "MCS006"
-    name = "no-deprecated-query-shims"
-    invariant = (
-        "no in-repo calls to the deprecated simple_query/"
-        "query_files_by_attributes shims; build an ObjectQuery instead"
-    )
-
-    _SHIMS = ("simple_query", "query_files_by_attributes")
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if name in self._SHIMS:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"call to deprecated shim {name}(); use the fluent "
-                        "ObjectQuery/query() API",
-                    )
-
-
-# --------------------------------------------------------------------------
 # MCS007 — lock acquisition stays inside the engine
 # --------------------------------------------------------------------------
 

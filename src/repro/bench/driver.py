@@ -18,9 +18,10 @@ from typing import Callable, Optional
 
 from repro.bench.timing import RateResult, count_until_stopped, run_workers
 from repro.core.catalog import MetadataCatalog
-from repro.core.client import MCSClient
+from repro.core.client import ClientConfig, MCSClient
 from repro.core.query import ObjectQuery
 from repro.core.service import MCSService
+from repro.resilience import RetryPolicy
 from repro.soap.server import SoapServer
 from repro.workloads.population import PopulationSpec, populate_catalog
 from repro.workloads.queries import QueryWorkload
@@ -91,28 +92,16 @@ class BenchEnvironment:
         base_mode, _, suffix = mode.partition("+")
         if suffix not in ("", "resilience"):
             raise ValueError(f"unknown mode suffix {suffix!r} in {mode!r}")
+        config = ClientConfig(
+            caller="bench",
+            simulated_latency_s=self.soap_latency_s,
+            retry_policy=RetryPolicy() if suffix else None,
+        )
         if base_mode == "direct":
-            client = MCSClient.in_process(self.service, caller="bench")
-        elif base_mode == "soap":
-            from repro.soap.transport import HttpTransport
-
-            host, port = self.server.endpoint
-            transport = HttpTransport(
-                host, port, simulated_latency_s=self.soap_latency_s
-            )
-            client = MCSClient(transport, caller="bench")
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        if suffix == "resilience":
-            from repro.core.client import is_read_method
-            from repro.resilience.transport import ResilientTransport
-
-            client._transport = ResilientTransport(
-                client._transport,
-                endpoint=f"bench-{base_mode}",
-                is_idempotent=is_read_method,
-            )
-        return client
+            return MCSClient.in_process(self.service, config)
+        if base_mode == "soap":
+            return MCSClient.connect(*self.server.endpoint, config)
+        raise ValueError(f"unknown mode {mode!r}")
 
     # -- operation factories ------------------------------------------------------
 
@@ -184,10 +173,7 @@ class BenchEnvironment:
 
         def op(_: int) -> None:
             conditions = workload.complex_query_conditions(num_attributes)
-            query = ObjectQuery()
-            for attr, value in conditions.items():
-                query.where(attr, "=", value)
-            client.query(query)
+            client.query(ObjectQuery().where_equal(conditions))
 
         return op
 
@@ -236,10 +222,7 @@ class BenchEnvironment:
         ]
 
         def op(i: int) -> None:
-            query = ObjectQuery()
-            for attr, value in pool[i % distinct].items():
-                query.where(attr, "=", value)
-            client.query(query)
+            client.query(ObjectQuery().where_equal(pool[i % distinct]))
 
         return op
 

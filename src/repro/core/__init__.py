@@ -11,10 +11,11 @@ Layers, bottom-up:
 * :mod:`repro.core.service` — :class:`MCSService`, the policy-enforcing
   dispatcher (GSI authentication, ACL authorization, auditing) exposed
   over SOAP.
-* :mod:`repro.core.client` — :class:`MCSClient`, the synchronous client
-  API of §5 ("MCS Query Mechanisms and APIs"), transport-agnostic.
-* :mod:`repro.core.aclient` — :class:`AsyncMCSClient`, the same surface
-  as coroutines over asyncio transports; both consume one
+* :mod:`repro.core.client` — the client API of §5 ("MCS Query Mechanisms
+  and APIs"), transport-agnostic: every operation is declared once on
+  ``ClientOperations``; :class:`MCSClient` is its blocking flavour.
+* :mod:`repro.core.aclient` — :class:`AsyncMCSClient`, the asyncio
+  flavour of the same declaration; both consume one
   :class:`ClientConfig`.
 """
 

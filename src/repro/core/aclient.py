@@ -1,11 +1,13 @@
-"""AsyncMCSClient: the asyncio client API.
+"""AsyncMCSClient: the asyncio I/O shell of the client API.
 
-The same fluent surface as :class:`repro.core.client.MCSClient` — every
-§5 operation, ``query()``, the ``bulk()`` pipeline, caller stamping,
-fault-to-exception unwrapping — with coroutine methods and an
-``async with`` lifecycle.  Construction consumes the same
-:class:`~repro.core.client.ClientConfig` the sync client does, so one
-config value describes a deployment's client posture for both flavors::
+The operations themselves are declared once, on
+:class:`repro.core.client.ClientOperations`; this module only adds how
+the async flavour carries a call out: a coroutine ``_call`` over the
+asyncio transports, an ``async with`` lifecycle, and a bulk context
+flushed with one ``await``.  Every operation therefore returns an
+awaitable of what the same method returns on
+:class:`~repro.core.client.MCSClient`, and construction consumes the
+same :class:`~repro.core.client.ClientConfig`::
 
     config = ClientConfig(caller="/O=Grid/CN=Bob", deadline_s=2.0)
     async with AsyncMCSClient.connect(host, port, config) as client:
@@ -20,40 +22,22 @@ without a thread each.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Awaitable, Callable
 
 from repro.core.client import (
+    BulkQueue,
     BulkResult,
     ClientConfig,
-    _query_to_dict,
-    is_read_method,
+    ClientOperations,
+    _typed,
 )
-from repro.core.errors import exception_from_fault
-from repro.core.model import AttributeDef
-from repro.core.query import ObjectQuery
 from repro.obs.trace import span as _span
+from repro.resilience.atransport import AsyncResilientTransport
 from repro.soap.atransport import AsyncDirectTransport, AsyncHttpTransport
 from repro.soap.envelope import SoapFault
 
 
-def _wrap_resilient_async(
-    transport: Any, endpoint: str, config: ClientConfig
-) -> Any:
-    if not config.resilient:
-        return transport
-    from repro.resilience.atransport import AsyncResilientTransport
-
-    return AsyncResilientTransport(
-        transport,
-        policy=config.retry_policy,  # type: ignore[arg-type]
-        breaker=config.breaker,  # type: ignore[arg-type]
-        endpoint=endpoint,
-        is_idempotent=is_read_method,
-        deadline_s=config.deadline_s,
-    )
-
-
-class AsyncBulkContext:
+class AsyncBulkContext(BulkQueue):
     """The pipelined-batch pipeline, flushed with one ``await``.
 
     Usage::
@@ -62,37 +46,16 @@ class AsyncBulkContext:
             handles = [batch.call("create_logical_file", name=n)
                        for n in names]
         ids = [h.result["id"] for h in handles]
-
-    Queueing stays synchronous (it only builds the operation list);
-    the round trip happens in :meth:`flush` / at ``async with`` exit.
     """
-
-    def __init__(self, client: "AsyncMCSClient") -> None:
-        self._client = client
-        self._ops: list[tuple[str, dict[str, Any]]] = []
-        self._pending: list[BulkResult] = []
-
-    def call(self, method: str, **args: Any) -> BulkResult:
-        """Queue one operation; returns a handle resolved at flush."""
-        handle = BulkResult(method)
-        self._ops.append((method, self._client._stamp(method, args)))
-        self._pending.append(handle)
-        return handle
 
     async def flush(self) -> list[BulkResult]:
         """Send queued operations in one round trip; resolve handles."""
-        if not self._ops:
+        ops, handles = self._drain()
+        if not ops:
             return []
-        ops, handles = self._ops, self._pending
-        self._ops, self._pending = [], []
         with _span("client.call_bulk", n=str(len(ops))):
             items = await self._client._transport.call_bulk(ops)
-        for handle, item in zip(handles, items):
-            handle._resolve(item)
-        return handles
-
-    def __len__(self) -> int:
-        return len(self._ops)
+        return self._settle(handles, items)
 
     async def __aenter__(self) -> "AsyncBulkContext":
         return self
@@ -102,75 +65,24 @@ class AsyncBulkContext:
             await self.flush()
 
 
-class AsyncMCSClient:
+class AsyncMCSClient(ClientOperations):
     """Asynchronous MCS client over a pluggable async transport."""
 
-    def __init__(
-        self,
-        transport: Any,
-        caller: Optional[str] = None,
-        gsi_context: Optional["object"] = None,
-        cas_assertion: Optional[dict] = None,
-    ) -> None:
-        self._transport = transport
-        self.caller = caller
-        self._gsi = gsi_context
-        self._cas = cas_assertion
+    _direct_transport = AsyncDirectTransport
+    _resilient_transport = AsyncResilientTransport
+    _bulk_context = AsyncBulkContext
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def in_process(
-        cls,
-        service: "object",
-        config: Optional[ClientConfig] = None,
-        *,
-        caller: Optional[str] = None,
-    ) -> "AsyncMCSClient":
-        """Bind directly to an MCSService — no SOAP, no socket.
-
-        The synchronous handler runs on the loop's default executor with
-        the calling task's context, so deadlines and traces behave as
-        they do over the wire.
-        """
-        cfg = config if config is not None else ClientConfig()
-        if caller is not None:
-            cfg = cfg.with_options(caller=caller)
-        transport = _wrap_resilient_async(
-            AsyncDirectTransport(service.handle), "inproc", cfg
+    @staticmethod
+    def _http_transport(
+        host: str, port: int, config: ClientConfig
+    ) -> AsyncHttpTransport:
+        return AsyncHttpTransport(
+            host,
+            port,
+            timeout=config.timeout_s,
+            simulated_latency_s=config.simulated_latency_s,
+            pool_size=config.pool_size,
         )
-        return cls(transport, caller=cfg.caller)
-
-    @classmethod
-    def connect(
-        cls,
-        host: str,
-        port: int,
-        config: Optional[ClientConfig] = None,
-        *,
-        caller: Optional[str] = None,
-    ) -> "AsyncMCSClient":
-        """Connect over SOAP/HTTP on asyncio streams.
-
-        ``config.pool_size`` keep-alive connections are shared by all
-        concurrent tasks using this client; the resilience trio in the
-        config wraps the transport exactly as for the sync client.
-        """
-        cfg = config if config is not None else ClientConfig()
-        if caller is not None:
-            cfg = cfg.with_options(caller=caller)
-        transport = _wrap_resilient_async(
-            AsyncHttpTransport(
-                host,
-                port,
-                timeout=cfg.timeout_s,
-                simulated_latency_s=cfg.simulated_latency_s,
-                pool_size=cfg.pool_size,
-            ),
-            f"{host}:{port}",
-            cfg,
-        )
-        return cls(transport, caller=cfg.caller)
 
     async def close(self) -> None:
         await self._transport.close()
@@ -181,424 +93,16 @@ class AsyncMCSClient:
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.close()
 
-    # -- call plumbing -------------------------------------------------------
-
-    def _stamp(self, method: str, args: dict[str, Any]) -> dict[str, Any]:
-        """Attach caller identity / CAS / GSI credentials to a request."""
-        if self.caller is not None:
-            args.setdefault("caller", self.caller)
-        if self._cas is not None:
-            args.setdefault("cas", self._cas)
-        if self._gsi is not None:
-            from repro.core.service import canonical_payload, token_to_dict
-
-            token = self._gsi.sign_request(canonical_payload(method, args))
-            args["auth"] = token_to_dict(token)
-        return args
-
     async def _call(self, method: str, **args: Any) -> Any:
         args = self._stamp(method, args)
-        # Root span: mints the request id that rides the SOAP header so
-        # server-side spans and logs correlate with this call.  The span
-        # context is task-local (contextvars), so concurrent tasks on
-        # one client do not interleave their traces.
+        # Root span, as in MCSClient._call; its context is task-local, so
+        # concurrent tasks on one client do not interleave their traces.
         with _span("client.call", method=method):
             try:
                 return await self._transport.call(method, args)
             except SoapFault as fault:
-                error = exception_from_fault(fault.code, fault.message)
-                if error is not None:
-                    raise error from None
-                raise
+                raise _typed(fault) from None
 
-    # -- bulk pipeline -------------------------------------------------------
-
-    def bulk(self) -> AsyncBulkContext:
-        """Open a pipelined batch: queue calls, flush in one round trip."""
-        return AsyncBulkContext(self)
-
-    # ======================================================================
-    # Files
-    # ======================================================================
-
-    async def create_logical_file(
-        self,
-        name: str,
-        version: int = 1,
-        data_type: Optional[str] = None,
-        collection: Optional[str] = None,
-        container_id: Optional[str] = None,
-        container_service: Optional[str] = None,
-        master_copy: Optional[str] = None,
-        audit_enabled: bool = False,
-        attributes: Optional[dict[str, Any]] = None,
-    ) -> dict:
-        """Create a logical file, optionally with user-defined attributes."""
-        return await self._call(
-            "create_logical_file",
-            name=name,
-            version=version,
-            data_type=data_type,
-            collection=collection,
-            container_id=container_id,
-            container_service=container_service,
-            master_copy=master_copy,
-            audit_enabled=audit_enabled,
-            attributes=attributes,
-        )
-
-    async def get_logical_file(
-        self, name: str, version: Optional[int] = None
-    ) -> dict:
-        """Static (predefined) attributes of a logical file."""
-        return await self._call("get_logical_file", name=name, version=version)
-
-    async def modify_logical_file(
-        self, name: str, version: Optional[int] = None, **changes: Any
-    ) -> bool:
-        return await self._call(
-            "modify_logical_file", name=name, version=version, changes=changes
-        )
-
-    async def delete_logical_file(
-        self, name: str, version: Optional[int] = None
-    ) -> bool:
-        return await self._call("delete_logical_file", name=name, version=version)
-
-    async def invalidate_logical_file(
-        self, name: str, version: Optional[int] = None
-    ) -> bool:
-        return await self.modify_logical_file(name, version, valid=False)
-
-    async def move_file_to_collection(
-        self, name: str, collection: Optional[str], version: Optional[int] = None
-    ) -> bool:
-        return await self._call(
-            "move_file_to_collection",
-            name=name,
-            collection=collection,
-            version=version,
-        )
-
-    async def list_versions(self, name: str) -> list[int]:
-        return await self._call("list_versions", name=name)
-
-    # ======================================================================
-    # Bulk operations (single transaction server-side)
-    # ======================================================================
-
-    async def bulk_create_files(
-        self, entries: Sequence[dict[str, Any]], atomic: bool = True
-    ) -> dict:
-        """Create many files in one call and one server transaction."""
-        return await self._call(
-            "bulk_create_files", entries=list(entries), atomic=atomic
-        )
-
-    async def bulk_set_attributes(
-        self, items: Sequence[dict[str, Any]], atomic: bool = True
-    ) -> dict:
-        """Set attributes on many objects in one call and transaction."""
-        return await self._call(
-            "bulk_set_attributes", items=list(items), atomic=atomic
-        )
-
-    async def bulk_query(self, queries: Sequence[ObjectQuery | dict]) -> dict:
-        """Run many discovery queries in one round trip."""
-        wire = [
-            _query_to_dict(q) if isinstance(q, ObjectQuery) else q
-            for q in queries
-        ]
-        return await self._call("bulk_query", queries=wire)
-
-    # ======================================================================
-    # User-defined attributes
-    # ======================================================================
-
-    async def define_attribute(
-        self,
-        name: str,
-        value_type: str,
-        object_types: Optional[Sequence[str]] = None,
-        description: Optional[str] = None,
-    ) -> int:
-        return await self._call(
-            "define_attribute",
-            name=name,
-            value_type=value_type,
-            object_types=list(object_types) if object_types else None,
-            description=description,
-        )
-
-    async def list_attribute_defs(self) -> list[AttributeDef]:
-        """All user-defined attributes, as typed :class:`AttributeDef` records."""
-        return [
-            AttributeDef.from_dict(d)
-            for d in await self._call("list_attribute_defs")
-        ]
-
-    async def set_attributes(
-        self,
-        object_type: str,
-        name: str,
-        attributes: dict[str, Any],
-        version: Optional[int] = None,
-    ) -> bool:
-        return await self._call(
-            "set_attributes",
-            object_type=object_type,
-            name=name,
-            attributes=attributes,
-            version=version,
-        )
-
-    async def get_attributes(
-        self, object_type: str, name: str, version: Optional[int] = None
-    ) -> dict[str, Any]:
-        """The object's user-defined attributes as ``{name: value}``."""
-        return await self._call(
-            "get_attributes", object_type=object_type, name=name, version=version
-        )
-
-    async def remove_attribute(
-        self,
-        object_type: str,
-        name: str,
-        attribute: str,
-        version: Optional[int] = None,
-    ) -> bool:
-        return await self._call(
-            "remove_attribute",
-            object_type=object_type,
-            name=name,
-            attribute=attribute,
-            version=version,
-        )
-
-    # ======================================================================
-    # Queries
-    # ======================================================================
-
-    async def query(self, query: ObjectQuery) -> list[str]:
-        """Attribute-based discovery: returns matching logical names."""
-        return await self._call("query", query=_query_to_dict(query))
-
-    async def explain_query(self, query: ObjectQuery) -> list[str]:
-        """The physical plan the query would execute (one line per step)."""
-        return await self._call("explain_query", query=_query_to_dict(query))
-
-    async def query_mql(self, text: str) -> list[str]:
-        """Run one MQL statement (see :meth:`MCSClient.query_mql`)."""
-        return await self._call("query_mql", text=text)
-
-    async def explain_mql(self, text: str) -> list[str]:
-        """Strategy choice, cost model and algebra for an MQL statement."""
-        return await self._call("explain_mql", text=text)
-
-    async def analyze_attributes(self) -> int:
-        """Recompute MQL planner statistics exactly (like SQL ANALYZE)."""
-        return await self._call("analyze_attributes")
-
-    # ======================================================================
-    # Collections
-    # ======================================================================
-
-    async def create_collection(
-        self,
-        name: str,
-        parent: Optional[str] = None,
-        description: Optional[str] = None,
-        audit_enabled: bool = False,
-        attributes: Optional[dict[str, Any]] = None,
-    ) -> int:
-        return await self._call(
-            "create_collection",
-            name=name,
-            parent=parent,
-            description=description,
-            audit_enabled=audit_enabled,
-            attributes=attributes,
-        )
-
-    async def delete_collection(self, name: str) -> bool:
-        return await self._call("delete_collection", name=name)
-
-    async def list_collection(self, name: str) -> list[str]:
-        return await self._call("list_collection", name=name)
-
-    async def list_subcollections(self, name: str) -> list[str]:
-        return await self._call("list_subcollections", name=name)
-
-    async def set_collection_parent(
-        self, name: str, parent: Optional[str]
-    ) -> bool:
-        return await self._call("set_collection_parent", name=name, parent=parent)
-
-    # ======================================================================
-    # Views
-    # ======================================================================
-
-    async def create_view(
-        self,
-        name: str,
-        description: Optional[str] = None,
-        audit_enabled: bool = False,
-        attributes: Optional[dict[str, Any]] = None,
-    ) -> int:
-        return await self._call(
-            "create_view",
-            name=name,
-            description=description,
-            audit_enabled=audit_enabled,
-            attributes=attributes,
-        )
-
-    async def delete_view(self, name: str) -> bool:
-        return await self._call("delete_view", name=name)
-
-    async def add_to_view(
-        self,
-        view: str,
-        files: Sequence[str] = (),
-        collections: Sequence[str] = (),
-        views: Sequence[str] = (),
-    ) -> bool:
-        return await self._call(
-            "add_to_view",
-            view=view,
-            files=list(files),
-            collections=list(collections),
-            views=list(views),
-        )
-
-    async def remove_from_view(
-        self,
-        view: str,
-        files: Sequence[str] = (),
-        collections: Sequence[str] = (),
-        views: Sequence[str] = (),
-    ) -> bool:
-        return await self._call(
-            "remove_from_view",
-            view=view,
-            files=list(files),
-            collections=list(collections),
-            views=list(views),
-        )
-
-    async def list_view(self, name: str) -> list[dict]:
-        return await self._call("list_view", name=name)
-
-    # ======================================================================
-    # Annotations, provenance, audit
-    # ======================================================================
-
-    async def annotate(
-        self, object_type: str, name: str, text: str, version: Optional[int] = None
-    ) -> bool:
-        return await self._call(
-            "annotate",
-            object_type=object_type,
-            name=name,
-            text=text,
-            version=version,
-        )
-
-    async def get_annotations(
-        self, object_type: str, name: str, version: Optional[int] = None
-    ) -> list[dict]:
-        return await self._call(
-            "get_annotations", object_type=object_type, name=name, version=version
-        )
-
-    async def add_transformation(
-        self, name: str, description: str, version: Optional[int] = None
-    ) -> bool:
-        return await self._call(
-            "add_transformation",
-            name=name,
-            description=description,
-            version=version,
-        )
-
-    async def get_transformations(
-        self, name: str, version: Optional[int] = None
-    ) -> list[dict]:
-        return await self._call("get_transformations", name=name, version=version)
-
-    async def audit_log(
-        self, object_type: str, name: str, version: Optional[int] = None
-    ) -> list[dict]:
-        return await self._call(
-            "audit_log", object_type=object_type, name=name, version=version
-        )
-
-    # ======================================================================
-    # Users, catalogs, permissions, misc
-    # ======================================================================
-
-    async def register_user(
-        self,
-        dn: str,
-        description: str = "",
-        institution: str = "",
-        email: str = "",
-        phone: str = "",
-    ) -> bool:
-        return await self._call(
-            "register_user",
-            dn=dn,
-            description=description,
-            institution=institution,
-            email=email,
-            phone=phone,
-        )
-
-    async def get_user(self, dn: str) -> dict:
-        return await self._call("get_user", dn=dn)
-
-    async def register_external_catalog(
-        self,
-        name: str,
-        catalog_type: str,
-        host: str,
-        port: int,
-        description: str = "",
-    ) -> bool:
-        return await self._call(
-            "register_external_catalog",
-            name=name,
-            catalog_type=catalog_type,
-            host=host,
-            port=port,
-            description=description,
-        )
-
-    async def list_external_catalogs(self) -> list[dict]:
-        return await self._call("list_external_catalogs")
-
-    async def set_permissions(
-        self,
-        object_type: str,
-        name: Optional[str],
-        principal: str,
-        permissions: Sequence[str],
-    ) -> bool:
-        return await self._call(
-            "set_permissions",
-            object_type=object_type,
-            name=name,
-            principal=principal,
-            permissions=list(permissions),
-        )
-
-    async def get_permissions(
-        self, object_type: str, name: Optional[str] = None
-    ) -> dict:
-        return await self._call("get_permissions", object_type=object_type, name=name)
-
-    async def stats(self) -> dict:
-        return await self._call("stats")
-
-    async def ping(self) -> str:
-        return await self._call("ping")
+    @staticmethod
+    async def _then(outcome: Awaitable[Any], fn: Callable[[Any], Any]) -> Any:
+        return fn(await outcome)

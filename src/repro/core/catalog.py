@@ -978,19 +978,6 @@ class MetadataCatalog:
         rows = self._conn.execute("EXPLAIN " + sql, params).fetchall()
         return [r[0] for r in rows]
 
-    def query_files_by_attributes(self, conditions: dict[str, Any]) -> list[str]:
-        """Convenience: conjunctive equality match on user attributes."""
-        from repro.core.query import AttributeCondition
-
-        query = ObjectQuery(
-            object_type=ObjectType.FILE,
-            conditions=[
-                AttributeCondition(name, "=", value)
-                for name, value in conditions.items()
-            ],
-        )
-        return self.query(query)
-
     # ======================================================================
     # MQL: the parsed metadata query language
     # ======================================================================

@@ -1,6 +1,10 @@
-"""MCSClient: the synchronous client API (§5).
+"""The MCS client API (§5), declared once for both client flavours.
 
-Wraps any :class:`repro.soap.transport.Transport`, so the same client code
+:class:`ClientOperations` declares every operation — name, signature,
+docstring, argument adapters, read-vs-write — on one method each.
+:class:`MCSClient` (here) and :class:`~repro.core.aclient.AsyncMCSClient`
+add only how a call is carried out: a blocking ``_call`` over any
+:class:`repro.soap.transport.Transport`, or a coroutine one.  Either
 runs in-process (DirectTransport — the paper's "without web service"
 baseline) or over SOAP/HTTP (the full MCS configuration).
 
@@ -19,52 +23,16 @@ Every operation the paper's API section lists is exposed:
 
 from __future__ import annotations
 
-import datetime as _dt
-import warnings
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.errors import exception_from_fault
-from repro.core.model import AttributeDef, ObjectType
+from repro.core.model import AttributeDef
 from repro.core.query import ObjectQuery
 from repro.obs.trace import span as _span
+from repro.resilience.transport import ResilientTransport
 from repro.soap.envelope import BulkItem, SoapFault
 from repro.soap.transport import DirectTransport, HttpTransport, Transport
-
-#: Wire methods that are idempotent reads.  The resilience layer retries
-#: these freely; anything not listed is treated as a write and only
-#: retried under a server-deduplicated idempotency token.
-READ_METHODS = frozenset(
-    {
-        "audit_log",
-        "explain_query",
-        "get_annotations",
-        "get_attributes",
-        "get_logical_file",
-        "get_permissions",
-        "get_transformations",
-        "get_user",
-        "list_attribute_defs",
-        "list_collection",
-        "list_external_catalogs",
-        "list_subcollections",
-        "list_versions",
-        "list_view",
-        "ping",
-        "query",
-        "query_mql",
-        "explain_mql",
-        "query_files_by_attributes",
-        "simple_query",
-        "stats",
-        "bulk_query",
-    }
-)
-
-
-def is_read_method(method: str) -> bool:
-    """True for idempotent (freely retryable) wire methods."""
-    return method in READ_METHODS
 
 
 @dataclass(frozen=True)
@@ -75,11 +43,14 @@ class ClientConfig:
     ``MCSClient.connect(host, port, ClientConfig(...))`` and
     ``AsyncMCSClient.connect(host, port, ClientConfig(...))`` — so a
     deployment describes its retry/deadline/breaker posture once and
-    hands it to whichever client a call site needs.  The resilience trio
-    (``retry_policy``/``deadline_s``/``breaker``) is interpreted exactly
-    as the old per-kwarg API did: configuring any of them wraps the
-    transport in a resilient layer where reads retry freely and writes
-    retry under a server-deduplicated idempotency token.
+    hands it to whichever client a call site needs.  Configuring any of
+    the resilience trio — ``retry_policy`` (a
+    :class:`repro.resilience.RetryPolicy`), ``deadline_s`` (a per-call
+    time budget, propagated to the server via the SOAP ``Deadline``
+    header) or ``breaker`` (a shared
+    :class:`repro.resilience.CircuitBreaker`) — wraps the transport in a
+    resilient layer where reads retry freely and writes retry under a
+    server-deduplicated idempotency token.
 
     ``pool_size`` sizes the async transport's keep-alive connection
     pool; the sync transport holds a single pooled connection and
@@ -101,83 +72,13 @@ class ClientConfig:
 
     @property
     def resilient(self) -> bool:
-        return (
-            self.retry_policy is not None
-            or self.deadline_s is not None
-            or self.breaker is not None
-        )
+        trio = (self.retry_policy, self.deadline_s, self.breaker)
+        return any(option is not None for option in trio)
 
 
-def _resolve_config(
-    config: Optional["ClientConfig | str"],
-    caller: Optional[str],
-    retry_policy: Optional[object],
-    deadline_s: Optional[float],
-    breaker: Optional[object],
-) -> ClientConfig:
-    """Fold the legacy per-kwarg surface into one :class:`ClientConfig`.
-
-    The resilience trio keeps working but warns: it predates
-    ``ClientConfig`` and every new option would have meant another
-    kwarg copied across four constructors.  ``caller=`` alone stays a
-    silently-supported convenience — identity is per-client-instance in
-    a way retry posture is not.
-    """
-    if isinstance(config, str):
-        # Positional caller from the pre-config signature
-        # (``connect(host, port, "cn=...")``).
-        warnings.warn(
-            "passing caller positionally is deprecated; use "
-            "connect(host, port, caller=...) or ClientConfig(caller=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = ClientConfig(caller=config)
-    if retry_policy is not None or deadline_s is not None or breaker is not None:
-        warnings.warn(
-            "the retry_policy=/deadline_s=/breaker= kwargs are deprecated; "
-            "pass ClientConfig(retry_policy=..., deadline_s=..., breaker=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if config is None:
-        return ClientConfig(
-            caller=caller,
-            retry_policy=retry_policy,
-            deadline_s=deadline_s,
-            breaker=breaker,
-        )
-    changes: dict[str, Any] = {}
-    if caller is not None:
-        changes["caller"] = caller
-    if retry_policy is not None:
-        changes["retry_policy"] = retry_policy
-    if deadline_s is not None:
-        changes["deadline_s"] = deadline_s
-    if breaker is not None:
-        changes["breaker"] = breaker
-    return config.with_options(**changes) if changes else config
-
-
-def _wrap_resilient(
-    transport: Transport,
-    endpoint: str,
-    retry_policy: Optional[object],
-    deadline_s: Optional[float],
-    breaker: Optional[object],
-) -> Transport:
-    if retry_policy is None and deadline_s is None and breaker is None:
-        return transport
-    from repro.resilience.transport import ResilientTransport
-
-    return ResilientTransport(
-        transport,
-        policy=retry_policy,  # type: ignore[arg-type]
-        breaker=breaker,  # type: ignore[arg-type]
-        endpoint=endpoint,
-        is_idempotent=is_read_method,
-        deadline_s=deadline_s,
-    )
+def _typed(fault: SoapFault) -> Exception:
+    """The typed exception a wire fault stands for (the fault itself if none)."""
+    return exception_from_fault(fault.code, fault.message) or fault
 
 
 class BulkResult:
@@ -199,9 +100,8 @@ class BulkResult:
         if item.ok:
             self._result = item.result
         else:
-            fault = item.fault
-            assert fault is not None
-            self._error = exception_from_fault(fault.code, fault.message) or fault
+            assert item.fault is not None
+            self._error = _typed(item.fault)
 
     def _require_resolved(self) -> None:
         if not self._resolved:
@@ -232,7 +132,43 @@ class BulkResult:
         return self._result
 
 
-class BulkContext:
+class BulkQueue:
+    """The queue behind ``client.bulk()``; the flavours add ``flush``.
+
+    Queueing is synchronous in both flavours (it only builds the
+    operation list); the one round trip happens in ``flush`` / at
+    context exit.
+    """
+
+    def __init__(self, client: "ClientOperations") -> None:
+        self._client = client
+        self._ops: list[tuple[str, dict[str, Any]]] = []
+        self._pending: list[BulkResult] = []
+
+    def call(self, method: str, **args: Any) -> BulkResult:
+        """Queue one operation; returns a handle resolved at flush."""
+        handle = BulkResult(method)
+        self._ops.append((method, self._client._stamp(method, args)))
+        self._pending.append(handle)
+        return handle
+
+    def __len__(self) -> int:
+        return len(self._ops)
+
+    def _drain(self) -> tuple[list[tuple[str, dict[str, Any]]], list[BulkResult]]:
+        """Take everything queued so far, leaving the queue empty."""
+        ops, handles = self._ops, self._pending
+        self._ops, self._pending = [], []
+        return ops, handles
+
+    @staticmethod
+    def _settle(handles: list[BulkResult], items: list[BulkItem]) -> list[BulkResult]:
+        for handle, item in zip(handles, items):
+            handle._resolve(item)
+        return handles
+
+
+class BulkContext(BulkQueue):
     """Pipelines queued operations into one ``<BulkRequest>`` round trip.
 
     Usage::
@@ -247,32 +183,14 @@ class BulkContext:
     items is the explicit ``bulk_*`` APIs' job, not this pipeline's.
     """
 
-    def __init__(self, client: "MCSClient") -> None:
-        self._client = client
-        self._ops: list[tuple[str, dict[str, Any]]] = []
-        self._pending: list[BulkResult] = []
-
-    def call(self, method: str, **args: Any) -> BulkResult:
-        """Queue one operation; returns a handle resolved at flush."""
-        handle = BulkResult(method)
-        self._ops.append((method, self._client._stamp(method, args)))
-        self._pending.append(handle)
-        return handle
-
     def flush(self) -> list[BulkResult]:
         """Send queued operations in one round trip; resolve handles."""
-        if not self._ops:
+        ops, handles = self._drain()
+        if not ops:
             return []
-        ops, handles = self._ops, self._pending
-        self._ops, self._pending = [], []
         with _span("client.call_bulk", n=str(len(ops))):
             items = self._client._transport.call_bulk(ops)
-        for handle, item in zip(handles, items):
-            handle._resolve(item)
-        return handles
-
-    def __len__(self) -> int:
-        return len(self._ops)
+        return self._settle(handles, items)
 
     def __enter__(self) -> "BulkContext":
         return self
@@ -282,14 +200,40 @@ class BulkContext:
             self.flush()
 
 
-class MCSClient:
-    """Synchronous MCS client over a pluggable transport."""
+def _read(operation: Callable[..., Any]) -> Callable[..., Any]:
+    """Mark an operation as an idempotent read (see :data:`READ_METHODS`)."""
+    operation.idempotent_read = True  # type: ignore[attr-defined]
+    return operation
+
+
+def _attribute_defs(wire: list[dict]) -> list[AttributeDef]:
+    return [AttributeDef.from_dict(d) for d in wire]
+
+
+class ClientOperations:
+    """Every client operation, declared once for both flavours.
+
+    A flavour supplies ``_call(method, **args)`` (the result, or an
+    awaitable of it), ``_then(outcome, fn)`` (apply *fn* to what
+    ``_call`` produced), its transports and its bulk context.  Return
+    annotations name the resolved value; on
+    :class:`~repro.core.aclient.AsyncMCSClient` each operation returns
+    an awaitable of it.  Operations marked ``@_read`` are idempotent and
+    retried freely; the rest are writes.
+    """
+
+    _direct_transport: Callable[..., Any]
+    _resilient_transport: Callable[..., Any]
+    _bulk_context: Callable[..., Any]
+    _http_transport: Callable[..., Any]
+    _call: Callable[..., Any]
+    _then: Callable[..., Any]
 
     def __init__(
         self,
-        transport: Transport,
+        transport: Any,
         caller: Optional[str] = None,
-        gsi_context: Optional["object"] = None,
+        gsi_context: Optional[Any] = None,
         cas_assertion: Optional[dict] = None,
     ) -> None:
         self._transport = transport
@@ -302,76 +246,57 @@ class MCSClient:
     @classmethod
     def in_process(
         cls,
-        service: "object",
-        config: Optional["ClientConfig | str"] = None,
+        service: Any,
+        config: Optional[ClientConfig] = None,
         *,
         caller: Optional[str] = None,
-        retry_policy: Optional[object] = None,
-        deadline_s: Optional[float] = None,
-        breaker: Optional[object] = None,
-    ) -> "MCSClient":
+    ) -> Any:
         """Bind directly to an MCSService — no SOAP, no socket.
 
-        Resilience options mirror :meth:`connect`; useful under fault
-        injection, where even in-process calls can fail.
+        The config's resilience options apply as for :meth:`connect`;
+        useful under fault injection, where even in-process calls can
+        fail.  The async flavour runs the synchronous handler on the
+        loop's default executor with the calling task's context, so
+        deadlines and traces behave as they do over the wire.
         """
-        cfg = _resolve_config(config, caller, retry_policy, deadline_s, breaker)
-        transport = _wrap_resilient(
-            DirectTransport(service.handle),
-            "inproc",
-            cfg.retry_policy,
-            cfg.deadline_s,
-            cfg.breaker,
-        )
-        return cls(transport, caller=cfg.caller)
+        cfg = config if config is not None else ClientConfig()
+        return cls._over(cls._direct_transport(service.handle), "inproc", cfg, caller)
 
     @classmethod
     def connect(
         cls,
         host: str,
         port: int,
-        config: Optional["ClientConfig | str"] = None,
+        config: Optional[ClientConfig] = None,
         *,
         caller: Optional[str] = None,
-        retry_policy: Optional[object] = None,
-        deadline_s: Optional[float] = None,
-        breaker: Optional[object] = None,
-    ) -> "MCSClient":
+    ) -> Any:
         """Connect over SOAP/HTTP.
 
-        All construction options travel in one :class:`ClientConfig`:
-        ``retry_policy`` (a :class:`repro.resilience.RetryPolicy`),
-        ``deadline_s`` (a per-call time budget, propagated to the server
-        via the SOAP ``Deadline`` header) or ``breaker`` (a shared
-        :class:`repro.resilience.CircuitBreaker`) wrap the HTTP transport
-        in a :class:`~repro.resilience.transport.ResilientTransport`:
-        reads retry freely, writes retry under an idempotency token the
-        server deduplicates on.  The legacy per-kwarg resilience options
-        still work but emit :class:`DeprecationWarning`.
+        All construction options travel in one :class:`ClientConfig`;
+        ``caller=`` is shorthand for ``ClientConfig(caller=...)``.  The
+        async flavour shares ``config.pool_size`` keep-alive connections
+        among all concurrent tasks using the client.
         """
-        cfg = _resolve_config(config, caller, retry_policy, deadline_s, breaker)
-        transport = _wrap_resilient(
-            HttpTransport(
-                host,
-                port,
-                timeout=cfg.timeout_s,
-                simulated_latency_s=cfg.simulated_latency_s,
-            ),
-            f"{host}:{port}",
-            cfg.retry_policy,
-            cfg.deadline_s,
-            cfg.breaker,
-        )
-        return cls(transport, caller=cfg.caller)
+        cfg = config if config is not None else ClientConfig()
+        transport = cls._http_transport(host, port, cfg)
+        return cls._over(transport, f"{host}:{port}", cfg, caller)
 
-    def close(self) -> None:
-        self._transport.close()
-
-    def __enter__(self) -> "MCSClient":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+    @classmethod
+    def _over(
+        cls, transport: Any, endpoint: str, cfg: ClientConfig, caller: Optional[str]
+    ) -> Any:
+        """A client on *transport*, wrapped resilient if *cfg* asks for it."""
+        if cfg.resilient:
+            transport = cls._resilient_transport(
+                transport,
+                policy=cfg.retry_policy,
+                breaker=cfg.breaker,
+                endpoint=endpoint,
+                is_idempotent=is_read_method,
+                deadline_s=cfg.deadline_s,
+            )
+        return cls(transport, caller=cfg.caller if caller is None else caller)
 
     # -- call plumbing -----------------------------------------------------------
 
@@ -388,28 +313,11 @@ class MCSClient:
             args["auth"] = token_to_dict(token)
         return args
 
-    def _call(self, method: str, **args: Any) -> Any:
-        args = self._stamp(method, args)
-        # Root span: mints the request id that rides the SOAP header so
-        # server-side spans and logs correlate with this call.
-        with _span("client.call", method=method):
-            try:
-                return self._transport.call(method, args)
-            except SoapFault as fault:
-                error = exception_from_fault(fault.code, fault.message)
-                if error is not None:
-                    raise error from None
-                raise
-
-    # -- bulk pipeline -----------------------------------------------------------
-
-    def bulk(self) -> BulkContext:
+    def bulk(self) -> Any:
         """Open a pipelined batch: queue calls, flush in one round trip."""
-        return BulkContext(self)
+        return self._bulk_context(self)
 
-    # ======================================================================
-    # Files
-    # ======================================================================
+    # -- Files ---------------------------------------------------------------------
 
     def create_logical_file(
         self,
@@ -437,6 +345,7 @@ class MCSClient:
             attributes=attributes,
         )
 
+    @_read
     def get_logical_file(self, name: str, version: Optional[int] = None) -> dict:
         """Static (predefined) attributes of a logical file."""
         return self._call("get_logical_file", name=name, version=version)
@@ -444,29 +353,33 @@ class MCSClient:
     def modify_logical_file(
         self, name: str, version: Optional[int] = None, **changes: Any
     ) -> bool:
+        """Change static attributes of a logical file (``field=value``)."""
         return self._call(
             "modify_logical_file", name=name, version=version, changes=changes
         )
 
     def delete_logical_file(self, name: str, version: Optional[int] = None) -> bool:
+        """Delete a logical file (one version, or the only one)."""
         return self._call("delete_logical_file", name=name, version=version)
 
     def invalidate_logical_file(self, name: str, version: Optional[int] = None) -> bool:
+        """Mark a file invalid: ``modify_logical_file(..., valid=False)``."""
         return self.modify_logical_file(name, version, valid=False)
 
     def move_file_to_collection(
         self, name: str, collection: Optional[str], version: Optional[int] = None
     ) -> bool:
+        """Move a file into *collection* (``None`` detaches it)."""
         return self._call(
             "move_file_to_collection", name=name, collection=collection, version=version
         )
 
+    @_read
     def list_versions(self, name: str) -> list[int]:
+        """The version numbers registered under a logical name."""
         return self._call("list_versions", name=name)
 
-    # ======================================================================
-    # Bulk operations (single transaction server-side)
-    # ======================================================================
+    # -- Bulk operations (single transaction server-side) --------------------------
 
     def bulk_create_files(
         self, entries: Sequence[dict[str, Any]], atomic: bool = True
@@ -478,9 +391,7 @@ class MCSClient:
         entry; with ``atomic=True`` any failure raises instead (nothing
         committed).
         """
-        return self._call(
-            "bulk_create_files", entries=list(entries), atomic=atomic
-        )
+        return self._call("bulk_create_files", entries=list(entries), atomic=atomic)
 
     def bulk_set_attributes(
         self, items: Sequence[dict[str, Any]], atomic: bool = True
@@ -488,6 +399,7 @@ class MCSClient:
         """Set attributes on many objects in one call and transaction."""
         return self._call("bulk_set_attributes", items=list(items), atomic=atomic)
 
+    @_read
     def bulk_query(self, queries: Sequence[ObjectQuery | dict]) -> dict:
         """Run many discovery queries in one round trip."""
         wire = [
@@ -496,9 +408,7 @@ class MCSClient:
         ]
         return self._call("bulk_query", queries=wire)
 
-    # ======================================================================
-    # User-defined attributes
-    # ======================================================================
+    # -- User-defined attributes ---------------------------------------------------
 
     def define_attribute(
         self,
@@ -507,6 +417,7 @@ class MCSClient:
         object_types: Optional[Sequence[str]] = None,
         description: Optional[str] = None,
     ) -> int:
+        """Define a user attribute (``object_types=None``: any); returns its id."""
         return self._call(
             "define_attribute",
             name=name,
@@ -515,15 +426,14 @@ class MCSClient:
             description=description,
         )
 
+    @_read
     def list_attribute_defs(self) -> list[AttributeDef]:
         """All user-defined attributes, as typed :class:`AttributeDef` records.
 
         The wire carries :meth:`AttributeDef.to_dict` dicts; this rebuilds
         the dataclasses so callers see the same shape the catalog returns.
         """
-        return [
-            AttributeDef.from_dict(d) for d in self._call("list_attribute_defs")
-        ]
+        return self._then(self._call("list_attribute_defs"), _attribute_defs)
 
     def set_attributes(
         self,
@@ -532,6 +442,7 @@ class MCSClient:
         attributes: dict[str, Any],
         version: Optional[int] = None,
     ) -> bool:
+        """Set user-defined attribute values on a file, collection or view."""
         return self._call(
             "set_attributes",
             object_type=object_type,
@@ -540,6 +451,7 @@ class MCSClient:
             version=version,
         )
 
+    @_read
     def get_attributes(
         self, object_type: str, name: str, version: Optional[int] = None
     ) -> dict[str, Any]:
@@ -554,9 +466,9 @@ class MCSClient:
         )
 
     def remove_attribute(
-        self, object_type: str, name: str, attribute: str,
-        version: Optional[int] = None,
+        self, object_type: str, name: str, attribute: str, version: Optional[int] = None
     ) -> bool:
+        """Remove one user-defined attribute value from an object."""
         return self._call(
             "remove_attribute",
             object_type=object_type,
@@ -565,48 +477,19 @@ class MCSClient:
             version=version,
         )
 
-    # ======================================================================
-    # Queries
-    # ======================================================================
+    # -- Queries -------------------------------------------------------------------
 
+    @_read
     def query(self, query: ObjectQuery) -> list[str]:
         """Attribute-based discovery: returns matching logical names."""
         return self._call("query", query=_query_to_dict(query))
 
-    def query_files_by_attributes(self, conditions: dict[str, Any]) -> list[str]:
-        """Deprecated: conjunctive equality query on user-defined attributes.
-
-        Thin shim over :meth:`query`; build an :class:`ObjectQuery` instead.
-        """
-        warnings.warn(
-            "MCSClient.query_files_by_attributes is deprecated; build an "
-            "ObjectQuery and call query()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        query = ObjectQuery()
-        for name, value in conditions.items():
-            query.where(name, "=", value)
-        return self.query(query)
-
-    def simple_query(self, field: str, value: Any) -> list[str]:
-        """Deprecated: the paper's 'simple query' on one static attribute.
-
-        Thin shim over :meth:`query`; use
-        ``query(ObjectQuery().where_field(field, "=", value))`` instead.
-        """
-        warnings.warn(
-            "MCSClient.simple_query is deprecated; build an ObjectQuery "
-            "and call query()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(ObjectQuery().where_field(field, "=", value))
-
+    @_read
     def explain_query(self, query: ObjectQuery) -> list[str]:
         """The physical plan the query would execute (one line per step)."""
         return self._call("explain_query", query=_query_to_dict(query))
 
+    @_read
     def query_mql(self, text: str) -> list[str]:
         """Run one MQL statement, e.g. ``files where run = 7 limit 10``.
 
@@ -616,6 +499,7 @@ class MCSClient:
         """
         return self._call("query_mql", text=text)
 
+    @_read
     def explain_mql(self, text: str) -> list[str]:
         """Strategy choice, cost model and algebra for an MQL statement."""
         return self._call("explain_mql", text=text)
@@ -624,9 +508,7 @@ class MCSClient:
         """Recompute MQL planner statistics exactly (like SQL ANALYZE)."""
         return self._call("analyze_attributes")
 
-    # ======================================================================
-    # Collections
-    # ======================================================================
+    # -- Collections ---------------------------------------------------------------
 
     def create_collection(
         self,
@@ -636,6 +518,7 @@ class MCSClient:
         audit_enabled: bool = False,
         attributes: Optional[dict[str, Any]] = None,
     ) -> int:
+        """Create a logical collection (under *parent*); returns its id."""
         return self._call(
             "create_collection",
             name=name,
@@ -646,20 +529,24 @@ class MCSClient:
         )
 
     def delete_collection(self, name: str) -> bool:
+        """Delete an empty logical collection."""
         return self._call("delete_collection", name=name)
 
+    @_read
     def list_collection(self, name: str) -> list[str]:
+        """Names of the logical files in a collection."""
         return self._call("list_collection", name=name)
 
+    @_read
     def list_subcollections(self, name: str) -> list[str]:
+        """Names of a collection's direct child collections."""
         return self._call("list_subcollections", name=name)
 
     def set_collection_parent(self, name: str, parent: Optional[str]) -> bool:
+        """Re-parent a collection (``None`` makes it top-level)."""
         return self._call("set_collection_parent", name=name, parent=parent)
 
-    # ======================================================================
-    # Views
-    # ======================================================================
+    # -- Views ---------------------------------------------------------------------
 
     def create_view(
         self,
@@ -668,6 +555,7 @@ class MCSClient:
         audit_enabled: bool = False,
         attributes: Optional[dict[str, Any]] = None,
     ) -> int:
+        """Create a logical view; returns its id."""
         return self._call(
             "create_view",
             name=name,
@@ -677,6 +565,7 @@ class MCSClient:
         )
 
     def delete_view(self, name: str) -> bool:
+        """Delete a logical view (its members are untouched)."""
         return self._call("delete_view", name=name)
 
     def add_to_view(
@@ -686,6 +575,7 @@ class MCSClient:
         collections: Sequence[str] = (),
         views: Sequence[str] = (),
     ) -> bool:
+        """Add logical files, collections and/or views to a view."""
         return self._call(
             "add_to_view",
             view=view,
@@ -701,6 +591,7 @@ class MCSClient:
         collections: Sequence[str] = (),
         views: Sequence[str] = (),
     ) -> bool:
+        """Remove logical files, collections and/or views from a view."""
         return self._call(
             "remove_from_view",
             view=view,
@@ -709,23 +600,26 @@ class MCSClient:
             views=list(views),
         )
 
+    @_read
     def list_view(self, name: str) -> list[dict]:
+        """A view's members as ``{"type", "id", "name"}`` dicts."""
         return self._call("list_view", name=name)
 
-    # ======================================================================
-    # Annotations, provenance, audit
-    # ======================================================================
+    # -- Annotations, provenance, audit --------------------------------------------
 
     def annotate(
         self, object_type: str, name: str, text: str, version: Optional[int] = None
     ) -> bool:
+        """Attach a free-text annotation to a logical object."""
         return self._call(
             "annotate", object_type=object_type, name=name, text=text, version=version
         )
 
+    @_read
     def get_annotations(
         self, object_type: str, name: str, version: Optional[int] = None
     ) -> list[dict]:
+        """A logical object's annotations, oldest first."""
         return self._call(
             "get_annotations", object_type=object_type, name=name, version=version
         )
@@ -733,25 +627,28 @@ class MCSClient:
     def add_transformation(
         self, name: str, description: str, version: Optional[int] = None
     ) -> bool:
+        """Record a provenance step (a transformation) on a logical file."""
         return self._call(
             "add_transformation", name=name, description=description, version=version
         )
 
+    @_read
     def get_transformations(
         self, name: str, version: Optional[int] = None
     ) -> list[dict]:
+        """A logical file's recorded transformation history."""
         return self._call("get_transformations", name=name, version=version)
 
+    @_read
     def audit_log(
         self, object_type: str, name: str, version: Optional[int] = None
     ) -> list[dict]:
+        """The audit trail of a logical object (needs ADMIN on it)."""
         return self._call(
             "audit_log", object_type=object_type, name=name, version=version
         )
 
-    # ======================================================================
-    # Users, catalogs, permissions, misc
-    # ======================================================================
+    # -- Users, catalogs, permissions, misc ----------------------------------------
 
     def register_user(
         self,
@@ -761,6 +658,7 @@ class MCSClient:
         email: str = "",
         phone: str = "",
     ) -> bool:
+        """Register (or update) a user by distinguished name."""
         return self._call(
             "register_user",
             dn=dn,
@@ -770,12 +668,15 @@ class MCSClient:
             phone=phone,
         )
 
+    @_read
     def get_user(self, dn: str) -> dict:
+        """The registered contact details of a user."""
         return self._call("get_user", dn=dn)
 
     def register_external_catalog(
         self, name: str, catalog_type: str, host: str, port: int, description: str = ""
     ) -> bool:
+        """Record where an external catalog (e.g. a replica service) lives."""
         return self._call(
             "register_external_catalog",
             name=name,
@@ -785,7 +686,9 @@ class MCSClient:
             description=description,
         )
 
+    @_read
     def list_external_catalogs(self) -> list[dict]:
+        """Every registered external catalog."""
         return self._call("list_external_catalogs")
 
     def set_permissions(
@@ -795,6 +698,11 @@ class MCSClient:
         principal: str,
         permissions: Sequence[str],
     ) -> bool:
+        """Grant *principal* exactly *permissions* on an object.
+
+        ``name=None`` addresses the service-level ACL; principal ``"*"``
+        is everyone.
+        """
         return self._call(
             "set_permissions",
             object_type=object_type,
@@ -803,36 +711,96 @@ class MCSClient:
             permissions=list(permissions),
         )
 
+    @_read
     def get_permissions(self, object_type: str, name: Optional[str] = None) -> dict:
+        """An object's ACL as ``{principal: [permission names]}``."""
         return self._call("get_permissions", object_type=object_type, name=name)
 
+    @_read
     def stats(self) -> dict:
+        """Catalog row counts plus cache and metrics snapshots."""
         return self._call("stats")
 
+    @_read
     def ping(self) -> str:
+        """Liveness check; answers ``"pong"``."""
         return self._call("ping")
+
+
+#: Wire methods that are idempotent reads.  The resilience layer retries
+#: these freely; anything not listed is treated as a write and only
+#: retried under a server-deduplicated idempotency token.
+READ_METHODS = frozenset(
+    name
+    for name, operation in vars(ClientOperations).items()
+    if getattr(operation, "idempotent_read", False)
+)
+
+
+def is_read_method(method: str) -> bool:
+    """True for idempotent (freely retryable) wire methods."""
+    return method in READ_METHODS
+
+
+class MCSClient(ClientOperations):
+    """Synchronous MCS client over a pluggable transport."""
+
+    _direct_transport = DirectTransport
+    _resilient_transport = ResilientTransport
+    _bulk_context = BulkContext
+
+    @staticmethod
+    def _http_transport(host: str, port: int, config: ClientConfig) -> Transport:
+        return HttpTransport(
+            host,
+            port,
+            timeout=config.timeout_s,
+            simulated_latency_s=config.simulated_latency_s,
+        )
+
+    def close(self) -> None:
+        self._transport.close()
+
+    def __enter__(self) -> "MCSClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def _call(self, method: str, **args: Any) -> Any:
+        args = self._stamp(method, args)
+        # Root span: mints the request id that rides the SOAP header so
+        # server-side spans and logs correlate with this call.
+        with _span("client.call", method=method):
+            try:
+                return self._transport.call(method, args)
+            except SoapFault as fault:
+                raise _typed(fault) from None
+
+    @staticmethod
+    def _then(outcome: Any, fn: Callable[[Any], Any]) -> Any:
+        return fn(outcome)
+
+
+def _wire_conditions(conditions: Sequence[Any]) -> list[dict]:
+    return [
+        {
+            "attribute": c.attribute,
+            "op": c.op,
+            "value": list(c.value) if isinstance(c.value, tuple) else c.value,
+        }
+        for c in conditions
+    ]
 
 
 def _query_to_dict(query: ObjectQuery) -> dict:
     return {
         "object_type": query.object_type.value,
-        "conditions": [
-            {"attribute": c.attribute, "op": c.op, "value": _encode_cond_value(c.value)}
-            for c in query.conditions
-        ],
-        "predefined": [
-            {"attribute": c.attribute, "op": c.op, "value": _encode_cond_value(c.value)}
-            for c in query.predefined
-        ],
+        "conditions": _wire_conditions(query.conditions),
+        "predefined": _wire_conditions(query.predefined),
         "collection": query.collection,
         "valid_only": query.valid_only,
         "limit": query.max_results,
         "offset": query.skip_results,
         "order_by": list(query.order) if query.order is not None else None,
     }
-
-
-def _encode_cond_value(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return list(value)
-    return value

@@ -93,6 +93,12 @@ class ObjectQuery:
         self.conditions.append(AttributeCondition(attribute, op, value))
         return self
 
+    def where_equal(self, conditions: dict[str, Any]) -> "ObjectQuery":
+        """Fluent helper: one ``=`` user-attribute condition per item."""
+        for attribute, value in conditions.items():
+            self.where(attribute, "=", value)
+        return self
+
     def where_field(self, fieldname: str, op: str, value: Any) -> "ObjectQuery":
         """Fluent helper: add a predefined-attribute condition."""
         self.predefined.append(AttributeCondition(fieldname, op, value))

@@ -20,6 +20,7 @@ individual mappings"):
 from __future__ import annotations
 
 import datetime as _dt
+import inspect
 import json
 import threading
 import time
@@ -322,9 +323,14 @@ class MCSService:
         return SoapFault(code, str(exc)) if code is not None else None
 
     def description(self) -> ServiceDescription:
+        """The WSDL-level description: each ``op_*`` with its wire parameters."""
         desc = ServiceDescription("MetadataCatalogService")
         for name in sorted(self._methods):
-            desc.add(name, ("...",))
+            signature = inspect.signature(self._methods[name])
+            desc.add(
+                name,
+                tuple(p for p in signature.parameters if p not in ("caller", "assertion")),
+            )
         return desc
 
     # -- authentication ---------------------------------------------------------
@@ -662,20 +668,6 @@ class MCSService:
     ) -> list[str]:
         self._check(caller, Permission.READ, assertion=assertion)
         return self.catalog.query(_query_from_dict(query))
-
-    def op_query_files_by_attributes(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        conditions: dict[str, Any],
-    ) -> list[str]:
-        # Wire-compatible legacy operation, served by the fluent query
-        # path so the deprecated catalog shim has no in-tree callers.
-        self._check(caller, Permission.READ, assertion=assertion)
-        query = ObjectQuery()
-        for name, value in conditions.items():
-            query.where(name, "=", value)
-        return self.catalog.query(query)
 
     def op_explain_query(
         self,

@@ -178,6 +178,20 @@ class Injection:
         """Truncate a response body (the ``torn`` kind)."""
         return body[: max(1, len(body) // 2)]
 
+    def post(self, body: Optional[bytes]) -> Optional[bytes]:
+        """Apply after the call ran: the post-call half of :meth:`pre`.
+
+        ``lost_reply``: the caller never learns the outcome.  ``torn``:
+        half the reply bytes arrive — or, at an in-process site where
+        there are no bytes to tear (*body* is ``None``), the same as a
+        lost reply.  Every other kind passes *body* through.
+        """
+        if self.kind == "lost_reply" or (self.kind == "torn" and body is None):
+            from repro.soap.errors import TransportError
+
+            raise TransportError(f"{self._message()} (request executed)")
+        return self.tear(body) if self.kind == "torn" else body
+
 
 class FaultPlan:
     """An activatable set of rules with deterministic per-rule randomness."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -83,18 +82,6 @@ class FederatedMCS:
         for member in self.catalogs.values():
             self.index.receive_summary(member.make_summary())
 
-    def query_files_by_attributes(
-        self, conditions: dict[str, Any]
-    ) -> dict[str, list[str]]:
-        """Deprecated: build an :class:`ObjectQuery` and call :meth:`query`."""
-        warnings.warn(
-            "FederatedMCS.query_files_by_attributes() is deprecated; "
-            "build an ObjectQuery and call query() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(self._equality_query(conditions))
-
     def query(self, query: ObjectQuery) -> dict[str, list[str]]:
         """Full ObjectQuery across the federation; member failures raise."""
         return self.query_detailed(query, strict=True).results
@@ -133,7 +120,7 @@ class FederatedMCS:
     def flat_query(self, conditions: dict[str, Any]) -> list[str]:
         """Merged, de-duplicated name list across all catalogs."""
         merged: set[str] = set()
-        for names in self.query(self._equality_query(conditions)).values():
+        for names in self.query(ObjectQuery().where_equal(conditions)).values():
             merged.update(names)
         return sorted(merged)
 
@@ -189,9 +176,3 @@ class FederatedMCS:
                 guard.record_success()
                 return names
 
-    @staticmethod
-    def _equality_query(conditions: dict[str, Any]) -> ObjectQuery:
-        query = ObjectQuery()
-        for attr, value in conditions.items():
-            query.where(attr, "=", value)
-        return query

@@ -1,184 +1,43 @@
-"""AsyncResilientTransport: the retry loop of ``resilience.transport``
-for coroutine transports.
+"""AsyncResilientTransport: the asyncio I/O shell of the retry layer.
 
-Semantics are kept deliberately identical to
-:class:`~repro.resilience.transport.ResilientTransport` — same
-deadline-pinning, breaker admission, idempotency-token minting,
-retryable-fault classification and retry accounting (the shared
-``mcs_retry_*`` metrics) — with exactly one difference: backoff is spent
-in ``asyncio.sleep``, so a retrying call parks its task instead of a
-thread.  ``tests/aserve`` runs the chaos equivalence suites over both
-wrappers to keep them converged.
+Every decision — deadline pinning, breaker admission, idempotency-token
+minting, retryable-fault classification, retry accounting (the shared
+``mcs_retry_*`` metrics) — is
+:class:`~repro.resilience.transport.RetryState`'s, shared with the
+blocking shell.  This one awaits the inner coroutine transport and
+spends backoff in ``asyncio.sleep``, so a retrying call parks its task
+instead of a thread.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
-from typing import Any, Awaitable, Callable, Optional
+from typing import Any, Awaitable, Callable
 
-from repro.obs import trace as _trace
-from repro.obs.metrics import OBS
-from repro.resilience import context as _rctx
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.retry import (
-    RETRY_ATTEMPTS,
-    RETRY_BACKOFF_SECONDS,
-    RetryPolicy,
+from repro.resilience.transport import (
+    ATTEMPT_FAILURES,
+    ResilientTransport,
+    RetryState,
 )
-from repro.resilience.transport import RETRYABLE_FAULT_CODES
-from repro.soap.envelope import BulkItem, SoapFault
-from repro.soap.errors import (
-    CircuitOpenError,
-    DeadlineExceeded,
-    EncodingError,
-    TransportError,
-)
-from repro.soap.transport import Operations
 
 
-class AsyncResilientTransport:
-    """Retry/deadline/breaker wrapper for async transports."""
+class AsyncResilientTransport(ResilientTransport):
+    """Retry/deadline/breaker wrapper for coroutine transports."""
 
-    def __init__(
-        self,
-        inner: Any,
-        policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        endpoint: str = "inproc",
-        is_idempotent: Optional[Callable[[str], bool]] = None,
-        deadline_s: Optional[float] = None,
-    ) -> None:
-        self.inner = inner
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.breaker = (
-            breaker if breaker is not None else CircuitBreaker(endpoint)
-        )
-        self.endpoint = endpoint
-        self._is_idempotent = is_idempotent or (lambda method: False)
-        self.deadline_s = deadline_s
-
-    # -- Transport protocol (async) -----------------------------------------
-
-    async def call(self, method: str, args: dict[str, Any]) -> Any:
-        return await self._invoke(
-            method,
-            lambda: self.inner.call(method, args),
-            idempotent=self._is_idempotent(method),
-        )
-
-    async def call_bulk(self, operations: Operations) -> list[BulkItem]:
-        idempotent = all(self._is_idempotent(m) for m, _ in operations)
-        return await self._invoke(
-            "__bulk__",
-            lambda: self.inner.call_bulk(operations),
-            idempotent=idempotent,
-        )
-
-    async def close(self) -> None:
-        await self.inner.close()
-
-    # -- the retry loop ------------------------------------------------------
+    _default_sleep = staticmethod(asyncio.sleep)
 
     async def _invoke(
         self,
         label: str,
-        thunk: Callable[[], Awaitable[Any]],
         idempotent: bool,
+        inner: Callable[..., Awaitable[Any]],
+        *args: Any,
     ) -> Any:
-        policy = self.policy
-        deadline_at = _rctx.deadline_at()
-        if self.deadline_s is not None:
-            mine = time.monotonic() + self.deadline_s
-            deadline_at = mine if deadline_at is None else min(deadline_at, mine)
-        token = None
-        if not idempotent and policy.retry_writes:
-            token = _rctx.new_idempotency_key()
-        can_retry = policy.can_retry(idempotent, token is not None)
-        attempt = 0
+        state = RetryState(self, label, idempotent)
         while True:
-            attempt += 1
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                self._count(label, "deadline")
-                raise DeadlineExceeded(
-                    f"deadline exhausted before attempt {attempt} of {label!r} "
-                    f"to {self.endpoint}"
-                )
-            if not self.breaker.allow():
-                self._count(label, "rejected")
-                _trace.annotate(
-                    f"breaker open endpoint={self.endpoint} op={label}"
-                )
-                raise CircuitOpenError(
-                    f"circuit open for {self.endpoint}; {label!r} not attempted"
-                )
-            dl_token = _rctx.set_deadline_at(deadline_at)
-            idem_token = _rctx.set_idempotency_key(token)
-            try:
-                result = await thunk()
-            except SoapFault as fault:
-                if fault.code == "Server.DeadlineExceeded":
-                    self.breaker.record_success()
-                    self._count(label, "deadline")
-                    raise DeadlineExceeded(fault.message) from fault
-                if fault.code in RETRYABLE_FAULT_CODES:
-                    self.breaker.record_failure()
-                    await self._retry_or_raise(
-                        label, fault, attempt, can_retry, deadline_at
-                    )
-                    continue
-                self.breaker.record_success()
-                raise
-            except TransportError as exc:
-                self.breaker.record_failure()
-                await self._retry_or_raise(
-                    label, exc, attempt, can_retry, deadline_at
-                )
-                continue
-            except EncodingError as exc:
-                # Torn/truncated response: endpoint reachable, bytes gone.
-                self.breaker.record_failure()
-                await self._retry_or_raise(
-                    label, exc, attempt, can_retry, deadline_at
-                )
-                continue
-            finally:
-                _rctx.reset_idempotency_key(idem_token)
-                _rctx.reset_deadline(dl_token)
-            self.breaker.record_success()
-            if attempt > 1:
-                self._count(label, "recovered")
-            return result
-
-    async def _retry_or_raise(
-        self,
-        label: str,
-        exc: Exception,
-        attempt: int,
-        can_retry: bool,
-        deadline_at: Optional[float],
-    ) -> None:
-        """Back off before the next attempt, or re-raise *exc* when done."""
-        if not can_retry:
-            self._count(label, "not_retryable")
-            raise exc
-        if attempt >= self.policy.max_attempts:
-            self._count(label, "exhausted")
-            raise exc
-        delay = self.policy.backoff(attempt)
-        if deadline_at is not None and time.monotonic() + delay >= deadline_at:
-            self._count(label, "deadline")
-            raise DeadlineExceeded(
-                f"deadline leaves no room to retry {label!r} to {self.endpoint}"
-            ) from exc
-        self._count(label, "retried")
-        _trace.annotate(
-            f"retry attempt={attempt} op={label} breaker={self.breaker.state} "
-            f"cause={type(exc).__name__}"
-        )
-        if OBS.enabled:
-            RETRY_BACKOFF_SECONDS.observe(delay)
-        await asyncio.sleep(delay)
-
-    def _count(self, label: str, outcome: str) -> None:
-        RETRY_ATTEMPTS.labels(f"{self.endpoint}:{label}", outcome).inc()
+            with state:
+                try:
+                    return state.succeeded(await inner(*args))
+                except ATTEMPT_FAILURES as exc:
+                    delay = state.failed(exc)
+            await self._sleep(delay)

@@ -5,7 +5,8 @@ protocol, so :class:`~repro.core.client.MCSClient`, federation members
 and the bench harness can layer resilience over direct, loopback or HTTP
 transports without touching call sites.
 
-Per logical call:
+Per logical call (:class:`RetryState`, which does no I/O — the transport
+classes are thin shells that run the attempts and sleep the backoffs):
 
 1. If a deadline budget is configured, pin the absolute deadline now —
    retries and backoff all spend the *same* budget.
@@ -32,14 +33,14 @@ from repro.obs.metrics import OBS
 from repro.resilience import context as _rctx
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.retry import RETRY_ATTEMPTS, RETRY_BACKOFF_SECONDS, RetryPolicy
-from repro.soap.envelope import BulkItem, SoapFault
+from repro.soap.envelope import SoapFault
 from repro.soap.errors import (
     CircuitOpenError,
     DeadlineExceeded,
     EncodingError,
     TransportError,
 )
-from repro.soap.transport import Operations, Transport
+from repro.soap.transport import Operations
 
 #: Fault codes that signal a transient server-side condition worth
 #: retrying.  ``Server.Unavailable`` is what the fault-injection engine
@@ -49,148 +50,170 @@ from repro.soap.transport import Operations, Transport
 RETRYABLE_FAULT_CODES = frozenset({"Server.Unavailable", "Server.Busy"})
 
 
+class RetryState:
+    """One logical call's deadline, breaker, token and retry budget — no I/O.
+
+    The I/O shell loops: ``with state:`` admits one attempt and makes the
+    deadline and idempotency token ambient for the inner transport; the
+    attempt's outcome goes to :meth:`succeeded` or :meth:`failed`, and
+    ``failed`` answers with the backoff to sleep before the next attempt
+    — or raises when retrying is over.
+    """
+
+    def __init__(
+        self, transport: "ResilientTransport", label: str, idempotent: bool
+    ) -> None:
+        self.transport = transport
+        self.label = label
+        policy = transport.policy
+        self.deadline_at = _rctx.deadline_at()
+        if transport.deadline_s is not None:
+            mine = time.monotonic() + transport.deadline_s
+            inherited = self.deadline_at
+            self.deadline_at = mine if inherited is None else min(inherited, mine)
+        self.token = None
+        if not idempotent and policy.retry_writes:
+            self.token = _rctx.new_idempotency_key()
+        self.can_retry = policy.can_retry(idempotent, self.token is not None)
+        self.attempt = 0
+        self._ambient: Any = None
+
+    def __enter__(self) -> "RetryState":
+        transport, label = self.transport, self.label
+        self.attempt += 1
+        if self.deadline_at is not None and time.monotonic() >= self.deadline_at:
+            transport._count(label, "deadline")
+            raise DeadlineExceeded(
+                f"deadline exhausted before attempt {self.attempt} of {label!r} "
+                f"to {transport.endpoint}"
+            )
+        if not transport.breaker.allow():
+            transport._count(label, "rejected")
+            _trace.annotate(f"breaker open endpoint={transport.endpoint} op={label}")
+            raise CircuitOpenError(
+                f"circuit open for {transport.endpoint}; {label!r} not attempted"
+            )
+        self._ambient = (
+            _rctx.set_deadline_at(self.deadline_at),
+            _rctx.set_idempotency_key(self.token),
+        )
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        dl_token, idem_token = self._ambient
+        _rctx.reset_idempotency_key(idem_token)
+        _rctx.reset_deadline(dl_token)
+
+    def succeeded(self, result: Any) -> Any:
+        self.transport.breaker.record_success()
+        if self.attempt > 1:
+            self.transport._count(self.label, "recovered")
+        return result
+
+    def failed(self, exc: Exception) -> float:
+        """Seconds to back off before the next attempt, or re-raise *exc*."""
+        transport, label = self.transport, self.label
+        if isinstance(exc, SoapFault):
+            if exc.code == "Server.DeadlineExceeded":
+                # The server refused because *our* budget ran out en
+                # route; fold it into the client-side deadline family.
+                transport.breaker.record_success()
+                transport._count(label, "deadline")
+                raise DeadlineExceeded(exc.message) from exc
+            if exc.code not in RETRYABLE_FAULT_CODES:
+                # The server answered; the *application* refused.  That
+                # is endpoint health, not endpoint failure.
+                transport.breaker.record_success()
+                raise exc
+        # A transport error, a retryable fault, or a torn/truncated
+        # response (EncodingError: the bytes are gone but the endpoint is
+        # reachable; retry like a transport error).
+        transport.breaker.record_failure()
+        if not self.can_retry:
+            transport._count(label, "not_retryable")
+            raise exc
+        if self.attempt >= transport.policy.max_attempts:
+            transport._count(label, "exhausted")
+            raise exc
+        delay = transport.policy.backoff(self.attempt)
+        deadline_at = self.deadline_at
+        if deadline_at is not None and time.monotonic() + delay >= deadline_at:
+            transport._count(label, "deadline")
+            raise DeadlineExceeded(
+                f"deadline leaves no room to retry {label!r} to {transport.endpoint}"
+            ) from exc
+        transport._count(label, "retried")
+        _trace.annotate(
+            f"retry attempt={self.attempt} op={label} "
+            f"breaker={transport.breaker.state} cause={type(exc).__name__}"
+        )
+        if OBS.enabled:
+            RETRY_BACKOFF_SECONDS.observe(delay)
+        return delay
+
+
+#: What one attempt can fail with and still be this layer's business.
+ATTEMPT_FAILURES = (SoapFault, TransportError, EncodingError)
+
+
 class ResilientTransport:
-    """Retry/deadline/breaker wrapper implementing the Transport protocol."""
+    """Retry/deadline/breaker wrapper implementing the Transport protocol.
+
+    This class is the blocking I/O shell; the asyncio one
+    (:class:`repro.resilience.atransport.AsyncResilientTransport`)
+    overrides only :meth:`_invoke` and the default ``sleep``, so there
+    ``call``/``call_bulk``/``close`` return awaitables.
+    """
+
+    _default_sleep: Callable[[float], Any] = staticmethod(time.sleep)
 
     def __init__(
         self,
-        inner: Transport,
+        inner: Any,
         policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         endpoint: str = "inproc",
         is_idempotent: Optional[Callable[[str], bool]] = None,
         deadline_s: Optional[float] = None,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Optional[Callable[[float], Any]] = None,
     ) -> None:
         self.inner = inner
         self.policy = policy if policy is not None else RetryPolicy()
-        self.breaker = (
-            breaker if breaker is not None else CircuitBreaker(endpoint)
-        )
+        self.breaker = breaker if breaker is not None else CircuitBreaker(endpoint)
         self.endpoint = endpoint
         # Conservative default: treat every method as a write unless told
         # otherwise (writes still retry safely thanks to the token).
         self._is_idempotent = is_idempotent or (lambda method: False)
         self.deadline_s = deadline_s
-        self._sleep = sleep
+        self._sleep = sleep if sleep is not None else self._default_sleep
 
     # -- Transport protocol --------------------------------------------------
 
     def call(self, method: str, args: dict[str, Any]) -> Any:
         return self._invoke(
-            method,
-            lambda: self.inner.call(method, args),
-            idempotent=self._is_idempotent(method),
+            method, self._is_idempotent(method), self.inner.call, method, args
         )
 
-    def call_bulk(self, operations: Operations) -> list[BulkItem]:
+    def call_bulk(self, operations: Operations) -> Any:
         idempotent = all(self._is_idempotent(m) for m, _ in operations)
-        return self._invoke(
-            "__bulk__",
-            lambda: self.inner.call_bulk(operations),
-            idempotent=idempotent,
-        )
+        return self._invoke("__bulk__", idempotent, self.inner.call_bulk, operations)
 
-    def close(self) -> None:
-        self.inner.close()
+    def close(self) -> Any:
+        return self.inner.close()
 
-    # -- the retry loop ------------------------------------------------------
+    # -- the I/O shell -------------------------------------------------------
 
-    def _invoke(self, label: str, thunk: Callable[[], Any], idempotent: bool):
-        policy = self.policy
-        deadline_at = _rctx.deadline_at()
-        if self.deadline_s is not None:
-            mine = time.monotonic() + self.deadline_s
-            deadline_at = mine if deadline_at is None else min(deadline_at, mine)
-        token = None
-        if not idempotent and policy.retry_writes:
-            token = _rctx.new_idempotency_key()
-        can_retry = policy.can_retry(idempotent, token is not None)
-        attempt = 0
+    def _invoke(
+        self, label: str, idempotent: bool, inner: Callable[..., Any], *args: Any
+    ) -> Any:
+        state = RetryState(self, label, idempotent)
         while True:
-            attempt += 1
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                self._count(label, "deadline")
-                raise DeadlineExceeded(
-                    f"deadline exhausted before attempt {attempt} of {label!r} "
-                    f"to {self.endpoint}"
-                )
-            if not self.breaker.allow():
-                self._count(label, "rejected")
-                _trace.annotate(
-                    f"breaker open endpoint={self.endpoint} op={label}"
-                )
-                raise CircuitOpenError(
-                    f"circuit open for {self.endpoint}; {label!r} not attempted"
-                )
-            dl_token = _rctx.set_deadline_at(deadline_at)
-            idem_token = _rctx.set_idempotency_key(token)
-            try:
-                result = thunk()
-            except SoapFault as fault:
-                if fault.code == "Server.DeadlineExceeded":
-                    # The server refused because *our* budget ran out en
-                    # route; fold it into the client-side deadline family.
-                    self.breaker.record_success()
-                    self._count(label, "deadline")
-                    raise DeadlineExceeded(fault.message) from fault
-                if fault.code in RETRYABLE_FAULT_CODES:
-                    self.breaker.record_failure()
-                    self._retry_or_raise(
-                        label, fault, attempt, can_retry, deadline_at
-                    )
-                    continue
-                # The server answered; the *application* refused.  That
-                # is endpoint health, not endpoint failure.
-                self.breaker.record_success()
-                raise
-            except TransportError as exc:
-                self.breaker.record_failure()
-                self._retry_or_raise(label, exc, attempt, can_retry, deadline_at)
-                continue
-            except EncodingError as exc:
-                # A torn/truncated response: the bytes are gone but the
-                # endpoint is reachable; retry like a transport error.
-                self.breaker.record_failure()
-                self._retry_or_raise(label, exc, attempt, can_retry, deadline_at)
-                continue
-            finally:
-                _rctx.reset_idempotency_key(idem_token)
-                _rctx.reset_deadline(dl_token)
-            self.breaker.record_success()
-            if attempt > 1:
-                self._count(label, "recovered")
-            return result
-
-    def _retry_or_raise(
-        self,
-        label: str,
-        exc: Exception,
-        attempt: int,
-        can_retry: bool,
-        deadline_at: Optional[float],
-    ) -> None:
-        """Sleep before the next attempt, or re-raise *exc* when done."""
-        if not can_retry:
-            self._count(label, "not_retryable")
-            raise exc
-        if attempt >= self.policy.max_attempts:
-            self._count(label, "exhausted")
-            raise exc
-        delay = self.policy.backoff(attempt)
-        if deadline_at is not None and time.monotonic() + delay >= deadline_at:
-            self._count(label, "deadline")
-            raise DeadlineExceeded(
-                f"deadline leaves no room to retry {label!r} to {self.endpoint}"
-            ) from exc
-        self._count(label, "retried")
-        _trace.annotate(
-            f"retry attempt={attempt} op={label} breaker={self.breaker.state} "
-            f"cause={type(exc).__name__}"
-        )
-        if OBS.enabled:
-            RETRY_BACKOFF_SECONDS.observe(delay)
-        self._sleep(delay)
+            with state:
+                try:
+                    return state.succeeded(inner(*args))
+                except ATTEMPT_FAILURES as exc:
+                    delay = state.failed(exc)
+            self._sleep(delay)
 
     def _count(self, label: str, outcome: str) -> None:
         RETRY_ATTEMPTS.labels(f"{self.endpoint}:{label}", outcome).inc()

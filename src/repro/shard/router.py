@@ -54,7 +54,7 @@ from repro.core.model import (
     ObjectType,
     ViewMember,
 )
-from repro.core.query import AttributeCondition, ObjectQuery
+from repro.core.query import ObjectQuery
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.resilience.breaker import CircuitBreaker
@@ -943,17 +943,6 @@ class ShardedCatalog:
                 kind="scatter",
             )
         return written
-
-    def query_files_by_attributes(self, conditions: dict[str, Any]) -> list[str]:
-        return self.query(
-            ObjectQuery(
-                object_type=ObjectType.FILE,
-                conditions=[
-                    AttributeCondition(name, "=", value)
-                    for name, value in conditions.items()
-                ],
-            )
-        )
 
     # ======================================================================
     # Bulk operations (split per shard, reassemble in submission order)

@@ -1,60 +1,41 @@
-"""Asyncio call transports — the coroutine twins of ``soap.transport``.
+"""Asyncio call transports — the awaiting I/O shells of ``soap.transport``.
 
 Same wire format, same fault-injection sites (``soap.http``,
 ``soap.direct``), same client metrics, so a chaos plan or a dashboard
-cannot tell which client flavor produced the traffic.  The differences
-are purely mechanical:
+cannot tell which client flavor produced the traffic.  The request
+cycle's steps and every connection rule — which failures discard a
+socket, when a request is resent, the status check
+(:class:`~repro.soap.transport.PostState`) — are the sync module's;
+what differs here is only I/O:
 
 * :class:`AsyncHttpTransport` multiplexes over a small pool of
   keep-alive connections (``pool_size``) instead of one socket per
   transport — one async client object can carry many concurrent tasks;
 * blocking waits become awaits: injected latency parks the task
-  (``Injection.pre_async``), backoff and network reads yield the loop.
-
-The resend rule mirrors the sync transport exactly: a request may be
-resent only on the stale keep-alive race (server hung up an idle
-connection before the request ran).  Never after a timeout or a torn
-reply — those surface as :class:`TransportError` for the resilience
-layer, which owns retries and idempotency keys.
+  (``Injection.pre_async``), dials and network reads yield the loop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
-from typing import Any, Optional
+import http.client
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro import faults as _faults
-from repro.obs import trace as _trace
-from repro.soap.envelope import BulkItem, build_bulk_request, build_request
-from repro.soap.envelope import parse_bulk_response, parse_response
-from repro.soap.transport import (
-    _CLIENT_RECONNECTS,
-    _CLIENT_REQUESTS,
-    _CLIENT_REUSE,
-    Handler,
-    HttpTransport,
-    Operations,
-    _wire_header_fields,
-    execute_bulk,
-)
+from repro.soap.errors import TransportError
+from repro.soap.transport import Codec, DirectTransport, EnvelopeTransport, PostState
 
 
-class _StaleConnection(Exception):
-    """EOF before any response byte: the keep-alive race, safe to resend."""
+class _Conn(NamedTuple):
+    reader: asyncio.StreamReader
+    writer: asyncio.StreamWriter
+
+    def close(self) -> None:
+        self.writer.close()
 
 
-class _PooledConn:
-    __slots__ = ("reader", "writer")
-
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-
-
-class AsyncDirectTransport:
+class AsyncDirectTransport(DirectTransport):
     """In-process dispatch for the async client.
 
     The handler is synchronous and may block (locks, the DB engine,
@@ -63,42 +44,26 @@ class AsyncDirectTransport:
     deadline budgets and trace spans survive the thread hop.
     """
 
-    def __init__(self, handler: Handler) -> None:
-        self._handler = handler
-
-    async def _run(self, fn: Any, *args: Any) -> Any:
-        loop = asyncio.get_event_loop()
+    async def _exchange(self, label: str, work: Callable[..., Any], *args: Any) -> Any:
+        inj = _faults.check("soap.direct", label)
+        if inj is not None:
+            await inj.pre_async()
         ctx = contextvars.copy_context()
-        return await loop.run_in_executor(None, lambda: ctx.run(fn, *args))
-
-    async def call(self, method: str, args: dict[str, Any]) -> Any:
-        inj = _faults.check("soap.direct", method)
+        result = await asyncio.get_event_loop().run_in_executor(
+            None, lambda: ctx.run(work, *args)
+        )
         if inj is not None:
-            await inj.pre_async()
-        result = await self._run(self._handler, method, args)
-        if inj is not None and inj.kind in ("torn", "lost_reply"):
-            from repro.soap.errors import TransportError
-
-            raise TransportError(f"injected {inj.kind} at soap.direct:{method}")
+            inj.post(None)
         return result
-
-    async def call_bulk(self, operations: Operations) -> list[BulkItem]:
-        inj = _faults.check("soap.direct", "__bulk__")
-        if inj is not None:
-            await inj.pre_async()
-        items = await self._run(execute_bulk, self._handler, operations)
-        if inj is not None and inj.kind in ("torn", "lost_reply"):
-            from repro.soap.errors import TransportError
-
-            raise TransportError(f"injected {inj.kind} at soap.direct:__bulk__")
-        return items
 
     async def close(self) -> None:  # pragma: no cover - nothing to release
         pass
 
 
-class AsyncHttpTransport:
+class AsyncHttpTransport(EnvelopeTransport):
     """SOAP over asyncio streams with a keep-alive connection pool."""
+
+    site = "soap.http"
 
     def __init__(
         self,
@@ -116,154 +81,84 @@ class AsyncHttpTransport:
         self.read_timeout = timeout if read_timeout is None else read_timeout
         self.simulated_latency_s = simulated_latency_s
         self.pool_size = max(1, pool_size)
-        self._idle: list[_PooledConn] = []
+        self._idle: list[_Conn] = []
         # Created lazily so the transport can be constructed outside any
         # event loop and used inside one.
         self._sem: Optional[asyncio.Semaphore] = None
         self._closed = False
 
-    # -- Transport protocol (async) -----------------------------------------
-
-    async def call(self, method: str, args: dict[str, Any]) -> Any:
-        inj = _faults.check("soap.http", method)
-        if inj is not None:
-            await inj.pre_async()
-        payload = build_request(
-            method, args, _trace.current_request_id(), _wire_header_fields()
-        )
-        body = await self._post(payload, method)
-        if inj is not None:
-            body = HttpTransport._post_injection(inj, method, body)
-        return parse_response(body)
-
-    async def call_bulk(self, operations: Operations) -> list[BulkItem]:
-        inj = _faults.check("soap.http", "__bulk__")
-        if inj is not None:
-            await inj.pre_async()
-        payload = build_bulk_request(
-            operations, _trace.current_request_id(), _wire_header_fields()
-        )
-        body = await self._post(payload, "__bulk__")
-        if inj is not None:
-            body = HttpTransport._post_injection(inj, "__bulk__", body)
-        return parse_bulk_response(body)
-
     async def close(self) -> None:
         self._closed = True
         while self._idle:
-            self._discard(self._idle.pop())
+            self._idle.pop().close()
 
-    # -- pool management ----------------------------------------------------
-
-    def _semaphore(self) -> asyncio.Semaphore:
-        if self._sem is None:
-            self._sem = asyncio.Semaphore(self.pool_size)
-        return self._sem
-
-    async def _dial(self) -> _PooledConn:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port),
-            self.connect_timeout,
-        )
-        return _PooledConn(reader, writer)
-
-    @staticmethod
-    def _discard(conn: _PooledConn) -> None:
-        try:
-            conn.writer.close()
-        except Exception:  # pragma: no cover - close is best-effort
-            pass
-
-    @staticmethod
-    def _safe_to_resend(exc: Exception) -> bool:
-        """Same rule as :meth:`HttpTransport._safe_to_resend`."""
-        if isinstance(exc, _StaleConnection):
-            return True
-        if isinstance(exc, (TimeoutError, asyncio.IncompleteReadError)):
-            return False
-        return isinstance(
-            exc,
-            (ConnectionResetError, ConnectionAbortedError, BrokenPipeError),
+    async def _exchange(
+        self, label: str, build: Codec, parse: Codec, *what: Any
+    ) -> Any:
+        inj = _faults.check(self.site, label)
+        if inj is not None:
+            await inj.pre_async()
+        return self._decode(
+            inj, parse, await self._post(self._encode(build, what), label)
         )
 
-    # -- the request cycle ---------------------------------------------------
-
-    async def _post(self, payload: bytes, soap_action: str) -> bytes:
-        from repro.soap.errors import TransportError
-
+    async def _post(self, payload: bytes, label: str) -> bytes:
         if self.simulated_latency_s > 0:
             await asyncio.sleep(self.simulated_latency_s)
         request = (
             f"POST /soap HTTP/1.1\r\n"
             f"Host: {self.host}:{self.port}\r\n"
             f"Content-Type: text/xml; charset=utf-8\r\n"
-            f"SOAPAction: {soap_action}\r\n"
+            f"SOAPAction: {label}\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"\r\n"
         ).encode("latin-1") + payload
-        _CLIENT_REQUESTS.inc()
-        sem = self._semaphore()
-        await sem.acquire()
-        try:
-            conn = self._idle.pop() if self._idle else None
-            reused = conn is not None
-            if conn is None:
-                try:
-                    conn = await self._dial()
-                except (OSError, asyncio.TimeoutError) as exc:
-                    raise TransportError(f"connect failed: {exc}") from exc
-            try:
-                status, body, keep = await self._roundtrip(conn, request)
-            except (_StaleConnection, ConnectionError, OSError, EOFError) as exc:
-                self._discard(conn)
-                if not (reused and self._safe_to_resend(exc)):
-                    raise TransportError(f"HTTP request failed: {exc}") from exc
-                _CLIENT_RECONNECTS.inc()
-                try:
-                    conn = await self._dial()
-                    status, body, keep = await self._roundtrip(conn, request)
-                except (
-                    _StaleConnection,
-                    ConnectionError,
-                    OSError,
-                    EOFError,
-                ) as exc2:
-                    self._discard(conn)
-                    raise TransportError(f"HTTP request failed: {exc2}") from exc2
-            else:
-                if reused:
-                    _CLIENT_REUSE.inc()
+        if self._sem is None:
+            self._sem = asyncio.Semaphore(self.pool_size)
+        async with self._sem:
+            state = PostState(self._idle.pop() if self._idle else None)
+            while True:
+                if state.conn is None:
+                    state.conn = await self._dial()
+                with state:
+                    status, body, keep = await self._roundtrip(state.conn, request)
+                    break
             if keep and not self._closed and len(self._idle) < self.pool_size:
-                self._idle.append(conn)
+                self._idle.append(state.conn)
             else:
-                self._discard(conn)
-        finally:
-            sem.release()
-        if status not in (200, 500):
-            raise TransportError(f"unexpected HTTP status {status}")
-        return body
+                state.conn.close()
+        return state.answered(status, body)
 
-    async def _roundtrip(
-        self, conn: _PooledConn, request: bytes
-    ) -> tuple[int, bytes, bool]:
-        from repro.soap.errors import TransportError
+    async def _dial(self) -> _Conn:
+        try:
+            return _Conn(
+                *await asyncio.wait_for(
+                    asyncio.open_connection(self.host, self.port), self.connect_timeout
+                )
+            )
+        except (OSError, asyncio.TimeoutError) as exc:
+            raise TransportError(f"connect failed: {exc}") from exc
 
-        conn.writer.write(request)
-        await asyncio.wait_for(conn.writer.drain(), self.read_timeout)
-        status_line = await asyncio.wait_for(
-            conn.reader.readline(), self.read_timeout
-        )
+    async def _roundtrip(self, conn: _Conn, request: bytes) -> tuple[int, bytes, bool]:
+        reader, writer = conn
+
+        def timed(awaitable: Any) -> Any:
+            return asyncio.wait_for(awaitable, self.read_timeout)
+
+        writer.write(request)
+        await timed(writer.drain())
+        status_line = await timed(reader.readline())
         if not status_line:
-            raise _StaleConnection("server closed the keep-alive connection")
+            # EOF before any response byte: the keep-alive race, spelled
+            # the way http.client spells it for the sync shell.
+            raise http.client.RemoteDisconnected("server closed the connection")
         parts = status_line.decode("latin-1").split(None, 2)
         if len(parts) < 2 or not parts[1].isdigit():
             raise TransportError(f"malformed status line {status_line!r}")
         status = int(parts[1])
         headers: dict[str, str] = {}
         while True:
-            line = await asyncio.wait_for(
-                conn.reader.readline(), self.read_timeout
-            )
+            line = await timed(reader.readline())
             if line in (b"\r\n", b"\n"):
                 break
             if not line:
@@ -273,8 +168,6 @@ class AsyncHttpTransport:
         length_raw = headers.get("content-length", "0")
         if not length_raw.isdigit():
             raise TransportError(f"malformed Content-Length {length_raw!r}")
-        body = await asyncio.wait_for(
-            conn.reader.readexactly(int(length_raw)), self.read_timeout
-        )
+        body = await timed(reader.readexactly(int(length_raw)))
         keep = headers.get("connection", "").lower() != "close"
         return status, body, keep

@@ -28,35 +28,25 @@ class SoapClient:
         timeout: float = 30.0,
         connect_timeout: float | None = None,
         read_timeout: float | None = None,
-        retry_policy: object | None = None,
-        deadline_s: float | None = None,
     ) -> "SoapClient":
         """Connect over HTTP.
 
         ``connect_timeout`` / ``read_timeout`` split the historical
         single ``timeout`` into a TCP-handshake deadline and a
-        per-response deadline (either defaults to ``timeout``).  Passing
-        ``retry_policy`` (a :class:`repro.resilience.RetryPolicy`) and/or
-        ``deadline_s`` wraps the transport in a
-        :class:`~repro.resilience.transport.ResilientTransport`.
+        per-response deadline (either defaults to ``timeout``).  For
+        retries, deadlines or a circuit breaker use
+        :meth:`repro.core.client.MCSClient.connect` with a
+        :class:`~repro.core.client.ClientConfig`.
         """
-        transport: Transport = HttpTransport(
-            host,
-            port,
-            timeout=timeout,
-            connect_timeout=connect_timeout,
-            read_timeout=read_timeout,
-        )
-        if retry_policy is not None or deadline_s is not None:
-            from repro.resilience.transport import ResilientTransport
-
-            transport = ResilientTransport(
-                transport,
-                policy=retry_policy,
-                endpoint=f"{host}:{port}",
-                deadline_s=deadline_s,
+        return cls(
+            HttpTransport(
+                host,
+                port,
+                timeout=timeout,
+                connect_timeout=connect_timeout,
+                read_timeout=read_timeout,
             )
-        return cls(transport)
+        )
 
     def call(self, method: str, **args: Any) -> Any:
         return self._transport.call(method, args)

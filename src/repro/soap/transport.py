@@ -17,6 +17,9 @@ HttpTransport     SOAP over a real TCP connection — the paper's
 
 from __future__ import annotations
 
+import http.client
+import socket
+import time
 from typing import Any, Callable, Optional, Protocol, Sequence
 
 from repro import faults as _faults
@@ -31,15 +34,16 @@ from repro.soap.envelope import (
     build_request,
     build_response,
     build_fault,
-    parse_bulk_request,
+    parse_any_request,
     parse_bulk_response,
-    parse_request_full,
     parse_response,
 )
+from repro.soap.errors import TransportError
 
 Handler = Callable[[str, dict[str, Any]], Any]
 FaultMapperFn = Callable[[Exception], Optional[SoapFault]]
 Operations = Sequence[tuple[str, dict[str, Any]]]
+Codec = Callable[..., Any]  # build_*request / parse_*response
 
 
 def execute_bulk(
@@ -109,6 +113,7 @@ def _wire_header_fields() -> Optional[dict[str, str]]:
         fields["TraceParent"] = traceparent
     return fields or None
 
+
 _CLIENT_REQUESTS = _obs_counter(
     "mcs_soap_client_requests_total", "Requests issued by HttpTransport"
 )
@@ -118,8 +123,73 @@ _CLIENT_REUSE = _obs_counter(
 )
 _CLIENT_RECONNECTS = _obs_counter(
     "mcs_soap_client_reconnects_total",
-    "Reconnects after a dead keep-alive socket",
+    "Requests resent on a fresh connection after a dead keep-alive socket",
 )
+
+#: Everything a wire round trip can fail with, in either I/O flavour:
+#: socket errors and timeouts (``OSError``), a reply cut short
+#: (``EOFError``, ``http.client.IncompleteRead``) and a reply that is not
+#: HTTP (``HTTPException``, or :class:`TransportError` from the asyncio
+#: shell's own parser).  After any of them the connection's framing
+#: state is unknown — a late response could be misread as the answer to
+#: the next request — so the socket is discarded on *every* one.
+WIRE_ERRORS = (OSError, EOFError, http.client.HTTPException, TransportError)
+
+#: How the stale keep-alive race looks: the server recycled an idle
+#: persistent connection, so the request was torn down *before it
+#: executed* (clean close → ``RemoteDisconnected``, a
+#: ``ConnectionResetError``; racing RST → reset/abort/broken-pipe
+#: during the send).
+STALE_ERRORS = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
+
+
+class PostState:
+    """One HTTP POST's walk over connections — every rule, no I/O.
+
+    The I/O shell loops: it dials when :attr:`conn` is ``None`` and runs
+    one round trip under ``with state:``, breaking out on success.  On
+    any of :data:`WIRE_ERRORS` the ``with`` closes the socket, then
+    either swallows the error — the loop resends on a fresh connection —
+    or raises :class:`TransportError`.
+
+    Only :data:`STALE_ERRORS` on a *reused* connection are resent; a
+    fresh connection cannot be stale, which also bounds the resend to
+    one.  Never after a **timeout** (the server may still be executing;
+    a resend would run a non-idempotent write twice) and never after a
+    **torn reply** (the request already executed, only the answer was
+    lost).  Those are for the resilience layer, whose retry policy knows
+    which methods are idempotent and stamps ``IdempotencyKey`` on the
+    rest.
+    """
+
+    __slots__ = ("conn", "reused")
+
+    def __init__(self, idle: Any) -> None:
+        """*idle* is the pooled keep-alive connection, or ``None``."""
+        _CLIENT_REQUESTS.inc()
+        self.conn = idle
+        self.reused = idle is not None
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        if not isinstance(exc, WIRE_ERRORS):
+            return False
+        self.conn.close()
+        if not (self.reused and isinstance(exc, STALE_ERRORS)):
+            raise TransportError(f"HTTP request failed: {exc}") from exc
+        _CLIENT_RECONNECTS.inc()
+        self.conn, self.reused = None, False
+        return True
+
+    def answered(self, status: int, body: bytes) -> bytes:
+        """Account the reply; it must be a 200 or a fault-carrying 500."""
+        if self.reused:
+            _CLIENT_REUSE.inc()
+        if status not in (200, 500):
+            raise TransportError(f"unexpected HTTP status {status}")
+        return body
 
 
 class Transport(Protocol):
@@ -139,34 +209,71 @@ class DirectTransport:
         self._handler = handler
 
     def call(self, method: str, args: dict[str, Any]) -> Any:
-        inj = _faults.check("soap.direct", method)
-        if inj is not None:
-            inj.pre()
-        result = self._handler(method, args)
-        if inj is not None and inj.kind in ("torn", "lost_reply"):
-            # No bytes to tear in-process: both kinds mean "the work ran
-            # but the caller never learned the outcome".
-            from repro.soap.errors import TransportError
-
-            raise TransportError(f"injected {inj.kind} at soap.direct:{method}")
-        return result
+        return self._exchange(method, self._handler, method, args)
 
     def call_bulk(self, operations: Operations) -> list[BulkItem]:
-        inj = _faults.check("soap.direct", "__bulk__")
+        return self._exchange("__bulk__", execute_bulk, self._handler, operations)
+
+    def _exchange(self, label: str, work: Callable[..., Any], *args: Any) -> Any:
+        inj = _faults.check("soap.direct", label)
         if inj is not None:
             inj.pre()
-        items = execute_bulk(self._handler, operations)
-        if inj is not None and inj.kind in ("torn", "lost_reply"):
-            from repro.soap.errors import TransportError
-
-            raise TransportError(f"injected {inj.kind} at soap.direct:__bulk__")
-        return items
+        result = work(*args)
+        if inj is not None:
+            inj.post(None)
+        return result
 
     def close(self) -> None:  # pragma: no cover - nothing to release
         pass
 
 
-class LoopbackCodecTransport:
+class EnvelopeTransport:
+    """One request cycle for every transport that speaks SOAP envelopes.
+
+    ``call``/``call_bulk`` name the codec pair; the cycle is fault-site
+    check → injected wait → :meth:`_encode` → ``_post`` (the transport's
+    way of getting request bytes answered) → :meth:`_decode`.  The two
+    waits are the I/O shell: :meth:`_exchange` here blocks, the asyncio
+    transport's awaits (so ``call`` returns an awaitable there).
+    """
+
+    site: str
+
+    def call(self, method: str, args: dict[str, Any]) -> Any:
+        return self._exchange(method, build_request, parse_response, method, args)
+
+    def call_bulk(self, operations: Operations) -> list[BulkItem]:
+        """Issue N operations in one round trip via ``<BulkRequest>``."""
+        return self._exchange(
+            "__bulk__", build_bulk_request, parse_bulk_response, operations
+        )
+
+    def _exchange(self, label: str, build: Codec, parse: Codec, *what: Any) -> Any:
+        inj = _faults.check(self.site, label)
+        if inj is not None:
+            inj.pre()
+        return self._decode(inj, parse, self._post(self._encode(build, what), label))
+
+    @staticmethod
+    def _encode(build: Codec, what: tuple[Any, ...]) -> bytes:
+        """The envelope, stamped now: an injected wait has spent deadline."""
+        return build(*what, _trace.current_request_id(), _wire_header_fields())
+
+    @staticmethod
+    def _decode(inj: Any, parse: Codec, body: bytes) -> Any:
+        """Post-call injection (lost reply, torn bytes), then the codec."""
+        if inj is not None:
+            body = inj.post(body)
+        return parse(body)
+
+    def _post(self, payload: bytes, label: str) -> Any:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Nothing to release, unless the subclass holds a connection."""
+
+
+class LoopbackCodecTransport(EnvelopeTransport):
     """Full SOAP encode/decode round trip without any socket.
 
     The request is serialized to bytes, parsed server-side, the result
@@ -174,58 +281,38 @@ class LoopbackCodecTransport:
     :class:`HttpTransport` minus the TCP round trip.
     """
 
+    site = "soap.loopback"
+
     def __init__(self, handler: Handler) -> None:
         self._handler = handler
 
-    def call(self, method: str, args: dict[str, Any]) -> Any:
-        inj = _faults.check("soap.loopback", method)
-        if inj is not None:
-            inj.pre()
-        request = build_request(
-            method, args, _trace.current_request_id(), _wire_header_fields()
-        )
-        parsed_method, parsed_args, _rid = parse_request_full(request)
+    def _post(self, payload: bytes, label: str) -> bytes:
+        request = parse_any_request(payload)
+        if request.bulk:
+            return build_bulk_response(execute_bulk(self._handler, request.calls))
+        method, args = request.calls[0]
         try:
-            result = self._handler(parsed_method, parsed_args)
-            response = build_response(result)
+            return build_response(self._handler(method, args))
         except SoapFault as fault:
-            response = build_fault(fault)
-        if inj is not None:
-            if inj.kind == "lost_reply":
-                from repro.soap.errors import TransportError
-
-                raise TransportError(
-                    f"injected lost_reply at soap.loopback:{method}"
-                )
-            if inj.kind == "torn":
-                response = inj.tear(response)
-        return parse_response(response)
-
-    def call_bulk(self, operations: Operations) -> list[BulkItem]:
-        inj = _faults.check("soap.loopback", "__bulk__")
-        if inj is not None:
-            inj.pre()
-        request = build_bulk_request(
-            operations, _trace.current_request_id(), _wire_header_fields()
-        )
-        parsed_ops, _rid = parse_bulk_request(request)
-        response = build_bulk_response(execute_bulk(self._handler, parsed_ops))
-        if inj is not None:
-            if inj.kind == "lost_reply":
-                from repro.soap.errors import TransportError
-
-                raise TransportError(
-                    "injected lost_reply at soap.loopback:__bulk__"
-                )
-            if inj.kind == "torn":
-                response = inj.tear(response)
-        return parse_bulk_response(response)
-
-    def close(self) -> None:  # pragma: no cover - nothing to release
-        pass
+            return build_fault(fault)
 
 
-class HttpTransport:
+class _NoDelayConnection(http.client.HTTPConnection):
+    """``timeout`` bounds the TCP handshake, ``read_timeout`` each read."""
+
+    def __init__(
+        self, host: str, port: int, timeout: float, read_timeout: float
+    ) -> None:
+        super().__init__(host, port, timeout=timeout)
+        self._read_timeout = read_timeout
+
+    def connect(self) -> None:  # disable Nagle on the client side too
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock.settimeout(self._read_timeout)
+
+
+class HttpTransport(EnvelopeTransport):
     """SOAP over HTTP with a persistent connection per transport.
 
     ``simulated_latency_s`` models the client↔server network distance:
@@ -241,6 +328,8 @@ class HttpTransport:
     split the two deadlines; either defaults to ``timeout``.
     """
 
+    site = "soap.http"
+
     def __init__(
         self,
         host: str,
@@ -250,159 +339,32 @@ class HttpTransport:
         connect_timeout: Optional[float] = None,
         read_timeout: Optional[float] = None,
     ) -> None:
-        import http.client
-        import socket
-
+        self.host = host
+        self.port = port
         self.connect_timeout = timeout if connect_timeout is None else connect_timeout
         self.read_timeout = timeout if read_timeout is None else read_timeout
-        read_timeout_s = self.read_timeout
-
-        class _Connection(http.client.HTTPConnection):
-            def connect(self) -> None:  # disable Nagle on the client side too
-                # self.timeout (the connect timeout) governs the TCP
-                # handshake inside super().connect(); once the socket is
-                # up, re-arm it with the read deadline.
-                super().connect()
-                self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self.sock.settimeout(read_timeout_s)
-
         self.simulated_latency_s = simulated_latency_s
-        self._factory = lambda: _Connection(
-            host, port, timeout=self.connect_timeout
-        )
-        self._conn: Optional[Any] = self._factory()
-        self._conn_used = False
+        # The idle keep-alive connection, once one exchange completed on
+        # it; None before the first call and after any failure.
+        self._conn: Optional[_NoDelayConnection] = None
 
-    def _ensure_conn(self) -> None:
-        if self._conn is None:
-            _CLIENT_RECONNECTS.inc()
-            self._conn = self._factory()
-            self._conn_used = False
-
-    def _invalidate(self) -> None:
-        """Drop the pooled connection; the next call dials fresh.
-
-        Called on *every* transport failure: after a timeout or a torn
-        reply the connection's framing state is unknown (a late response
-        could be misread as the answer to the next request), so the
-        socket must never be reused.
-        """
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except Exception:  # pragma: no cover - close is best-effort
-                pass
-            self._conn = None
-
-    def call(self, method: str, args: dict[str, Any]) -> Any:
-        inj = _faults.check("soap.http", method)
-        if inj is not None:
-            inj.pre()
-        payload = build_request(
-            method, args, _trace.current_request_id(), _wire_header_fields()
-        )
-        body = self._post(payload, method)
-        if inj is not None:
-            body = self._post_injection(inj, method, body)
-        return parse_response(body)
-
-    def call_bulk(self, operations: Operations) -> list[BulkItem]:
-        """Issue N operations in one HTTP round trip via ``<BulkRequest>``."""
-        inj = _faults.check("soap.http", "__bulk__")
-        if inj is not None:
-            inj.pre()
-        payload = build_bulk_request(
-            operations, _trace.current_request_id(), _wire_header_fields()
-        )
-        body = self._post(payload, "__bulk__")
-        if inj is not None:
-            body = self._post_injection(inj, "__bulk__", body)
-        return parse_bulk_response(body)
-
-    @staticmethod
-    def _post_injection(inj: Any, method: str, body: bytes) -> bytes:
-        """Apply a post-call fault kind to the already-received response."""
-        if inj.kind == "lost_reply":
-            from repro.soap.errors import TransportError
-
-            raise TransportError(
-                f"injected lost_reply at soap.http:{method} (request executed)"
-            )
-        if inj.kind == "torn":
-            return inj.tear(body)
-        return body
-
-    @staticmethod
-    def _safe_to_resend(exc: Exception) -> bool:
-        """May the request be resent on a fresh connection?
-
-        Only for the stale keep-alive race: the server recycled an idle
-        persistent connection, so the request was torn down before it
-        executed (clean close → ``RemoteDisconnected``; racing RST →
-        reset/abort/broken-pipe during the send).  Never after a
-        **timeout** (the server may still be executing; a resend would
-        run a non-idempotent write twice) and never after a **torn
-        reply** (``IncompleteRead`` — the request already executed, only
-        the answer was lost).  Those surface as :class:`TransportError`
-        for the resilience layer, whose retry policy knows which methods
-        are idempotent and stamps ``IdempotencyKey`` on the rest.
-        """
-        import http.client
-
-        if isinstance(exc, (TimeoutError, http.client.IncompleteRead)):
-            return False
-        return isinstance(
-            exc,
-            (
-                http.client.RemoteDisconnected,
-                ConnectionResetError,
-                ConnectionAbortedError,
-                BrokenPipeError,
-            ),
-        )
-
-    def _roundtrip(self, payload: bytes, headers: dict[str, str]) -> Any:
-        assert self._conn is not None
-        self._conn.request("POST", "/soap", body=payload, headers=headers)
-        response = self._conn.getresponse()
-        response_body = response.read()
-        return response, response_body
-
-    def _post(self, payload: bytes, soap_action: str) -> bytes:
-        import http.client
-        import time
-
-        from repro.soap.errors import TransportError
-
+    def _post(self, payload: bytes, label: str) -> bytes:
         if self.simulated_latency_s > 0:
             time.sleep(self.simulated_latency_s)
-        headers = {
-            "Content-Type": "text/xml; charset=utf-8",
-            "SOAPAction": soap_action,
-        }
-        _CLIENT_REQUESTS.inc()
-        self._ensure_conn()
-        reused = self._conn_used
-        try:
-            response, body = self._roundtrip(payload, headers)
-            if reused:
-                _CLIENT_REUSE.inc()
-        except (ConnectionError, OSError, http.client.HTTPException) as exc:
-            self._invalidate()
-            if not (reused and self._safe_to_resend(exc)):
-                raise TransportError(f"HTTP request failed: {exc}") from exc
-            # Stale keep-alive: the server hung up the idle connection
-            # before our request ran.  One resend on a fresh socket.
-            self._ensure_conn()
-            try:
-                response, body = self._roundtrip(payload, headers)
-            except (ConnectionError, OSError, http.client.HTTPException) as exc2:
-                self._invalidate()
-                raise TransportError(f"HTTP request failed: {exc2}") from exc2
-        self._conn_used = True
-        if response.status not in (200, 500):
-            raise TransportError(f"unexpected HTTP status {response.status}")
-        return body
+        headers = {"Content-Type": "text/xml; charset=utf-8", "SOAPAction": label}
+        state, self._conn = PostState(self._conn), None
+        while True:
+            if state.conn is None:
+                state.conn = _NoDelayConnection(
+                    self.host, self.port, self.connect_timeout, self.read_timeout
+                )
+            with state:
+                state.conn.request("POST", "/soap", body=payload, headers=headers)
+                response = state.conn.getresponse()
+                body = response.read()
+                break
+        self._conn = state.conn
+        return state.answered(response.status, body)
 
     def close(self) -> None:
         if self._conn is not None:

@@ -29,7 +29,8 @@ class TestRegistry:
     def test_default_registry_has_all_rules(self) -> None:
         ids = [rule.id for rule in DEFAULT_REGISTRY.rules()]
         assert ids == sorted(ids)
-        assert {f"MCS00{i}" for i in range(1, 9)} <= set(ids)
+        # MCS006 (deprecated query shims) retired with the shims themselves.
+        assert {f"MCS00{i}" for i in range(1, 9)} - {"MCS006"} <= set(ids)
 
     def test_every_rule_documents_its_invariant(self) -> None:
         for rule in DEFAULT_REGISTRY.rules():
@@ -235,10 +236,10 @@ class TestBaseline:
 
 class TestCli:
     def test_exit_one_on_findings(self, capsys: pytest.CaptureFixture) -> None:
-        code = lint_main([str(FIXTURES / "viol_query_shims.py")])
+        code = lint_main([str(FIXTURES / "viol_print_logging.py")])
         out = capsys.readouterr().out
         assert code == 1
-        assert "MCS006" in out
+        assert "MCS008" in out
 
     def test_exit_zero_when_clean(self, capsys: pytest.CaptureFixture) -> None:
         code = lint_main([str(FIXTURES / "clean_module.py")])
@@ -249,7 +250,7 @@ class TestCli:
         code = lint_main([str(FIXTURES), "--select", "MCS007"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "MCS007" in out and "MCS006" not in out
+        assert "MCS007" in out and "MCS008" not in out
 
     def test_json_output_parses(self, capsys: pytest.CaptureFixture) -> None:
         lint_main([str(FIXTURES / "viol_raw_locks.py"), "--format", "json"])

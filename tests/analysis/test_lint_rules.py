@@ -29,7 +29,6 @@ RULE_FIXTURES = [
     ("MCS003", "viol_cache_conn.py"),
     ("MCS004", "viol_fault_codes.py"),
     ("MCS005", "viol_metric_names.py"),
-    ("MCS006", "viol_query_shims.py"),
     ("MCS007", "viol_raw_locks.py"),
     ("MCS008", "viol_print_logging.py"),
     ("MCS009", "viol_swallowed_transport.py"),
@@ -63,9 +62,9 @@ def test_clean_fixture_has_no_findings() -> None:
 
 
 def test_select_restricts_to_requested_rules() -> None:
-    findings = run_paths([FIXTURES], select=["MCS006"])
+    findings = run_paths([FIXTURES], select=["MCS008"])
     assert findings
-    assert {f.rule_id for f in findings} == {"MCS006"}
+    assert {f.rule_id for f in findings} == {"MCS008"}
 
 
 def test_mcs011_flags_rwlock_acquire_in_coroutine(tmp_path: Path) -> None:

@@ -1,8 +1,7 @@
-"""ClientConfig: one construction surface, legacy kwargs shimmed.
+"""ClientConfig: the one construction surface of both client flavors.
 
-Both client flavors consume the same frozen config; the pre-config
-kwarg trio keeps working behind a DeprecationWarning so existing
-callers migrate on their own schedule.
+Both consume the same frozen config; the pre-config per-kwarg resilience
+options and the positional caller are gone.
 """
 
 from __future__ import annotations
@@ -59,29 +58,22 @@ class TestSyncClientConstruction:
         assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
         assert client.caller == "/O=Grid/CN=x"
 
-    def test_legacy_resilience_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="ClientConfig"):
-            client = MCSClient.connect(
-                "127.0.0.1", 1, retry_policy=RetryPolicy(), deadline_s=4.0
-            )
-        assert isinstance(client._transport, ResilientTransport)
-        assert client._transport.deadline_s == 4.0
-        client.close()
+    @pytest.mark.parametrize("flavor", [MCSClient, AsyncMCSClient])
+    def test_legacy_kwargs_and_positional_caller_are_gone(self, flavor):
+        for legacy in ({"retry_policy": RetryPolicy()}, {"deadline_s": 4.0},
+                       {"breaker": CircuitBreaker("t")}):
+            with pytest.raises(TypeError):
+                flavor.connect("127.0.0.1", 1, **legacy)
+            with pytest.raises(TypeError):
+                flavor.in_process(MCSService(), **legacy)
+        with pytest.raises((TypeError, AttributeError)):  # a str is no ClientConfig
+            flavor.connect("127.0.0.1", 1, "/O=Grid/CN=legacy")
 
-    def test_legacy_positional_caller_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            client = MCSClient.connect("127.0.0.1", 1, "/O=Grid/CN=legacy")
-        assert client.caller == "/O=Grid/CN=legacy"
-        client.close()
-
-    def test_kwargs_override_config_fields(self):
+    def test_caller_kwarg_overrides_config_caller(self):
         config = ClientConfig(caller="/O=Grid/CN=base", deadline_s=9.0)
-        with pytest.warns(DeprecationWarning):
-            client = MCSClient.connect(
-                "127.0.0.1", 1, config, deadline_s=1.0
-            )
-        assert client.caller == "/O=Grid/CN=base"
-        assert client._transport.deadline_s == 1.0
+        client = MCSClient.connect("127.0.0.1", 1, config, caller="/O=Grid/CN=me")
+        assert client.caller == "/O=Grid/CN=me"
+        assert client._transport.deadline_s == 9.0
         client.close()
 
 

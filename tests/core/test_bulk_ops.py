@@ -80,7 +80,7 @@ class TestExplicitBulkMethods:
         assert response["ok"] == 4
         ids = [item["result"]["id"] for item in response["items"]]
         assert len(set(ids)) == 4
-        assert sorted(client.query_files_by_attributes({"kind": "x"})) == [
+        assert sorted(client.query(ObjectQuery().where("kind", "=", "x"))) == [
             f"f{i}" for i in range(4)
         ]
 
@@ -122,7 +122,7 @@ class TestExplicitBulkMethods:
             False,
             True,
         ]
-        assert sorted(client.query_files_by_attributes({"kind": "a"})) == [
+        assert sorted(client.query(ObjectQuery().where("kind", "=", "a"))) == [
             "f1",
             "f2",
         ]
@@ -137,7 +137,7 @@ class TestExplicitBulkMethods:
                 ],
                 atomic=True,
             )
-        assert client.query_files_by_attributes({"kind": "a"}) == []
+        assert client.query(ObjectQuery().where("kind", "=", "a")) == []
 
     def test_bulk_query_mixes_results_and_faults(self, service, client):
         client.create_logical_file("f1", attributes={"kind": "q"})
@@ -169,7 +169,7 @@ class TestHttpParity:
             assert hit.result["name"] == "h0"
             assert isinstance(miss.error, ObjectNotFoundError)
             assert sorted(
-                client.query_files_by_attributes({"kind": "h"})
+                client.query(ObjectQuery().where("kind", "=", "h"))
             ) == ["h0", "h1", "h2"]
         finally:
             client.close()

@@ -21,6 +21,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import (
     MetadataCatalog,
+    ObjectQuery,
     ObjectType,
 )
 
@@ -179,12 +180,7 @@ class BulkEquivalenceMachine(RuleBasedStateMachine):
 
     @rule(s=st.sampled_from(STR_VALUES))
     def bulk_query_matches_single(self, s):
-        from repro.core.query import AttributeCondition, ObjectQuery
-
-        query = ObjectQuery(
-            object_type=ObjectType.FILE,
-            conditions=[AttributeCondition("a_str", "=", s)],
-        )
+        query = ObjectQuery().where("a_str", "=", s)
         outcomes = self.bulk_cat.bulk_query([query])
         assert len(outcomes) == 1 and outcomes[0][0]
         assert sorted(outcomes[0][1]) == sorted(self.bulk_cat.query(query))
@@ -200,9 +196,9 @@ class BulkEquivalenceMachine(RuleBasedStateMachine):
     @invariant()
     def same_query_results(self):
         for s in STR_VALUES:
-            got = sorted(self.bulk_cat.query_files_by_attributes({"a_str": s}))
+            got = sorted(self.bulk_cat.query(ObjectQuery().where("a_str", "=", s)))
             want = sorted(
-                self.single_cat.query_files_by_attributes({"a_str": s})
+                self.single_cat.query(ObjectQuery().where("a_str", "=", s))
             )
             assert got == want, f"a_str={s}: bulk {got} != single {want}"
 

@@ -19,6 +19,7 @@ from repro.core import (
     DuplicateObjectError,
     MetadataCatalog,
     ObjectNotFoundError,
+    ObjectQuery,
     ObjectType,
 )
 
@@ -113,7 +114,7 @@ class CatalogMachine(RuleBasedStateMachine):
     @invariant()
     def attribute_queries_match(self):
         for s in VALUES["a_str"]:
-            got = sorted(self.catalog.query_files_by_attributes({"a_str": s}))
+            got = sorted(self.catalog.query(ObjectQuery().where("a_str", "=", s)))
             want = sorted(
                 name for name, rec in self.model.items()
                 if rec["attrs"].get("a_str") == s
@@ -123,7 +124,7 @@ class CatalogMachine(RuleBasedStateMachine):
     @invariant()
     def conjunctive_queries_match(self):
         got = sorted(
-            self.catalog.query_files_by_attributes({"a_str": "x", "a_int": 1})
+            self.catalog.query(ObjectQuery().where_equal({"a_str": "x", "a_int": 1}))
         )
         want = sorted(
             name for name, rec in self.model.items()

@@ -39,8 +39,8 @@ class TestTransportParity:
             got = client.get_logical_file(fname)
             assert got["name"] == fname
             assert client.get_attributes("file", fname) == {aname: 7}
-            assert client.query_files_by_attributes({aname: 7}) == [fname]
-            assert client.query_files_by_attributes({aname: 8}) == []
+            assert client.query(ObjectQuery().where(aname, "=", 7)) == [fname]
+            assert client.query(ObjectQuery().where(aname, "=", 8)) == []
             client.delete_logical_file(fname)
             with pytest.raises(ObjectNotFoundError):
                 client.get_logical_file(fname)

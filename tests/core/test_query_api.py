@@ -102,17 +102,15 @@ class TestFluentQuery:
         assert [n for page in pages for n in page] == client.query(base)
 
 
-class TestDeprecatedShims:
-    def test_query_files_by_attributes_warns_and_matches(self, client):
-        with pytest.warns(DeprecationWarning, match="query_files_by_attributes"):
-            legacy = client.query_files_by_attributes({"exp": "pulsar"})
-        assert legacy == client.query(ObjectQuery().where("exp", "=", "pulsar"))
-
-    def test_simple_query_warns_and_matches(self, client):
-        with pytest.warns(DeprecationWarning, match="simple_query"):
-            legacy = client.simple_query("data_type", "xml")
-        assert legacy == client.query(
-            ObjectQuery().where_field("data_type", "=", "xml")
+class TestWhereEqual:
+    def test_one_equality_condition_per_item(self, client):
+        built = ObjectQuery().where_equal({"exp": "pulsar", "run": 3})
+        assert [(c.attribute, c.op, c.value) for c in built.conditions] == [
+            ("exp", "=", "pulsar"),
+            ("run", "=", 3),
+        ]
+        assert client.query(ObjectQuery().where_equal({"exp": "pulsar"})) == client.query(
+            ObjectQuery().where("exp", "=", "pulsar")
         )
 
 

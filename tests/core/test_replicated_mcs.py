@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ObjectQuery
 from repro.core.replicated import ReplicatedMCS
 
 
@@ -19,7 +20,7 @@ class TestSynchronousCluster:
         for index in range(cluster.replica_count):
             reader = cluster.replica_client(index, caller="r")
             assert reader.get_logical_file("f1")["name"] == "f1"
-            assert reader.query_files_by_attributes({"k": 1}) == ["f1"]
+            assert reader.query(ObjectQuery().where("k", "=", 1)) == ["f1"]
 
     def test_strict_consistency_no_lag(self, cluster):
         writer = cluster.write_client()
@@ -90,7 +91,7 @@ class TestFailover:
             new_writer = promoted.write_client()
             assert new_writer.get_logical_file("f1")["name"] == "f1"
             new_writer.create_logical_file("f2", attributes={"k": 2})
-            assert new_writer.query_files_by_attributes({"k": 2}) == ["f2"]
+            assert new_writer.query(ObjectQuery().where("k", "=", 2)) == ["f2"]
             # Old cluster unaffected by writes to the promoted copy.
             reader = cluster.read_client()
             from repro.core.errors import ObjectNotFoundError

@@ -187,7 +187,7 @@ class TestXmlMetadataBackend:
 
     def test_agreement_with_relational_backend(self):
         """Both backends answer the same workload queries identically."""
-        from repro.core import MetadataCatalog
+        from repro.core import MetadataCatalog, ObjectQuery
         from repro.core.xmlbackend import XmlMetadataBackend
         from repro.workloads import (
             PopulationSpec,
@@ -210,5 +210,5 @@ class TestXmlMetadataBackend:
         workload = QueryWorkload(spec, seed=11)
         for _ in range(10):
             conditions = workload.complex_query_conditions(10)
-            assert sorted(relational.query_files_by_attributes(conditions)) == \
+            assert sorted(relational.query(ObjectQuery().where_equal(conditions))) == \
                    xml.query_files_by_attributes(conditions)

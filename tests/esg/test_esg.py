@@ -112,9 +112,11 @@ class TestShredder:
         shredder = ESGShredder(client)
         names = shredder.shred_many([generate_dataset(i) for i in range(25)])
         target = generate_dataset(7)
-        matches = client.query_files_by_attributes(
-            {"esg_model": target.global_attributes["model"],
-             "esg_experiment": target.global_attributes["experiment"]}
+        matches = client.query(
+            ObjectQuery().where_equal(
+                {"esg_model": target.global_attributes["model"],
+                 "esg_experiment": target.global_attributes["experiment"]}
+            )
         )
         assert target.dataset_id in matches
         assert set(matches) <= set(names)

@@ -83,14 +83,14 @@ class TestIndexNode:
 class TestFederatedQueries:
     def test_scatter_only_to_candidates(self, federation):
         fed, members, index = federation
-        results = fed.query_files_by_attributes({"experiment": "climate"})
+        results = fed.query(ObjectQuery().where("experiment", "=", "climate"))
         assert set(results) == {"ncar"}
         # only the one candidate got a subquery
         assert fed.subqueries_issued == 1
 
     def test_merged_results(self, federation):
         fed, members, index = federation
-        results = fed.query_files_by_attributes({"experiment": "pulsar"})
+        results = fed.query(ObjectQuery().where("experiment", "=", "pulsar"))
         assert set(results) == {"isi", "cern"}
         assert results["isi"] == ["isi-pulsar-r1", "isi-pulsar-r2", "isi-pulsar-r3"]
 
@@ -111,6 +111,6 @@ class TestFederatedQueries:
             "ncar-newexp-r1", attributes={"experiment": "newexp", "run": 1}
         )
         # Before refresh the index doesn't know the new value.
-        assert fed.query_files_by_attributes({"experiment": "newexp"}) == {}
+        assert fed.query(ObjectQuery().where("experiment", "=", "newexp")) == {}
         fed.refresh_all()
-        assert set(fed.query_files_by_attributes({"experiment": "newexp"})) == {"ncar"}
+        assert set(fed.query(ObjectQuery().where("experiment", "=", "newexp"))) == {"ncar"}

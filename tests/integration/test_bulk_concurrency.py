@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.core import MCSClient, MCSService
+from repro.core import MCSClient, MCSService, ObjectQuery
 
 BATCH = 8
 ROUNDS = 5
@@ -87,13 +87,13 @@ def test_bulk_writers_never_expose_torn_batches(service: MCSService) -> None:
                 # One query is one consistent statement: an atomic batch
                 # is all-visible or not-yet-visible, and an atomic flip
                 # moves all BATCH members at once.
-                total = client.query_files_by_attributes({"batch_tag": tag})
+                total = client.query(ObjectQuery().where("batch_tag", "=", tag))
                 assert len(total) in (0, BATCH), (
                     f"torn batch {tag}: saw {len(total)}/{BATCH} files"
                 )
                 for state in ("a", "b"):
-                    seen = client.query_files_by_attributes(
-                        {"batch_tag": tag, "state": state}
+                    seen = client.query(
+                        ObjectQuery().where_equal({"batch_tag": tag, "state": state})
                     )
                     assert len(seen) in (0, BATCH), (
                         f"torn flip {tag} state={state}: "

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.core import MCSClient, MCSService, MetadataCatalog, ObjectType
+from repro.core import MCSClient, MCSService, MetadataCatalog, ObjectQuery, ObjectType
 from repro.db import Database
 from repro.gridftp import GridFTPServer, StorageSite
 from repro.ligo import generate_products, pulsar_search_workflow, register_ligo_attributes
@@ -37,7 +37,7 @@ class TestDurableMCS:
         assert catalog2.get_file("f1").collection_id is not None
         assert catalog2.get_attributes(ObjectType.FILE, "f1") == {"exp": "x"}
         assert catalog2.annotations(ObjectType.FILE, "f1")[0].text == "note"
-        assert catalog2.query_files_by_attributes({"exp": "x"}) == ["f1"]
+        assert catalog2.query(ObjectQuery().where("exp", "=", "x")) == ["f1"]
         db2.close()
 
     def test_checkpoint_then_more_writes(self, tmp_path):
@@ -107,7 +107,7 @@ class TestConcurrentSoapClients:
                         client.create_logical_file(
                             f"w{n}-f{i}", attributes={"worker": n}
                         )
-                    found = client.query_files_by_attributes({"worker": n})
+                    found = client.query(ObjectQuery().where("worker", "=", n))
                     assert len(found) == 10
                     client.close()
                 except Exception as exc:  # pragma: no cover
@@ -154,7 +154,7 @@ class TestLigoPegasusPipeline:
 
     def test_full_cycle(self, world):
         mcs, rls, gridftp, sites, raws = world
-        discovered = mcs.query_files_by_attributes({"data_product": "time_series"})
+        discovered = mcs.query(ObjectQuery().where("data_product", "=", "time_series"))
         assert set(raws) <= set(discovered)
 
         workflow = pulsar_search_workflow(raws, search_id="it-1")
@@ -167,7 +167,7 @@ class TestLigoPegasusPipeline:
         assert "it-1-result.xml" in report.registered_files
 
         # Derived product discoverable by its search id
-        hits = mcs.query_files_by_attributes({"pulsar_search_id": "it-1"})
+        hits = mcs.query(ObjectQuery().where("pulsar_search_id", "=", "it-1"))
         assert "it-1-result.xml" in hits
 
         # Replanning prunes everything

@@ -54,7 +54,7 @@ class TestWorkload:
                 product.logical_name, data_type="gwf",
                 attributes=product.attributes,
             )
-        found = client.query_files_by_attributes({"interferometer": "H1"})
+        found = client.query(ObjectQuery().where("interferometer", "=", "H1"))
         for name in found:
             assert name.startswith("H1-")
         # frequency band range query (the paper's motivating example)

@@ -131,6 +131,28 @@ class TestWsdl:
         stub = from_wsdl(*server.endpoint)
         assert stub.echo(value="hi") == {"value": "hi"}
 
+    def test_stub_drives_the_real_service(self):
+        """Regression: MCSService advertised one part named ``...`` per
+        operation, so a stub rejected every real argument."""
+        from repro.core import MCSService
+
+        service = MCSService()
+        service.catalog.define_attribute("run", "int")
+        with SoapServer(
+            service.handle,
+            description=service.description(),
+            fault_mapper=service.fault_mapper,
+        ) as srv:
+            assert b'"..."' not in fetch_wsdl(*srv.endpoint)
+            stub = from_wsdl(*srv.endpoint)
+            created = stub.create_logical_file(name="a", attributes={"run": 7})
+            assert created["name"] == "a"
+            assert stub.get_logical_file(name="a")["id"] == created["id"]
+            query = {"conditions": [{"attribute": "run", "op": "=", "value": 7}]}
+            assert stub.query(query=query) == ["a"]
+            with pytest.raises(TypeError):
+                stub.create_logical_file(caller="spoofed", name="b")
+
     def test_stub_validates_params(self):
         desc = ServiceDescription("S")
         desc.add("op", ("x",))

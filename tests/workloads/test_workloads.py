@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MetadataCatalog, ObjectType
+from repro.core import MetadataCatalog, ObjectQuery, ObjectType
 from repro.workloads import (
     STANDARD_ATTRIBUTES,
     PopulationSpec,
@@ -98,7 +98,7 @@ class TestQueryWorkload:
         for _ in range(5):
             conditions = workload.complex_query_conditions(10)
             assert len(conditions) == 10
-            assert catalog.query_files_by_attributes(conditions)
+            assert catalog.query(ObjectQuery().where_equal(conditions))
 
     def test_attribute_count_truncation(self, loaded):
         catalog, spec = loaded
@@ -112,8 +112,8 @@ class TestQueryWorkload:
         workload = QueryWorkload(spec, seed=4)
         ten = workload.complex_query_conditions(10)
         three = {k: ten[k] for k in list(ten)[:3]}
-        full = set(catalog.query_files_by_attributes(ten))
-        loose = set(catalog.query_files_by_attributes(three))
+        full = set(catalog.query(ObjectQuery().where_equal(ten)))
+        loose = set(catalog.query(ObjectQuery().where_equal(three)))
         assert full <= loose
 
     def test_add_names_unique(self, loaded):
