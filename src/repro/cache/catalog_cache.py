@@ -5,8 +5,8 @@ Three caches ride the catalog hot path:
 * **attr_def** — attribute-definition lookups (every ``set_attributes``
   and every user-attribute query touches ``attribute_def``);
 * **object** — logical name → database id resolution;
-* **query** — compiled :class:`~repro.core.query.ObjectQuery` results,
-  keyed by (sql, params) in a bounded LRU.
+* **query** — the rows of one query-pipeline leaf, keyed by
+  :func:`repro.mql.executor._leaf_key` in a bounded LRU.
 
 Every entry is stamped with a snapshot of the generations of the tables
 the result depends on, taken *before* the underlying read executes.  A
@@ -247,10 +247,11 @@ class CatalogCache:
     ) -> LookupToken:
         """Query-result lookup.
 
-        Pass ``generations`` captured *before* compiling the query when
-        compilation itself reads the catalog (it resolves collection
-        ids): a snapshot taken afterwards could stamp a result computed
-        from pre-commit state with post-commit generations.
+        Pass ``generations`` captured *before* preparing the query when
+        preparation itself reads the catalog (it resolves attribute and
+        collection ids): a snapshot taken afterwards could stamp a
+        result computed from pre-commit state with post-commit
+        generations.
         """
         return self._lookup(
             "query", self._queries, conn, key, tables, generations=generations

@@ -17,6 +17,7 @@ import time as _time
 from contextlib import contextmanager
 from typing import Any, Iterable, Optional, Sequence
 
+from repro import mql
 from repro.cache import CatalogCache
 from repro.cache.lru import LRUCache
 from repro.core.errors import (
@@ -44,7 +45,12 @@ from repro.core.query import ObjectQuery
 from repro.core.schema_def import install_schema
 from repro.db import Database, IntegrityError
 from repro.db.engine import Connection
+from repro.mql import compiler as mql_compiler
+from repro.mql import executor as mql_executor
+from repro.mql import planner as mql_planner
 from repro.mql import stats as _attr_stats
+from repro.mql.compiler import CompiledStatement, Leaf
+from repro.mql.planner import StatementPlan
 from repro.obs.metrics import counter as _obs_counter, histogram as _obs_histogram
 from repro.security.acl import AccessControlList, Permission
 
@@ -55,7 +61,7 @@ _MQL_QUERIES = _obs_counter(
 )
 _MQL_PARSE = _obs_histogram(
     "mcs_mql_parse_seconds",
-    "Wall time to parse + compile + plan one MQL statement (cache misses)",
+    "Wall time to parse + compile one MQL statement (cache misses)",
 )
 
 
@@ -88,12 +94,14 @@ class MetadataCatalog:
         # generation bumps.  ``cache=False`` (or flipping
         # ``self.cache.enabled``) disables lookups — the bench ablation.
         self.cache = CatalogCache(self.db, enabled=cache)
-        # MQL: optional strategy override (None = cost-based, or one of
-        # "index" / "join" / "scan" — the bench ablation axis), plus the
-        # compiled-plan LRU keyed by (text, attribute_def generation,
-        # override) so attribute (re)definitions invalidate every plan.
+        # Query pipeline: optional strategy override (None = cost-based,
+        # or one of "index" / "join" / "scan" — the bench ablation axis),
+        # the parsed-and-compiled form of recent MQL texts (compilation
+        # is purely syntactic, so nothing invalidates it), and the
+        # planner's in-memory copy of attribute_stats.
         self.mql_strategy: Optional[str] = None
-        self._mql_plans: LRUCache[Any, Any] = LRUCache(128)
+        self._mql_compiled: LRUCache[str, CompiledStatement] = LRUCache(128)
+        self._stats_snapshot = _attr_stats.StatsSnapshot(self.db.generations)
 
     # -- connection pooling ------------------------------------------------
 
@@ -927,79 +935,36 @@ class MetadataCatalog:
             _attr_stats.note_remove(conn, definition.id, object_type, removed)
 
     # ======================================================================
-    # Attribute-based query (discovery)
+    # Attribute-based query (discovery): ObjectQuery and MQL
     # ======================================================================
+
+    # Two front ends, one pipeline: an ObjectQuery is wrapped in a single
+    # leaf, MQL text compiles to an algebra of leaves; the planner picks a
+    # strategy per leaf against current statistics, the executor answers
+    # each leaf through the result cache and finishes with one
+    # dedup / sort / slice (see docs/INTERNALS.md, "The query pipeline").
 
     def query(self, query: ObjectQuery) -> list[str]:
-        """Names of logical objects matching the query conditions."""
-        conn = self._conn
-        tables = query.touched_tables()
-        # Snapshot before compiling: to_sql itself reads the catalog
-        # (attribute defs, collection ids), so a later snapshot could
-        # stamp a pre-commit result with post-commit generations.
-        generations = self.cache.generations.snapshot(tables)
-        sql, params = query.to_sql(self)
-        token = self.cache.lookup_query(
-            conn, (sql, params), tables, generations=generations
-        )
-        if token.hit:
-            return list(token.value)
-        rows = conn.execute(sql, params).fetchall()
-        names = [r[0] for r in rows]
-        token.store(tuple(names))
-        return names
+        """Names of logical objects matching the query conditions.
 
-    def query_rows(self, query: ObjectQuery) -> list[tuple[Any, str]]:
-        """``(order_key, name)`` pairs for an ordered query.
-
-        The scatter/gather router needs each shard's sort key alongside
-        the name to k-way merge per-shard streams; cached under the same
-        strict-consistency contract as :meth:`query`.
+        Each name once, in ``order_by`` order (ascending name if none),
+        ``offset``/``limit`` applied to that list.
         """
-        if query.order is None:
-            return [(name, name) for name in self.query(query)]
-        conn = self._conn
-        tables = query.touched_tables()
-        generations = self.cache.generations.snapshot(tables)
-        sql, params = query.to_sql(self, select_key=True)
-        token = self.cache.lookup_query(
-            conn, (sql, params), tables, generations=generations
-        )
-        if token.hit:
-            return list(token.value)
-        rows = conn.execute(sql, params).fetchall()
-        pairs = [(row[1], row[0]) for row in rows]
-        token.store(tuple(pairs))
-        return pairs
+        return self._run_plan(self._plan_object_query(query))
 
     def explain_query(self, query: ObjectQuery) -> list[str]:
-        """Physical plan of an attribute query (EXPLAIN), for tuning."""
-        sql, params = query.to_sql(self)
-        rows = self._conn.execute("EXPLAIN " + sql, params).fetchall()
-        return [r[0] for r in rows]
-
-    # ======================================================================
-    # MQL: the parsed metadata query language
-    # ======================================================================
+        """Physical plan of an attribute query, as :meth:`explain_mql` prints it."""
+        return self._explain_plan(self._plan_object_query(query))
 
     def query_mql(self, text: str) -> list[str]:
         """Run one MQL statement; returns the ordered name list.
 
-        Parsing, compilation and cost-based planning are cached per
-        (text, attribute_def generation, strategy override); execution
-        routes each conjunctive leaf through the planner's chosen
-        strategy (see :mod:`repro.mql.executor`).
+        Parsing and compilation are cached per text; every run plans
+        each conjunctive leaf against the current statistics and routes
+        it through the chosen strategy (see :mod:`repro.mql.executor`).
         """
-        from repro.mql import executor as mql_executor
-
         _MQL_QUERIES.labels("query").inc()
-        plan = self._mql_plan(text)
-        return mql_executor.execute_compiled(
-            plan.compiled,
-            lambda leaf: mql_executor.run_leaf(
-                self, leaf, plan.plan_for(leaf).strategy
-            ),
-        )
+        return self._run_plan(self._plan_mql(text))
 
     def explain_mql(self, text: str) -> list[str]:
         """Physical plan of an MQL statement, one line per plan element.
@@ -1008,36 +973,50 @@ class MetadataCatalog:
         their generated SQL (indented), so the whole path down to the
         B-tree access method is visible from one call.
         """
-        from repro.mql import planner as mql_planner
-
         _MQL_QUERIES.labels("explain").inc()
-        plan = self._mql_plan(text)
-        lines = mql_planner.explain_lines(plan)
-        out: list[str] = []
-        for line in lines:
-            out.append(line)
-            if line.startswith("leaf ") and " strategy=join " in line:
-                index = int(line.split()[1])
-                for sql_line in self.explain_query(plan.compiled.leaves[index].query):
-                    out.append(f"    {sql_line}")
-        return out
+        return self._explain_plan(self._plan_mql(text))
 
     def mql_leaf_rows(
-        self, leaf: Any, strategy: Optional[str] = None
-    ) -> list[tuple[Any, str]]:
-        """``(sort key, name)`` pairs for one compiled MQL leaf.
+        self, leaf: Leaf, strategy: Optional[str] = None
+    ) -> mql_executor.LeafRows:
+        """``(sort key, name)`` pairs for one compiled leaf.
 
         The scatter/gather router calls this per shard; with no forced
         strategy each shard plans the leaf against its *own* statistics
         (strategies are answer-equivalent, so heterogeneous choices
         across shards cannot skew the merged result).
         """
-        from repro.mql import executor as mql_executor
-        from repro.mql import planner as mql_planner
-
         chosen = strategy if strategy is not None else self.mql_strategy
-        leaf_plan = mql_planner.plan_leaf(self, leaf, chosen, reorder=False)
-        return mql_executor.run_leaf(self, leaf, leaf_plan.strategy)
+        return mql_executor.run_leaf(
+            self, leaf, mql_planner.plan_leaf(self, leaf, chosen)
+        )
+
+    def _plan_object_query(self, query: ObjectQuery) -> StatementPlan:
+        compiled = mql_compiler.compile_object_query(query)
+        leaf_plan = mql_planner.plan_leaf(self, compiled.leaves[0], self.mql_strategy)
+        return mql_planner.StatementPlan(compiled, [leaf_plan])
+
+    def _plan_mql(self, text: str) -> StatementPlan:
+        compiled = self._mql_compiled.get(text)
+        mql_planner.record_plan_cache(compiled is not None)
+        if compiled is None:
+            started = _time.perf_counter()
+            compiled = mql_compiler.compile_statement(mql.parse(text))
+            _MQL_PARSE.observe(_time.perf_counter() - started)
+            self._mql_compiled.put(text, compiled)
+        return mql_planner.plan_statement(self, compiled, strategy=self.mql_strategy)
+
+    def _run_plan(self, plan: StatementPlan) -> list[str]:
+        return mql_executor.execute_compiled(
+            plan.compiled,
+            lambda leaf: mql_executor.run_leaf(self, leaf, plan.plan_for(leaf)),
+        )
+
+    def _explain_plan(self, plan: StatementPlan) -> list[str]:
+        return mql_planner.explain_lines(
+            plan,
+            lambda leaf, leaf_plan: mql_executor.join_plan_lines(self, leaf, leaf_plan),
+        )
 
     def analyze_attributes(self) -> int:
         """Exactly recompute ``attribute_stats`` (repairs drift)."""
@@ -1054,27 +1033,6 @@ class MetadataCatalog:
             raise
         conn.commit()
         return written
-
-    def _mql_plan(self, text: str):
-        """Parse + compile + plan, through the compiled-plan LRU."""
-        from repro import mql
-        from repro.mql import compiler as mql_compiler
-        from repro.mql import planner as mql_planner
-
-        generation = self.cache.generations.snapshot(("attribute_def",))
-        key = (text, generation, self.mql_strategy)
-        plan = self._mql_plans.get(key)
-        if plan is not None:
-            mql_planner.record_plan_cache(True)
-            return plan
-        mql_planner.record_plan_cache(False)
-        started = _time.perf_counter()
-        statement = mql.parse(text)
-        compiled = mql_compiler.compile_statement(statement)
-        plan = mql_planner.plan_statement(self, compiled, strategy=self.mql_strategy)
-        _MQL_PARSE.observe(_time.perf_counter() - started)
-        self._mql_plans.put(key, plan)
-        return plan
 
     # ======================================================================
     # Bulk operations

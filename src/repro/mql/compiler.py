@@ -1,4 +1,9 @@
-"""MQL compiler: parsed statements → dataset algebra over ObjectQuery leaves.
+"""Query compiler: both front ends → dataset algebra over ObjectQuery leaves.
+
+:func:`compile_statement` lowers parsed MQL; :func:`compile_object_query`
+wraps an API-level :class:`~repro.core.query.ObjectQuery` as a statement
+of one leaf.  Everything downstream (planner, strategies, dedup/sort/
+slice, scatter/gather) sees only the compiled form.
 
 The executor only knows how to answer *conjunctive* queries (the shape
 :class:`repro.core.query.ObjectQuery` has always had), so compilation
@@ -75,9 +80,9 @@ class Algebra:
 
 @dataclass
 class CompiledStatement:
-    """The executable form of one MQL statement."""
+    """The executable form of one statement (of either front end)."""
 
-    text: str
+    text: str  # canonical MQL; empty for an ObjectQuery
     root: Union[Algebra, Leaf]
     leaves: list[Leaf] = dc_field(default_factory=list)
     order_field: str = DEFAULT_ORDER_FIELD
@@ -102,6 +107,35 @@ def compile_statement(statement: ast.Statement) -> CompiledStatement:
     )
     compiled.root = _compile_node(statement.source, compiled)
     return compiled
+
+
+def compile_object_query(query: ObjectQuery) -> CompiledStatement:
+    """One leaf for *query*, its ordering defaulted and pagination lifted out.
+
+    The leaf shares the caller's condition lists; nothing downstream
+    mutates a leaf.
+    """
+    order_field, descending = query.order or (DEFAULT_ORDER_FIELD, False)
+    leaf = Leaf(
+        index=0,
+        query=ObjectQuery(
+            query.object_type,
+            query.conditions,
+            query.predefined,
+            query.collection,
+            query.valid_only,
+            order=(order_field, descending),
+        ),
+    )
+    return CompiledStatement(
+        text="",
+        root=leaf,
+        leaves=[leaf],
+        order_field=order_field,
+        descending=descending,
+        limit=query.max_results,
+        offset=query.skip_results,
+    )
 
 
 def _compile_node(

@@ -1,4 +1,4 @@
-"""MQL execution: three answer-equivalent leaf strategies + set algebra.
+"""Query execution: three answer-equivalent leaf strategies + set algebra.
 
 **The equivalence contract.**  Every strategy returns a leaf's matches
 as ``(sort key, name)`` pairs — the key is the statement's ``order by``
@@ -16,26 +16,28 @@ Leaf limits are deliberately **not** pushed down: a per-leaf ``LIMIT n``
 under SQL's unspecified tie order could keep different name sets per
 strategy.  Pagination is only applied after the global sort.
 
-Index and scan leaf results are cached through the catalog's
-generation-stamped query cache under a synthetic key, giving them the
-same strict-consistency story as the join strategy's SQL results.
+Every leaf result, whatever the strategy, is cached through the
+catalog's generation-stamped query cache under one key shape
+(:func:`_leaf_key`): the strict-consistency story of every query the
+catalog answers.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.core.errors import QueryError
-from repro.core.model import AttributeType, ObjectType
-from repro.core.query import AttributeCondition
-from repro.db.expr import Between, Comparison, ColumnRef, Like, Literal
+from repro.core.model import AttributeDef, ObjectType
+from repro.core.query import _OBJECT_TABLE, AttributeCondition, _predefined_column
+from repro.db.expr import Between, Comparison, ColumnRef, Expr, Like, Literal
 from repro.db.types import sort_key
-from repro.mql.compiler import Algebra, CompiledStatement, Leaf
-from repro.mql.planner import StatementPlan
+from repro.mql.compiler import DEFAULT_ORDER_FIELD, Algebra, CompiledStatement, Leaf
+from repro.mql.planner import LeafPlan, resolve_definitions
 from repro.obs.metrics import counter as _obs_counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.catalog import MetadataCatalog
+    from repro.db.engine import Connection
 
 _LEAVES = _obs_counter(
     "mcs_mql_leaves_total",
@@ -47,17 +49,11 @@ _INTERSECTIONS = _obs_counter(
     "Secondary-index probe-set intersections performed",
 )
 
-_OBJECT_TABLE = {
-    ObjectType.FILE: "logical_file",
-    ObjectType.COLLECTION: "logical_collection",
-    ObjectType.VIEW: "logical_view",
-}
-
 #: IN-list chunk size for the index strategy's final fetch.
 _FETCH_CHUNK = 400
 
-#: A leaf result: list of (order-key value, object name) pairs.
-LeafRows = list  # list[tuple[Any, str]]
+#: A leaf result: (order-key value, object name) pairs, in no order.
+LeafRows = Sequence[tuple]
 
 #: Pluggable leaf evaluation — the shard router swaps in scatter/gather.
 LeafRunner = Callable[[Leaf], LeafRows]
@@ -73,11 +69,15 @@ def execute_compiled(
 ) -> list[str]:
     """Run the algebra tree and return the final ordered name list."""
     table = _eval_node(compiled.root, leaf_runner)
-    items = sorted(table.items())  # name ascending
-    # Stable second pass on the key keeps the name order for equal keys,
-    # in both directions — the cross-strategy/cross-shard tiebreak.
-    items.sort(key=lambda kv: sort_key(kv[1]), reverse=compiled.descending)
-    names = [name for name, _key in items]
+    if compiled.order_field == DEFAULT_ORDER_FIELD:
+        # The key is the name itself: one sort does the work of both passes.
+        names = sorted(table, reverse=compiled.descending)
+    else:
+        items = sorted(table.items())  # name ascending
+        # Stable second pass on the key keeps the name order for equal
+        # keys, in both directions — the cross-strategy/cross-shard tiebreak.
+        items.sort(key=lambda kv: sort_key(kv[1]), reverse=compiled.descending)
+        names = [name for name, _key in items]
     start = compiled.offset or 0
     if start:
         names = names[start:]
@@ -125,68 +125,167 @@ def _reduce_pairs(pairs: LeafRows) -> dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def run_leaf(
-    catalog: "MetadataCatalog", leaf: Leaf, strategy: str
-) -> LeafRows:
-    """Answer one conjunctive leaf with the given strategy."""
-    _LEAVES.labels(strategy).inc()
-    if strategy == "join":
-        return catalog.query_rows(leaf.query)
-    if strategy == "index":
-        return _cached(catalog, leaf, "index", _index_leaf)
-    if strategy == "scan":
-        return _cached(catalog, leaf, "scan", _scan_leaf)
-    raise QueryError(f"unknown MQL strategy {strategy!r}")
-
-
-def _cached(
-    catalog: "MetadataCatalog",
-    leaf: Leaf,
-    strategy: str,
-    compute: Callable[["MetadataCatalog", Leaf], LeafRows],
-) -> LeafRows:
-    """Serve a leaf through the generation-stamped result cache."""
-    conn = catalog._conn
+def run_leaf(catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan) -> LeafRows:
+    """Answer one conjunctive leaf as *plan* says, through the result cache."""
+    _LEAVES.labels(plan.strategy).inc()
     tables = leaf.query.touched_tables()
+    # Snapshot before lowering: that reads the catalog (attribute defs,
+    # the collection id), so a later snapshot could stamp a pre-commit
+    # result with post-commit generations.
     generations = catalog.cache.generations.snapshot(tables)
-    key = ("mql-leaf", strategy, _leaf_key(leaf))
-    token = catalog.cache.lookup_query(conn, key, tables, generations=generations)
+    key = ("leaf", plan.strategy, _leaf_key(leaf, plan))
+    token = catalog.cache.lookup_query(
+        catalog._conn, key, tables, generations=generations
+    )
     if token.hit:
-        return list(token.value)
-    rows = compute(catalog, leaf)
-    token.store(tuple(rows))
+        return token.value
+    rows = tuple(_STRATEGIES[plan.strategy](catalog, _lower(catalog, leaf, plan)))
+    token.store(rows)
     return rows
 
 
-def _leaf_key(leaf: Leaf) -> tuple:
+def join_plan_lines(
+    catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan
+) -> list[str]:
+    """The engine's EXPLAIN of the join strategy's SQL for *leaf*."""
+    sql, params = _join_sql(_lower(catalog, leaf, plan))
+    return [row[0] for row in catalog._conn.execute("EXPLAIN " + sql, params)]
+
+
+def _leaf_key(leaf: Leaf, plan: LeafPlan) -> tuple:
+    """Every field of the leaf that changes its rows, conditions in plan order."""
     query = leaf.query
+    assert query.order is not None  # both front ends set the sort key
     return (
         query.object_type.value,
-        tuple((c.attribute, c.op, _hashable(c.value)) for c in query.conditions),
-        tuple((c.attribute, c.op, _hashable(c.value)) for c in query.predefined),
-        query.order,
+        tuple(_condition_key(query.conditions[i]) for i in plan.order),
+        tuple(_condition_key(c) for c in query.predefined),
+        query.collection,
+        query.valid_only,
+        query.order[0],
     )
 
 
-def _hashable(value: Any) -> Any:
-    return tuple(value) if isinstance(value, list) else value
+def _condition_key(condition: AttributeCondition) -> tuple:
+    value = condition.value
+    return (
+        condition.attribute,
+        condition.op,
+        tuple(value) if isinstance(value, list) else value,
+    )
 
 
-def _index_leaf(catalog: "MetadataCatalog", leaf: Leaf) -> LeafRows:
-    """Probe the av_<type> index per condition, intersect, then fetch."""
+class _Lowered(NamedTuple):
+    """A leaf as the strategies see it."""
+
+    object_type: ObjectType
+    #: User conditions with their attribute definitions, in plan order.
+    conditions: list[tuple[AttributeCondition, AttributeDef]]
+    #: (object-table column, condition): the predefined conditions plus
+    #: the query's collection and valid_only, as ordinary filters.
+    filters: list[tuple[str, AttributeCondition]]
+    key_column: str
+
+
+def _lower(catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan) -> _Lowered:
+    """Resolve names to ids and columns.
+
+    Runs before a strategy opens its read transaction: the lookups are
+    cached and must not race the lock acquisition there.
+    """
     query = leaf.query
-    # Resolve definitions before opening the read transaction — lookups
-    # are cached and must not race the lock acquisition below.
-    definitions = [
-        catalog.get_attribute_def(c.attribute) for c in query.conditions
+    object_type = query.object_type
+    definitions = resolve_definitions(catalog, leaf)
+    filters = [
+        (_predefined_column(object_type, c.attribute), c) for c in query.predefined
     ]
-    for condition, definition in zip(query.conditions, definitions):
-        if query.object_type not in definition.object_types:
-            raise QueryError(
-                f"attribute {condition.attribute!r} does not apply to "
-                f"{query.object_type.value}s"
+    if query.collection is not None:
+        if object_type is not ObjectType.FILE:
+            raise QueryError("collection filter applies only to file queries")
+        collection_id = catalog._collection_id(catalog._conn, query.collection)
+        filters.append(
+            ("collection_id", AttributeCondition("collection_id", "=", collection_id))
+        )
+    if query.valid_only:
+        if object_type is not ObjectType.FILE:
+            raise QueryError("valid_only applies only to file queries")
+        filters.append(("valid", AttributeCondition("valid", "=", True)))
+    assert query.order is not None
+    return _Lowered(
+        object_type,
+        [(query.conditions[i], definitions[i]) for i in plan.order],
+        filters,
+        _predefined_column(object_type, query.order[0]),
+    )
+
+
+def _value_clause(column: str, condition: AttributeCondition) -> tuple[str, list]:
+    if condition.op == "between":
+        low, high = condition.value
+        return f"{column} BETWEEN ? AND ?", [low, high]
+    if condition.op == "like":
+        return f"{column} LIKE ?", [condition.value]
+    return f"{column} {condition.op} ?", [condition.value]
+
+
+def _join_sql(leaf: _Lowered) -> tuple[str, tuple]:
+    """The EAV self-join: ``(key, name)`` of every matching object row.
+
+    The first (most selective) condition is the base table, its
+    (attr_id, value) index supplying the candidate set; the object table
+    and the remaining conditions join against it.  An attribute holds
+    one value per object, so the join yields one row per object version;
+    ordering and name dedup happen downstream.
+    """
+    table = _OBJECT_TABLE[leaf.object_type]
+    type_text = leaf.object_type.value
+    select = f"SELECT obj.{leaf.key_column}, obj.name FROM"
+    # Placeholders bind by lexical position: JOIN clauses, then WHERE.
+    join_params: list[Any] = []
+    where_params: list[Any] = []
+    wheres: list[str] = []
+    if leaf.conditions:
+        condition, definition = leaf.conditions[0]
+        clause, params = _value_clause(
+            f"a0.{definition.value_type.value_column}", condition
+        )
+        sql = f"{select} attribute_value a0 JOIN {table} obj ON obj.id = a0.object_id"
+        wheres += ["a0.attr_id = ?", "a0.object_type = ?", clause]
+        where_params += [definition.id, type_text, *params]
+        for pos, (condition, definition) in enumerate(leaf.conditions[1:], start=1):
+            alias = f"a{pos}"
+            clause, params = _value_clause(
+                f"{alias}.{definition.value_type.value_column}", condition
             )
-    table = _OBJECT_TABLE[query.object_type]
+            sql += (
+                f" JOIN attribute_value {alias} ON {alias}.object_type = ? "
+                f"AND {alias}.object_id = obj.id AND {alias}.attr_id = ? "
+                f"AND {clause}"
+            )
+            join_params += [type_text, definition.id, *params]
+    else:
+        sql = f"{select} {table} obj"
+    for column, condition in leaf.filters:
+        clause, params = _value_clause(f"obj.{column}", condition)
+        wheres.append(clause)
+        where_params += params
+    if wheres:
+        sql += " WHERE " + " AND ".join(wheres)
+    return sql, tuple(join_params + where_params)
+
+
+def _join_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
+    sql, params = _join_sql(leaf)
+    return catalog._conn.execute(sql, params).fetchall()
+
+
+def _index_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
+    """Probe the av_<type> index per condition, intersect, then fetch."""
+    if not leaf.conditions:
+        raise QueryError(
+            "index strategy requires at least one user-attribute condition"
+        )
+    table = _OBJECT_TABLE[leaf.object_type]
     conn = catalog._conn
     # One read transaction around every probe: the intersection must see
     # a single snapshot, or a concurrent writer could tear the result.
@@ -194,13 +293,14 @@ def _index_leaf(catalog: "MetadataCatalog", leaf: Leaf) -> LeafRows:
     try:
         conn.lock_tables(read=("attribute_value", table))
         candidate_ids: Optional[set[int]] = None
-        result: LeafRows = []
-        for condition, definition in zip(query.conditions, definitions):
-            clause, params = _value_clause(definition.value_type, condition)
+        for condition, definition in leaf.conditions:
+            clause, params = _value_clause(
+                definition.value_type.value_column, condition
+            )
             rows = conn.execute(
                 "SELECT object_id FROM attribute_value WHERE attr_id = ? "
                 f"AND object_type = ? AND {clause}",
-                (definition.id, query.object_type.value, *params),
+                (definition.id, leaf.object_type.value, *params),
             ).fetchall()
             ids = {row[0] for row in rows}
             if candidate_ids is None:
@@ -210,12 +310,7 @@ def _index_leaf(catalog: "MetadataCatalog", leaf: Leaf) -> LeafRows:
                 _INTERSECTIONS.inc()
             if not candidate_ids:
                 break
-        if candidate_ids is None:
-            raise QueryError(
-                "index strategy requires at least one user-attribute condition"
-            )
-        if candidate_ids:
-            result = _fetch_rows(conn, table, leaf, sorted(candidate_ids))
+        result = _fetch_rows(conn, table, leaf, sorted(candidate_ids or ()))
     except Exception:
         conn.rollback()
         raise
@@ -224,54 +319,31 @@ def _index_leaf(catalog: "MetadataCatalog", leaf: Leaf) -> LeafRows:
 
 
 def _fetch_rows(
-    conn, table: str, leaf: Leaf, object_ids: list[int]
+    conn: "Connection", table: str, leaf: _Lowered, object_ids: list[int]
 ) -> LeafRows:
-    """(key, name) rows for the surviving ids, predefined filters applied."""
-    query = leaf.query
-    assert query.order is not None  # the compiler always sets the sort key
-    from repro.core.query import _predefined_column
-
-    key_column = _predefined_column(query.object_type, query.order[0])
-    filters: list[str] = []
+    """(key, name) rows for the surviving ids, object-table filters applied."""
+    filters = ""
     filter_params: list[Any] = []
-    for condition in query.predefined:
-        column = _predefined_column(query.object_type, condition.attribute)
-        clause, params = _value_clause(None, condition, column=column)
-        filters.append(clause)
-        filter_params.extend(params)
-    out: LeafRows = []
+    for column, condition in leaf.filters:
+        clause, params = _value_clause(f"obj.{column}", condition)
+        filters += f" AND {clause}"
+        filter_params += params
+    out: list[tuple] = []
     for start in range(0, len(object_ids), _FETCH_CHUNK):
         chunk = object_ids[start : start + _FETCH_CHUNK]
         placeholders = ", ".join("?" for _ in chunk)
-        sql = (
-            f"SELECT obj.name, obj.{key_column} FROM {table} obj "
-            f"WHERE obj.id IN ({placeholders})"
-        )
-        if filters:
-            sql += " AND " + " AND ".join(filters)
-        rows = conn.execute(sql, (*chunk, *filter_params)).fetchall()
-        out.extend((row[1], row[0]) for row in rows)
+        out += conn.execute(
+            f"SELECT obj.{leaf.key_column}, obj.name FROM {table} obj "
+            f"WHERE obj.id IN ({placeholders}){filters}",
+            (*chunk, *filter_params),
+        ).fetchall()
     return out
-
-
-def _value_clause(
-    value_type: Optional[AttributeType],
-    condition: AttributeCondition,
-    column: Optional[str] = None,
-) -> tuple[str, list]:
-    target = column if column is not None else value_type.value_column
-    if condition.op == "between":
-        low, high = condition.value
-        return f"{target} BETWEEN ? AND ?", [low, high]
-    if condition.op == "like":
-        return f"{target} LIKE ?", [condition.value]
-    return f"{target} {condition.op} ?", [condition.value]
 
 
 _VALUE_COLUMNS = ("string", "int", "float", "date", "time", "datetime")
 
 
-def _scan_leaf(catalog: "MetadataCatalog", leaf: Leaf) -> LeafRows:
+def _scan_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
     """Full EAV + object-table pass, evaluated with engine semantics.
 
     Deliberately WHERE-free SQL: this is the cost baseline the paper's
@@ -279,27 +351,10 @@ def _scan_leaf(catalog: "MetadataCatalog", leaf: Leaf) -> LeafRows:
     trusts — every predicate is applied in Python via
     :mod:`repro.db.expr`, the engine's own three-valued evaluator.
     """
-    query = leaf.query
-    condition_defs = [
-        catalog.get_attribute_def(c.attribute) for c in query.conditions
-    ]
-    definitions = {definition.id: definition for definition in condition_defs}
-    for definition in condition_defs:
-        if query.object_type not in definition.object_types:
-            raise QueryError(
-                f"attribute {definition.name!r} does not apply to "
-                f"{query.object_type.value}s"
-            )
-    table = _OBJECT_TABLE[query.object_type]
-    from repro.core.query import _predefined_column
-
-    assert query.order is not None
-    key_column = _predefined_column(query.object_type, query.order[0])
-    predefined_columns = [
-        _predefined_column(query.object_type, c.attribute)
-        for c in query.predefined
-    ]
-    select_cols = ["id", "name", key_column, *predefined_columns]
+    table = _OBJECT_TABLE[leaf.object_type]
+    type_text = leaf.object_type.value
+    definitions = {definition.id: definition for _c, definition in leaf.conditions}
+    select_cols = ["id", "name", leaf.key_column, *(col for col, _c in leaf.filters)]
 
     conn = catalog._conn
     conn.begin()
@@ -321,8 +376,8 @@ def _scan_leaf(catalog: "MetadataCatalog", leaf: Leaf) -> LeafRows:
 
     by_object: dict[int, dict[int, Any]] = {}
     for row in value_rows:
-        attr_id, object_type_text = row[0], row[1]
-        if object_type_text != query.object_type.value or attr_id not in definitions:
+        attr_id = row[0]
+        if row[1] != type_text or attr_id not in definitions:
             continue
         value_type = definitions[attr_id].value_type
         value = row[3 + _VALUE_COLUMNS.index(value_type.value)]
@@ -330,34 +385,27 @@ def _scan_leaf(catalog: "MetadataCatalog", leaf: Leaf) -> LeafRows:
 
     user_exprs = [
         (definition.id, _condition_expr(condition))
-        for condition, definition in zip(query.conditions, condition_defs)
+        for condition, definition in leaf.conditions
     ]
-    predefined_exprs = [
-        _condition_expr(condition) for condition in query.predefined
-    ]
+    filter_exprs = [_condition_expr(condition) for _col, condition in leaf.filters]
 
-    out: LeafRows = []
+    out: list[tuple[Any, str]] = []
     for row in object_rows:
-        object_id, name, key = row[0], row[1], row[2]
-        attrs = by_object.get(object_id, {})
-        ok = True
-        for attr_id, expr in user_exprs:
-            # Missing attribute → NULL → three-valued "unknown" → reject,
-            # exactly like the join's inner-join-on-missing-row.
-            if expr.eval({"v": attrs.get(attr_id)}) is not True:
-                ok = False
-                break
-        if ok:
-            for position, expr in enumerate(predefined_exprs):
-                if expr.eval({"v": row[3 + position]}) is not True:
-                    ok = False
-                    break
-        if ok:
-            out.append((key, name))
+        attrs = by_object.get(row[0], {})
+        # Missing attribute → NULL → three-valued "unknown" → reject,
+        # exactly like the join's inner-join-on-missing-row.
+        if all(
+            expr.eval({"v": attrs.get(attr_id)}) is True
+            for attr_id, expr in user_exprs
+        ) and all(
+            expr.eval({"v": row[3 + position]}) is True
+            for position, expr in enumerate(filter_exprs)
+        ):
+            out.append((row[2], row[1]))
     return out
 
 
-def _condition_expr(condition: AttributeCondition):
+def _condition_expr(condition: AttributeCondition) -> Expr:
     """Engine expression for one condition over scope key ``v``."""
     ref = ColumnRef("v")
     if condition.op == "between":
@@ -366,3 +414,10 @@ def _condition_expr(condition: AttributeCondition):
     if condition.op == "like":
         return Like(ref, Literal(condition.value))
     return Comparison(condition.op, ref, Literal(condition.value))
+
+
+_STRATEGIES: dict[str, Callable[["MetadataCatalog", _Lowered], LeafRows]] = {
+    "index": _index_leaf,
+    "join": _join_leaf,
+    "scan": _scan_leaf,
+}

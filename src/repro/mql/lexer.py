@@ -8,7 +8,7 @@ can point a caret at the exact offending character.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.mql.errors import MQLSyntaxError
 
@@ -55,7 +55,7 @@ class Token:
     literals)."""
 
     kind: str
-    value: object
+    value: Any
     line: int
     column: int
     text: str = ""
@@ -158,7 +158,7 @@ class Lexer:
             raise self._error(
                 f"malformed number {text + self._peek()!r}", line, col
             )
-        value: object = float(text) if is_float else int(text)
+        value = float(text) if is_float else int(text)
         return Token("float" if is_float else "int", value, line, col, text)
 
     def _scan_string(self, line: int, col: int) -> Token:

@@ -1,4 +1,4 @@
-"""Cost-based strategy selection for compiled MQL leaves.
+"""Cost-based strategy selection for compiled leaves.
 
 Each conjunctive leaf can be answered three ways, all returning the
 same ``(sort key, name)`` pairs:
@@ -6,20 +6,25 @@ same ``(sort key, name)`` pairs:
 * **index** — probe the ``av_<type>`` secondary index once per user
   condition (``attr_id`` prefix plus the value clause), intersect the
   object-id sets smallest-first, then fetch the surviving rows;
-* **join** — the classic EAV self-join SQL from
-  :meth:`repro.core.query.ObjectQuery.to_sql`, served through the
-  generation-stamped query result cache;
+* **join** — the classic EAV self-join SQL, driven from the most
+  selective condition's (attr_id, value) index;
 * **scan** — a genuine full pass over ``attribute_value`` plus the
   object table, evaluated in Python with the engine's own expression
   semantics (the equivalence-lane oracle and the ablation baseline).
 
-Costs come from the incrementally maintained ``attribute_stats`` table
-(:mod:`repro.mql.stats`).  Selectivity model, deliberately simple:
+Costs come from the incrementally maintained ``attribute_stats`` table,
+read through the catalog's generation-stamped in-memory snapshot
+(:class:`repro.mql.stats.StatsSnapshot`), so planning is arithmetic and
+every query is planned against current statistics.  Selectivity model,
+deliberately simple:
 
 * equality → ``rows / distinct``;
 * range / between / prefix-``like`` → ``rows / 3``;
-* ``!=`` and wildcard-leading ``like`` → ``rows`` (probe-able via the
-  attr_id prefix, but unselective).
+* ``!=`` and wildcard-leading ``like`` → ``rows``.
+
+Every operator can drive an index probe through the ``attr_id`` prefix
+(the unselective ones just probe many rows), so a leaf with at least
+one user condition always has all three strategies to choose from.
 
 ``cost(index) = Σ probe estimates + |conditions| · min estimate``,
 ``cost(join) = best estimate · |conditions|`` (the best condition
@@ -27,19 +32,19 @@ drives the join as base table), ``cost(scan) = all EAV rows of the
 object type``.  Ties break index → join → scan.  Statistics are
 advisory: a bad estimate costs time, never correctness.
 
-Compiled plans land in a small per-catalog LRU keyed by (MQL text,
-``attribute_def`` generation, strategy override) — any attribute
-(re)definition bumps the generation and naturally invalidates every
-cached plan, mirroring the PR-3 result-cache protocol.
+The plan names the order the strategies take the leaf's conditions in
+(most selective first); the leaf itself is never modified, so one leaf
+can be planned concurrently by many threads and shards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from repro.core.errors import QueryError
-from repro.mql import stats as mql_stats
+from repro.core.model import AttributeDef
+from repro.core.query import AttributeCondition
 from repro.mql.compiler import CompiledStatement, Leaf
 from repro.obs.metrics import counter as _obs_counter
 
@@ -50,31 +55,32 @@ STRATEGIES = ("index", "join", "scan")
 
 _PLAN_CACHE = _obs_counter(
     "mcs_mql_plan_cache_total",
-    "Compiled-MQL plan cache lookups by result",
+    "Compiled-MQL statement cache lookups by result",
     labels=("result",),
 )
+
+_NO_STATS = (0.0, 0.0)
 
 #: Estimate divisor for range-shaped predicates (between, < > <= >=,
 #: prefix LIKE) when no finer information exists.
 _RANGE_FRACTION = 3.0
 
 
-@dataclass(frozen=True)
-class ConditionEstimate:
+class ConditionEstimate(NamedTuple):
     attribute: str
     op: str
     rows: float
-    probe_able: bool  # sargable enough to drive an index probe cheaply
 
 
-@dataclass(frozen=True)
-class LeafPlan:
+class LeafPlan(NamedTuple):
     """The chosen strategy (and its reasoning) for one leaf."""
 
     strategy: str
     cost: float
     costs: tuple[tuple[str, float], ...]  # every strategy's modeled cost
-    estimates: tuple[ConditionEstimate, ...]
+    #: Positions in ``leaf.query.conditions``, most selective first.
+    order: tuple[int, ...]
+    estimates: tuple[ConditionEstimate, ...]  # in ``order``
 
 
 @dataclass
@@ -82,7 +88,7 @@ class StatementPlan:
     """A compiled statement plus one :class:`LeafPlan` per leaf."""
 
     compiled: CompiledStatement
-    leaf_plans: list[LeafPlan] = dc_field(default_factory=list)
+    leaf_plans: list[LeafPlan]
 
     def plan_for(self, leaf: Leaf) -> LeafPlan:
         return self.leaf_plans[leaf.index]
@@ -94,83 +100,77 @@ def plan_statement(
     strategy: Optional[str] = None,
 ) -> StatementPlan:
     """Choose a strategy per leaf (or force *strategy* everywhere)."""
-    if strategy is not None and strategy not in STRATEGIES:
-        raise QueryError(
-            f"unknown MQL strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
-    plan = StatementPlan(compiled=compiled)
-    for leaf in compiled.leaves:
-        plan.leaf_plans.append(plan_leaf(catalog, leaf, strategy))
-    return plan
-
-
-def plan_leaf(
-    catalog: "MetadataCatalog",
-    leaf: Leaf,
-    forced: Optional[str] = None,
-    reorder: bool = True,
-) -> LeafPlan:
-    """Pick a strategy for one leaf.
-
-    ``reorder=True`` (statement planning) re-sorts the leaf's conditions
-    most-selective-first in place — it benefits the index strategy
-    (drive the intersection from the smallest set) and the join strategy
-    (the first condition is ``to_sql``'s base table).  The shard router
-    passes ``reorder=False``: its leaves are shared across concurrent
-    scatter calls and must not be mutated mid-flight.
-    """
-    estimates = _estimate_conditions(catalog, leaf)
-    if reorder:
-        # Stable by attribute name so plans are deterministic under
-        # equal estimates.
-        order = sorted(
-            range(len(estimates)),
-            key=lambda i: (estimates[i].rows, estimates[i].attribute),
-        )
-        leaf.query.conditions[:] = [leaf.query.conditions[i] for i in order]
-        estimates = [estimates[i] for i in order]
-    estimates = tuple(estimates)
-
-    conn = catalog._conn
-    eav_total = float(mql_stats.total_rows(conn, leaf.object_type))
-    costs: list[tuple[str, float]] = []
-    if estimates and any(e.probe_able for e in estimates):
-        probe_total = sum(e.rows for e in estimates)
-        candidates = min(e.rows for e in estimates)
-        costs.append(("index", probe_total + len(estimates) * candidates))
-    if estimates:
-        costs.append(("join", estimates[0].rows * len(estimates)))
-    else:
-        # No user conditions: the "join" SQL degenerates to a plain
-        # object-table query; there is nothing for probes to intersect.
-        costs.append(("join", eav_total))
-    costs.append(("scan", eav_total + max(eav_total, 1.0)))
-
-    available = [name for name, _ in costs]
-    if forced is not None:
-        if forced == "index" and "index" not in available:
-            # Forcing indexes on a leaf with nothing to probe falls back
-            # to the join shape — still index-backed at the SQL layer.
-            strategy = "join"
-        else:
-            strategy = forced
-        cost = dict(costs).get(strategy, 0.0)
-    else:
-        rank = {name: pos for pos, name in enumerate(STRATEGIES)}
-        strategy, cost = min(costs, key=lambda item: (item[1], rank[item[0]]))
-    return LeafPlan(
-        strategy=strategy,
-        cost=cost,
-        costs=tuple(costs),
-        estimates=estimates,
+    return StatementPlan(
+        compiled, [plan_leaf(catalog, leaf, strategy) for leaf in compiled.leaves]
     )
 
 
-def _estimate_conditions(
+def plan_leaf(
+    catalog: "MetadataCatalog", leaf: Leaf, forced: Optional[str] = None
+) -> LeafPlan:
+    """Pick a strategy and a condition order for one leaf."""
+    if forced is not None and forced not in STRATEGIES:
+        raise QueryError(
+            f"unknown MQL strategy {forced!r}; expected one of {STRATEGIES}"
+        )
+    by_attribute, totals = catalog._stats_snapshot.read(catalog._conn)
+    type_text = leaf.object_type.value
+    eav_total = totals.get(type_text, 0.0)
+    scan = ("scan", eav_total + max(eav_total, 1.0))
+    conditions = leaf.query.conditions
+    order: tuple[int, ...] = ()
+    estimates: list[ConditionEstimate] = []
+    if not conditions:
+        # The "join" SQL degenerates to a plain object-table query; there
+        # is nothing for probes to intersect, so forcing indexes falls
+        # back to it — still index-backed at the SQL layer.
+        costs: tuple[tuple[str, float], ...] = (("join", eav_total), scan)
+        if forced == "index":
+            forced = "join"
+    else:
+        estimates = [
+            _estimate(condition, by_attribute.get((definition.id, type_text), _NO_STATS))
+            for condition, definition in zip(
+                conditions, resolve_definitions(catalog, leaf)
+            )
+        ]
+        # The full condition breaks ties, so the order (and with it the
+        # result-cache key and the EXPLAIN) does not depend on the order
+        # the caller listed the conditions in.
+        order = tuple(
+            sorted(
+                range(len(estimates)),
+                key=lambda i: (
+                    estimates[i].rows,
+                    estimates[i].attribute,
+                    estimates[i].op,
+                    repr(conditions[i].value),
+                ),
+            )
+        )
+        estimates = [estimates[i] for i in order]
+        best = estimates[0].rows
+        costs = (
+            ("index", sum(e.rows for e in estimates) + len(estimates) * best),
+            ("join", best * len(estimates)),
+            scan,
+        )
+    if forced is None:
+        strategy, cost = min(costs, key=_cheapest_first)
+    else:
+        strategy, cost = forced, dict(costs)[forced]
+    return LeafPlan(strategy, cost, costs, order, tuple(estimates))
+
+
+def _cheapest_first(item: tuple[str, float]) -> tuple[float, int]:
+    return item[1], STRATEGIES.index(item[0])
+
+
+def resolve_definitions(
     catalog: "MetadataCatalog", leaf: Leaf
-) -> list[ConditionEstimate]:
-    conn = catalog._conn
-    out: list[ConditionEstimate] = []
+) -> list[AttributeDef]:
+    """The definition of each user condition's attribute, in leaf order."""
+    definitions = []
     for condition in leaf.query.conditions:
         definition = catalog.get_attribute_def(condition.attribute)
         if leaf.object_type not in definition.object_types:
@@ -178,33 +178,27 @@ def _estimate_conditions(
                 f"attribute {condition.attribute!r} does not apply to "
                 f"{leaf.object_type.value}s"
             )
-        stat = mql_stats.read_stats(conn, definition.id, leaf.object_type)
-        rows = float(stat.row_count) if stat else 0.0
-        distinct = float(stat.distinct_count) if stat else 0.0
-        if condition.op == "=":
-            est = rows / distinct if distinct else rows
-            probe_able = True
-        elif condition.op in ("<", "<=", ">", ">=", "between"):
-            est = rows / _RANGE_FRACTION
-            probe_able = True
-        elif condition.op == "like":
-            prefix = isinstance(condition.value, str) and not condition.value[
-                :1
-            ] in ("%", "_")
-            est = rows / _RANGE_FRACTION if prefix else rows
-            probe_able = True
-        else:  # != — still probe-able via the attr_id prefix, not selective
-            est = rows
-            probe_able = True
-        out.append(
-            ConditionEstimate(
-                attribute=condition.attribute,
-                op=condition.op,
-                rows=max(est, 0.0),
-                probe_able=probe_able,
-            )
+        definitions.append(definition)
+    return definitions
+
+
+def _estimate(
+    condition: AttributeCondition, stat: tuple[float, float]
+) -> ConditionEstimate:
+    rows, distinct = stat
+    if condition.op == "=":
+        est = rows / distinct if distinct else rows
+    elif condition.op in ("<", "<=", ">", ">=", "between"):
+        est = rows / _RANGE_FRACTION
+    elif condition.op == "like":
+        prefix = isinstance(condition.value, str) and condition.value[:1] not in (
+            "%",
+            "_",
         )
-    return out
+        est = rows / _RANGE_FRACTION if prefix else rows
+    else:  # !=
+        est = rows
+    return ConditionEstimate(condition.attribute, condition.op, max(est, 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -212,18 +206,28 @@ def _estimate_conditions(
 # --------------------------------------------------------------------------
 
 
-def explain_lines(plan: StatementPlan) -> list[str]:
-    """Human-readable physical plan, stable enough for golden tests."""
+def explain_lines(
+    plan: StatementPlan, join_detail: Callable[[Leaf, LeafPlan], list[str]]
+) -> list[str]:
+    """Human-readable physical plan, stable enough for golden tests.
+
+    *join_detail* supplies the engine's own plan of a join leaf's SQL,
+    printed indented under that leaf.
+    """
     compiled = plan.compiled
-    lines = [f"MQL: {compiled.text}"]
+    lines = [f"MQL: {compiled.text}"] if compiled.text else []
     for leaf, leaf_plan in zip(compiled.leaves, plan.leaf_plans):
-        conds = len(leaf.query.conditions)
-        pre = len(leaf.query.predefined)
+        query = leaf.query
+        conds = len(query.conditions)
+        # An ObjectQuery's collection / valid_only are predefined filters too.
+        pre = len(query.predefined) + (query.collection is not None) + query.valid_only
         lines.append(
             f"leaf {leaf.index} [{leaf.object_type.value}]: "
             f"strategy={leaf_plan.strategy} cost={leaf_plan.cost:.1f} "
             f"(conditions={conds} predefined={pre})"
         )
+        if leaf_plan.strategy == "join":
+            lines.extend(f"    {line}" for line in join_detail(leaf, leaf_plan))
         for estimate in leaf_plan.estimates:
             lines.append(
                 f"  {estimate.attribute} {estimate.op} ? "

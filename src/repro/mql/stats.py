@@ -30,30 +30,24 @@ equivalence lane holds all strategies to identical results).
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.model import AttributeDef, AttributeType, ObjectType
 from repro.obs.metrics import counter as _obs_counter
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cache.generations import GenerationMap
     from repro.db.engine import Connection
+
+#: Per (attribute id, object type): (rows, distinct values); and the
+#: advisory total of attribute_value rows per object type.
+StatsView = tuple[dict[tuple[int, str], tuple[float, float]], dict[str, float]]
 
 _STATS_UPDATES = _obs_counter(
     "mcs_index_stats_updates_total",
     "attribute_stats maintenance operations by action",
     labels=("action",),
 )
-
-
-@dataclass(frozen=True)
-class AttrStats:
-    """Planner-facing snapshot of one (attribute, object type) pair."""
-
-    row_count: int
-    distinct_count: int
-    min_value: Optional[str]
-    max_value: Optional[str]
 
 
 def canonical(value: Any) -> Optional[str]:
@@ -82,26 +76,39 @@ def from_canonical(value_type: AttributeType, text: Optional[str]) -> Any:
     return text
 
 
-def read_stats(
-    conn: "Connection", attr_id: int, object_type: ObjectType
-) -> Optional[AttrStats]:
-    row = conn.execute(
-        "SELECT row_count, distinct_count, min_value, max_value "
-        "FROM attribute_stats WHERE attr_id = ? AND object_type = ?",
-        (attr_id, object_type.value),
-    ).fetchone()
-    if row is None:
-        return None
-    return AttrStats(row[0] or 0, row[1] or 0, row[2], row[3])
+class StatsSnapshot:
+    """The planner's view of ``attribute_stats``: the whole table in memory.
 
+    Stamped with the table's commit generation, so :meth:`read` issues
+    one ``SELECT`` after a committed statistics write and none while the
+    catalog is unchanged.  The stamp is taken before the read and
+    published together with the rows: a commit that lands in between
+    leaves a stamp that no longer matches, and the next call reads again.
+    """
 
-def total_rows(conn: "Connection", object_type: ObjectType) -> int:
-    """Advisory total attribute_value rows for one object type."""
-    total = conn.execute(
-        "SELECT SUM(row_count) FROM attribute_stats WHERE object_type = ?",
-        (object_type.value,),
-    ).scalar()
-    return int(total or 0)
+    def __init__(self, generations: "GenerationMap") -> None:
+        self._generations = generations
+        self._state: tuple[Optional[int], StatsView] = (None, ({}, {}))
+
+    def read(self, conn: "Connection") -> StatsView:
+        """``({(attr_id, object type): (rows, distinct)}, {object type: rows})``."""
+        stamp = self._generations.get("attribute_stats")
+        held, view = self._state
+        if held == stamp:
+            return view
+        by_attribute: dict[tuple[int, str], tuple[float, float]] = {}
+        totals: dict[str, float] = {}
+        for attr_id, type_text, rows, distinct in conn.execute(
+            "SELECT attr_id, object_type, row_count, distinct_count "
+            "FROM attribute_stats"
+        ).fetchall():
+            by_attribute[(attr_id, type_text)] = (float(rows or 0), float(distinct or 0))
+            totals[type_text] = totals.get(type_text, 0.0) + float(rows or 0)
+        view = (by_attribute, totals)
+        # A transaction's own uncommitted statistics are not published.
+        if "attribute_stats" not in conn.transaction_written_tables:
+            self._state = (stamp, view)
+        return view
 
 
 # --------------------------------------------------------------------------

@@ -12,13 +12,11 @@ distribute the backend itself, keep one catalog interface).
 Layout:
 
 * :mod:`repro.shard.map` — stable hash routing (``ShardMap``);
-* :mod:`repro.shard.merge` — k-way merge for scatter/gather queries;
 * :mod:`repro.shard.twopc` — two-phase commit over the per-shard WALs;
 * :mod:`repro.shard.router` — the ``ShardedCatalog`` router itself.
 """
 
 from repro.shard.map import ShardMap
-from repro.shard.merge import merge_sorted
 from repro.shard.router import ShardedCatalog, build_sharded_catalog
 from repro.shard.twopc import TwoPhaseCoordinator
 
@@ -27,5 +25,4 @@ __all__ = [
     "ShardedCatalog",
     "TwoPhaseCoordinator",
     "build_sharded_catalog",
-    "merge_sorted",
 ]

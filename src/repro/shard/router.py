@@ -13,12 +13,13 @@ implemented by routing:
   to every shard, so any shard can answer structural reads and each
   shard can run collection joins and cycle checks locally.
 
-Single-shard ops go straight to the owning shard; ordered scatter
-queries over-fetch per shard and k-way merge
-(:mod:`repro.shard.merge`); bulk batches split per shard and reassemble
-per-item results in submission order; cross-shard writes (file moves,
-multi-shard atomic bulks, broadcasts) run two-phase commit
-(:mod:`repro.shard.twopc`).  Every shard call passes a per-shard
+Single-shard ops go straight to the owning shard; scatter queries
+gather every shard's ``(sort key, name)`` pairs per compiled leaf and
+finish with the single engine's own dedup / sort / slice
+(:func:`repro.mql.executor.execute_compiled`); bulk batches split per
+shard and reassemble per-item results in submission order; cross-shard
+writes (file moves, multi-shard atomic bulks, broadcasts) run two-phase
+commit (:mod:`repro.shard.twopc`).  Every shard call passes a per-shard
 circuit breaker with read retries (``repro.resilience``), a
 ``shard.call`` fault-injection point, and ``shard.route`` tracing.
 
@@ -33,11 +34,11 @@ Known divergences from a single engine, by design:
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 from repro import faults as _faults
+from repro import mql
 from repro.cache.lru import LRUCache
 from repro.core.catalog import MetadataCatalog
 from repro.core.errors import (
@@ -55,12 +56,14 @@ from repro.core.model import (
     ViewMember,
 )
 from repro.core.query import ObjectQuery
+from repro.mql import compiler as mql_compiler
+from repro.mql import executor as mql_executor
+from repro.mql.compiler import CompiledStatement, Leaf
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.retry import RetryPolicy
 from repro.shard.map import ShardMap
-from repro.shard.merge import merge_sorted
 from repro.shard.twopc import ShardOp, TwoPhaseCoordinator
 from repro.soap.envelope import SoapFault
 from repro.soap.errors import TransportError
@@ -152,7 +155,7 @@ class ShardedCatalog:
         self._hints: LRUCache[str, int] = LRUCache(capacity=4096)
         # Router-side compiled MQL statements (parse + compile only; leaf
         # planning is per shard, against each shard's own statistics).
-        self._mql_compiled: LRUCache[str, Any] = LRUCache(capacity=128)
+        self._mql_compiled: LRUCache[str, CompiledStatement] = LRUCache(capacity=128)
         self.cache = _ShardedCacheView(self.shards)
 
     # -- lifecycle ---------------------------------------------------------
@@ -777,126 +780,29 @@ class ShardedCatalog:
                 lambda s: s.query(query),
                 idempotent=True,
             )
-        return self._scatter_query(query)
-
-    def _per_shard_query(self, query: ObjectQuery) -> ObjectQuery:
-        """Rewrite offset/limit for shard-local execution: the global
-        offset may fall inside any one shard, so shards over-fetch
-        ``offset+limit`` rows from position 0."""
-        limit = query.max_results
-        if limit is not None:
-            limit = limit + (query.skip_results or 0)
-        return dataclasses.replace(query, max_results=limit, skip_results=None)
-
-    def _scatter_query(self, query: ObjectQuery) -> list[str]:
-        shard_query = self._per_shard_query(query)
-        if query.order is None:
-            names: list[str] = []
-            for idx in self.map.all_shards():
-                names.extend(
-                    self._call(
-                        idx,
-                        "query",
-                        lambda s: s.query(shard_query),
-                        kind="scatter",
-                        idempotent=True,
-                    )
-                )
-            skip = query.skip_results or 0
-            if query.max_results is not None:
-                return names[skip : skip + query.max_results]
-            return names[skip:]
-        per_shard: list[list[tuple[Any, str]]] = [
-            self._call(
-                idx,
-                "query_rows",
-                lambda s: s.query_rows(shard_query),
-                kind="scatter",
-                idempotent=True,
-            )
-            for idx in self.map.all_shards()
-        ]
-        _fieldname, descending = query.order
-        started = time.perf_counter()
-        merged = merge_sorted(
-            per_shard,
-            descending=descending,
-            offset=query.skip_results,
-            limit=query.max_results,
-        )
-        _MERGE_SECONDS.observe(time.perf_counter() - started)
-        return merged
+        return self._scatter(mql_compiler.compile_object_query(query))
 
     def explain_query(self, query: ObjectQuery) -> list[str]:
         if query.object_type is ObjectType.FILE and query.collection is None:
-            plan = self._call(
-                0, "explain_query", lambda s: s.explain_query(query), idempotent=True
+            return self._explain_scatter(
+                "explain_query",
+                lambda s: s.explain_query(query),
+                mql_compiler.compile_object_query(query).order_field,
             )
-            order = "unordered" if query.order is None else f"merge on {query.order[0]}"
-            return [f"Scatter [shards={self.shard_count}, {order}]"] + plan
         return self._replicated_read(
             "explain_query", lambda s: s.explain_query(query)
         )
 
-    # -- MQL (scatter/gather over compiled leaves) -------------------------
+    def _scatter(self, compiled: CompiledStatement) -> list[str]:
+        """The one scatter/gather: every shard answers each leaf of
+        *compiled* with its own planner choice (``mql_leaf_rows``; the
+        three strategies are answer-equivalent, so heterogeneous
+        per-shard choices cannot skew the result), and the router runs
+        the dataset algebra, dedup, ordering and pagination over the
+        concatenated ``(sort key, name)`` streams."""
 
-    @property
-    def mql_strategy(self) -> Optional[str]:
-        """Forced per-leaf strategy (None / "index" / "join" / "scan"),
-        forwarded to every shard so equivalence harnesses can pin the
-        whole fleet to one execution strategy at once."""
-        return self.shards[0].mql_strategy
-
-    @mql_strategy.setter
-    def mql_strategy(self, value: Optional[str]) -> None:
-        for shard in self.shards:
-            shard.mql_strategy = value
-
-    def _compile_mql(self, text: str) -> Any:
-        """Parse + compile once on the router.
-
-        Compilation is purely syntactic (predefined-vs-user attribute
-        split is by static name sets), so the cache needs no
-        attribute-def generation key — per-shard *planning* carries the
-        generation-sensitive state and happens inside each shard's own
-        plan cache.  Mixed object types cannot scatter coherently (files
-        are partitioned, collections/views replicated) and are rejected
-        the way a single engine rejects unknown fields: as a QueryError.
-        """
-        compiled = self._mql_compiled.get(text)
-        if compiled is None:
-            from repro import mql
-            from repro.mql import compiler as mql_compiler
-
-            compiled = mql_compiler.compile_statement(mql.parse(text))
-            self._mql_compiled.put(text, compiled)
-        if len(compiled.object_types) > 1:
-            names = ", ".join(sorted(t.value for t in compiled.object_types))
-            raise QueryError(
-                f"sharded MQL statements must stay within one object type; "
-                f"this one mixes {names}"
-            )
-        return compiled
-
-    def query_mql(self, text: str) -> list[str]:
-        """Run one MQL statement across the fleet.
-
-        FILE statements scatter per compiled leaf: every shard answers
-        ``mql_leaf_rows(leaf)`` with its own planner choice (the three
-        strategies are answer-equivalent, so heterogeneous per-shard
-        choices cannot skew the result), and the router re-runs the
-        dataset algebra, dedup, ordering and pagination over the
-        concatenated ``(sort key, name)`` streams.  Collection/view
-        statements run whole on any replica.
-        """
-        from repro.mql import executor as mql_executor
-
-        compiled = self._compile_mql(text)
-        if ObjectType.FILE not in compiled.object_types:
-            return self._replicated_read("query_mql", lambda s: s.query_mql(text))
-
-        def leaf_runner(leaf: Any) -> list[tuple[Any, str]]:
-            rows: list[tuple[Any, str]] = []
+        def leaf_runner(leaf: Leaf) -> list[tuple]:
+            rows: list[tuple] = []
             for idx in self.map.all_shards():
                 rows.extend(
                     self._call(
@@ -914,23 +820,71 @@ class ShardedCatalog:
         _MERGE_SECONDS.observe(time.perf_counter() - started)
         return names
 
-    def explain_mql(self, text: str) -> list[str]:
+    def _explain_scatter(
+        self, op: str, fn: Callable[[MetadataCatalog], list[str]], order_field: str
+    ) -> list[str]:
         """Fleet plan: a scatter header plus shard 0's physical plan
         (replicas share schema and statistics shape; per-shard row counts
         may of course differ)."""
+        header = (
+            f"Scatter [shards={self.shard_count}, merge on {order_field}, per-leaf]"
+        )
+        return [header] + self._call(0, op, fn, idempotent=True)
+
+    # -- MQL (scatter/gather over compiled leaves) -------------------------
+
+    @property
+    def mql_strategy(self) -> Optional[str]:
+        """Forced per-leaf strategy (None / "index" / "join" / "scan"),
+        forwarded to every shard so equivalence harnesses can pin the
+        whole fleet to one execution strategy at once."""
+        return self.shards[0].mql_strategy
+
+    @mql_strategy.setter
+    def mql_strategy(self, value: Optional[str]) -> None:
+        for shard in self.shards:
+            shard.mql_strategy = value
+
+    def _compile_mql(self, text: str) -> CompiledStatement:
+        """Parse + compile once on the router.
+
+        Compilation is purely syntactic (predefined-vs-user attribute
+        split is by static name sets), so nothing invalidates the cache;
+        each shard plans each leaf against its own statistics.  Mixed
+        object types cannot scatter coherently (files are partitioned,
+        collections/views replicated) and are rejected the way a single
+        engine rejects unknown fields: as a QueryError.
+        """
+        compiled = self._mql_compiled.get(text)
+        if compiled is None:
+            compiled = mql_compiler.compile_statement(mql.parse(text))
+            self._mql_compiled.put(text, compiled)
+        if len(compiled.object_types) > 1:
+            names = ", ".join(sorted(t.value for t in compiled.object_types))
+            raise QueryError(
+                f"sharded MQL statements must stay within one object type; "
+                f"this one mixes {names}"
+            )
+        return compiled
+
+    def query_mql(self, text: str) -> list[str]:
+        """Run one MQL statement across the fleet: FILE statements
+        scatter per compiled leaf, collection/view statements run whole
+        on any replica."""
+        compiled = self._compile_mql(text)
+        if ObjectType.FILE not in compiled.object_types:
+            return self._replicated_read("query_mql", lambda s: s.query_mql(text))
+        return self._scatter(compiled)
+
+    def explain_mql(self, text: str) -> list[str]:
         compiled = self._compile_mql(text)
         if ObjectType.FILE not in compiled.object_types:
             return self._replicated_read(
                 "explain_mql", lambda s: s.explain_mql(text)
             )
-        plan = self._call(
-            0, "explain_mql", lambda s: s.explain_mql(text), idempotent=True
+        return self._explain_scatter(
+            "explain_mql", lambda s: s.explain_mql(text), compiled.order_field
         )
-        header = (
-            f"Scatter [shards={self.shard_count}, "
-            f"merge on {compiled.order_field}, per-leaf]"
-        )
-        return [header] + plan
 
     def analyze_attributes(self) -> int:
         """Recompute ``attribute_stats`` on every shard; total rows written."""

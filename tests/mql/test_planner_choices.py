@@ -9,16 +9,17 @@ Three layers, matching the cost pipeline:
 * the engine end to end: ``Database(cost_stats=True)`` EXPLAIN output
   flips to ``INDEX INTERSECT`` / ``SEQ SCAN`` on the same data where the
   default engine keeps its rule-based ``INDEX LOOKUP``;
-* the MQL leaf planner: strategy choice under controlled
-  ``attribute_stats``, forced-strategy overrides, the compiled-plan LRU
-  (hit identity + generation invalidation), and an ``explain_mql``
-  golden text.
+* the leaf planner: strategy choice under controlled
+  ``attribute_stats``, forced-strategy overrides, the compiled-text LRU
+  (parse + compile once, plan every run), the planner's statement
+  budget, and the ``explain_mql`` / ``explain_query`` golden text.
 """
 
 import pytest
 
 from repro.core import MetadataCatalog
 from repro.core.errors import QueryError
+from repro.core.query import ObjectQuery
 from repro.db import Database
 from repro.db.expr import conjuncts
 from repro.db.planner import TableStats, choose_access_path, describe_access
@@ -167,7 +168,7 @@ def catalog():
 
 
 def _leaf_plans(cat, text):
-    plan = cat._mql_plan(text)
+    plan = cat._plan_mql(text)
     return [leaf_plan.strategy for leaf_plan in plan.leaf_plans]
 
 
@@ -202,47 +203,67 @@ def test_unknown_strategy_is_a_query_error(catalog):
     catalog.mql_strategy = None
 
 
-def test_plan_cache_identity_and_generation_invalidation(catalog):
-    text = "files where run = 2 order by name"
-    first = catalog._mql_plan(text)
-    assert catalog._mql_plan(text) is first
-    # Any attribute (re)definition bumps the generation and must drop
-    # every cached plan for the old statistics.
-    catalog.define_attribute("fresh", "int")
-    assert catalog._mql_plan(text) is not first
-    # A strategy override is part of the cache key too.
+def test_compiled_text_is_cached_and_every_run_is_planned_afresh(catalog):
+    text = "files where run = 2 and site = \"s0\""
+    first = catalog._plan_mql(text)
+    again = catalog._plan_mql(text)
+    # Parse + compile happen once per text ...
+    assert again.compiled is first.compiled
+    assert again.leaf_plans == first.leaf_plans
+    assert [e.attribute for e in first.leaf_plans[0].estimates] == ["run", "site"]
+    # ... planning on every run, against the statistics as they are now:
+    # forty more files of one run value make ``site`` the selective side.
+    for i in range(40):
+        catalog.create_file(f"g{i}", attributes={"run": 2, "site": f"t{i}"})
+    moved = catalog._plan_mql(text)
+    assert moved.compiled is first.compiled
+    assert [e.attribute for e in moved.leaf_plans[0].estimates] == ["site", "run"]
+    # A strategy override needs no invalidation either.
     catalog.mql_strategy = "scan"
-    forced = catalog._mql_plan(text)
-    assert forced.leaf_plans[0].strategy == "scan"
+    assert catalog._plan_mql(text).leaf_plans[0].strategy == "scan"
     catalog.mql_strategy = None
+
+
+def test_planning_never_reorders_the_callers_conditions(catalog):
+    query = ObjectQuery().where("site", "=", "s1").where("run", "=", 2)
+    before = list(query.conditions)
+    plan = catalog._plan_object_query(query).leaf_plans[0]
+    assert plan.order == (1, 0)  # run (est 2 rows) before site (est 5)
+    assert [e.attribute for e in plan.estimates] == ["run", "site"]
+    catalog.query(query)
+    assert query.conditions == before
 
 
 # -- explain_mql golden text -------------------------------------------------
 
 
+_GOLDEN_PLAN = [
+    "leaf 0 [file]: strategy=join cost=4.0 (conditions=2 predefined=0)",
+    "    INDEX LOOKUP attribute_value AS a0 USING av_int ON (1, 2) "
+    "FILTER (a0.object_type = 'file')",
+    "    INDEX NESTED LOOP JOIN -> INDEX LOOKUP logical_file AS obj "
+    "USING __pk_logical_file ON () KEYS (a0.object_id)",
+    "    INDEX NESTED LOOP JOIN -> INDEX LOOKUP attribute_value AS a1 "
+    "USING __uq_attribute_value_0 ON () KEYS (2, 'file', obj.id) "
+    "ON (a1.value_string LIKE 's%')",
+    "    PROJECT name, name",
+    "  run = ? (est 2.0 rows)",
+    "  site like ? (est 3.3 rows)",
+    "  costs: index=9.3, join=4.0, scan=40.0",
+    "algebra: leaf0",
+    "order by name asc limit 3",
+]
+
+
 def test_explain_mql_golden(catalog):
-    got = catalog.explain_mql(
-        'files where run = 2 and site like "s%" order by name limit 3'
-    )
-    assert got == [
-        'MQL: files where run = 2 and site like "s%" order by name limit 3',
-        "leaf 0 [file]: strategy=join cost=4.0 (conditions=2 predefined=0)",
-        "    INDEX LOOKUP attribute_value AS a0 USING av_int ON (1, 2) "
-        "FILTER (a0.object_type = 'file')",
-        "    INDEX NESTED LOOP JOIN -> INDEX LOOKUP logical_file AS obj "
-        "USING __pk_logical_file ON () KEYS (a0.object_id)",
-        "    INDEX NESTED LOOP JOIN -> INDEX LOOKUP attribute_value AS a1 "
-        "USING __uq_attribute_value_0 ON () KEYS (2, 'file', obj.id) "
-        "ON (a1.value_string LIKE 's%')",
-        "    DISTINCT",
-        "    SORT BY obj.name",
-        "    PROJECT name",
-        "  run = ? (est 2.0 rows)",
-        "  site like ? (est 3.3 rows)",
-        "  costs: index=9.3, join=4.0, scan=40.0",
-        "algebra: leaf0",
-        "order by name asc limit 3",
-    ]
+    text = 'files where run = 2 and site like "s%" order by name limit 3'
+    assert catalog.explain_mql(text) == [f"MQL: {text}", *_GOLDEN_PLAN]
+
+
+def test_explain_query_prints_the_same_plan(catalog):
+    # Conditions listed least selective first: the plan is the same.
+    query = ObjectQuery().where("site", "like", "s%").where("run", "=", 2).limit(3)
+    assert catalog.explain_query(query) == _GOLDEN_PLAN
 
 
 def test_explain_mql_algebra_golden(catalog):

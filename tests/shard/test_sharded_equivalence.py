@@ -3,12 +3,14 @@
 The headline suite of the sharding PR.  Four catalogs run side by side —
 a plain :class:`MetadataCatalog` and :class:`ShardedCatalog` instances
 over 1, 2 and 4 engines — and receive the identical randomized sequence
-of creates, moves, deletes, attribute writes, bulk batches and queries.
+of creates, moves, deletes, invalidations, attribute writes, bulk
+batches and queries.
 After every step all four must agree on
 
 * success/failure of the operation (same exception type on failure),
 * per-item bulk outcomes in submission order,
-* query answers, including ``order_by``/``limit``/``offset`` paging,
+* query answers, list for list — with or without ``order_by``, on
+  duplicated and NULL sort keys, ``limit``/``offset`` paging included,
 * observable aggregate state (file counts, per-file attributes,
   collection listings).
 
@@ -120,8 +122,9 @@ class ShardedEquivalenceMachine(RuleBasedStateMachine):
         s=st.sampled_from(STR_VALUES),
         i=st.sampled_from(INT_VALUES),
         pick=st.integers(min_value=0),
+        data_type=st.sampled_from((None, "t0", "t1")),
     )
-    def create(self, fresh, coll, s, i, pick):
+    def create(self, fresh, coll, s, i, pick, data_type):
         name = self._fresh_name() if fresh or not self.names else self._pick(pick)
         ok, _ = self._all_agree(
             f"create {name!r}",
@@ -129,6 +132,7 @@ class ShardedEquivalenceMachine(RuleBasedStateMachine):
                 c.create_file(
                     name,
                     collection=coll,
+                    data_type=data_type,
                     attributes={"a_str": s, "a_int": i},
                 )
             ),
@@ -152,6 +156,11 @@ class ShardedEquivalenceMachine(RuleBasedStateMachine):
         )
         if ok and name in self.names:
             self.names.remove(name)
+
+    @rule(pick=st.integers(min_value=0))
+    def invalidate(self, pick):
+        name = self._pick(pick)
+        self._all_agree(f"invalidate {name!r}", lambda c: c.invalidate_file(name))
 
     @rule(
         pick=st.integers(min_value=0),
@@ -207,29 +216,28 @@ class ShardedEquivalenceMachine(RuleBasedStateMachine):
 
     @rule(
         s=st.sampled_from(STR_VALUES + (None,)),
+        i=st.sampled_from(INT_VALUES + (None,)),
+        coll=st.sampled_from((None,) + COLLECTIONS[:2]),
+        valid_only=st.booleans(),
+        order=st.sampled_from((None, "name", "data_type")),
         descending=st.booleans(),
         limit=st.sampled_from((None, 1, 2, 3, 10)),
         offset=st.sampled_from((None, 1, 2, 5)),
     )
-    def ordered_query(self, s, descending, limit, offset):
-        def run(catalog):
-            query = ObjectQuery().order_by("name", descending=descending)
-            if s is not None:
-                query = query.where("a_str", "=", s)
-            return catalog.query(query.limit(limit).offset(offset))
-
-        self._all_agree(f"ordered query a_str={s!r}", run)
-
-    @rule(s=st.sampled_from(STR_VALUES), coll=st.sampled_from(COLLECTIONS))
-    def unordered_query(self, s, coll):
-        self._all_agree(
-            f"collection query {coll!r}",
-            lambda c: sorted(
-                c.query(
-                    ObjectQuery(collection=coll).where("a_str", "=", s)
-                )
-            ),
-        )
+    def query(self, s, i, coll, valid_only, order, descending, limit, offset):
+        """Every ``ObjectQuery`` shape, list for list: the router scatters
+        the query's one leaf and finishes with the single engine's own
+        dedup / sort / slice, so unordered queries, duplicated and NULL
+        sort keys and collection-scoped queries all agree exactly."""
+        query = ObjectQuery(collection=coll, valid_only=valid_only)
+        if s is not None:
+            query.where("a_str", "=", s)
+        if i is not None:
+            query.where("a_int", "<=", i)
+        if order is not None:
+            query.order_by(order, descending=descending)
+        query.limit(limit).offset(offset)
+        self._all_agree(f"query {query!r}", lambda c: c.query(query))
 
     @rule(coll=st.sampled_from(COLLECTIONS))
     def list_collection(self, coll):

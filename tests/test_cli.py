@@ -93,8 +93,10 @@ class TestCommands:
             server, capsys, "query", "--attr", "xp_attr=5", "--explain"
         )
         assert code == 0
+        # Planner lines, with the join leaf's engine EXPLAIN indented under it.
+        assert plan[0].startswith("leaf 0 [file]: strategy=join")
         assert any("INDEX LOOKUP" in line for line in plan)
-        assert plan[-1].startswith("PROJECT")
+        assert plan[-1] == "order by name asc"
 
     def test_stats_and_attributes(self, server, capsys):
         code, stats = run_cli(server, capsys, "stats", "--json")
