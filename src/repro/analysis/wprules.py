@@ -509,13 +509,22 @@ class UnguardedSharedState(WholeProgramRule):
 #: the sharded deployment's dispatch surface (the ops reach it through a
 #: ``catalog``-typed attribute the resolver pins to MetadataCatalog, so
 #: the facade and the 2PC coordinator are asserted as roots explicitly).
-#: A ``"*"`` method matches every public method of the class.
+#: A ``"*"`` method matches every public method of the class.  The
+#: facade's pure forwarders are generated at import and so absent from
+#: the AST; the routing classes they all run through are listed instead.
 SPAN_ENTRY_POINTS: tuple[tuple[str, str], ...] = (
     ("SoapDispatcher", "dispatch"),
     ("FederatedMCS", "_subquery"),
     ("Replica", "_ship"),
     ("PeriodicUpdater", "tick"),
     ("ShardedCatalog", "*"),
+    ("ShardedCatalog", "_route_replica"),
+    ("ShardedCatalog", "_route_everywhere"),
+    ("ShardedCatalog", "_route_everywhere_by_name"),
+    ("ShardedCatalog", "_route_everywhere_by_collection"),
+    ("ShardedCatalog", "_route_collection_shard"),
+    ("ShardedCatalog", "_route_file_owner"),
+    ("ShardedCatalog", "_route_by_object_type"),
     ("TwoPhaseCoordinator", "run"),
     ("TwoPhaseCoordinator", "recover"),
 )

@@ -28,6 +28,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.core.errors import exception_from_fault
 from repro.core.model import AttributeDef
+from repro.core.operations import OPERATIONS
 from repro.core.query import ObjectQuery
 from repro.obs.trace import span as _span
 from repro.resilience.transport import ResilientTransport
@@ -200,12 +201,6 @@ class BulkContext(BulkQueue):
             self.flush()
 
 
-def _read(operation: Callable[..., Any]) -> Callable[..., Any]:
-    """Mark an operation as an idempotent read (see :data:`READ_METHODS`)."""
-    operation.idempotent_read = True  # type: ignore[attr-defined]
-    return operation
-
-
 def _attribute_defs(wire: list[dict]) -> list[AttributeDef]:
     return [AttributeDef.from_dict(d) for d in wire]
 
@@ -218,8 +213,8 @@ class ClientOperations:
     ``_call`` produced), its transports and its bulk context.  Return
     annotations name the resolved value; on
     :class:`~repro.core.aclient.AsyncMCSClient` each operation returns
-    an awaitable of it.  Operations marked ``@_read`` are idempotent and
-    retried freely; the rest are writes.
+    an awaitable of it.  Which operations are idempotent reads, retried
+    freely, is the ``read`` column of :data:`repro.core.operations.OPERATIONS`.
     """
 
     _direct_transport: Callable[..., Any]
@@ -345,7 +340,6 @@ class ClientOperations:
             attributes=attributes,
         )
 
-    @_read
     def get_logical_file(self, name: str, version: Optional[int] = None) -> dict:
         """Static (predefined) attributes of a logical file."""
         return self._call("get_logical_file", name=name, version=version)
@@ -374,7 +368,6 @@ class ClientOperations:
             "move_file_to_collection", name=name, collection=collection, version=version
         )
 
-    @_read
     def list_versions(self, name: str) -> list[int]:
         """The version numbers registered under a logical name."""
         return self._call("list_versions", name=name)
@@ -399,7 +392,6 @@ class ClientOperations:
         """Set attributes on many objects in one call and transaction."""
         return self._call("bulk_set_attributes", items=list(items), atomic=atomic)
 
-    @_read
     def bulk_query(self, queries: Sequence[ObjectQuery | dict]) -> dict:
         """Run many discovery queries in one round trip."""
         wire = [
@@ -426,7 +418,6 @@ class ClientOperations:
             description=description,
         )
 
-    @_read
     def list_attribute_defs(self) -> list[AttributeDef]:
         """All user-defined attributes, as typed :class:`AttributeDef` records.
 
@@ -451,7 +442,6 @@ class ClientOperations:
             version=version,
         )
 
-    @_read
     def get_attributes(
         self, object_type: str, name: str, version: Optional[int] = None
     ) -> dict[str, Any]:
@@ -479,17 +469,14 @@ class ClientOperations:
 
     # -- Queries -------------------------------------------------------------------
 
-    @_read
     def query(self, query: ObjectQuery) -> list[str]:
         """Attribute-based discovery: returns matching logical names."""
         return self._call("query", query=_query_to_dict(query))
 
-    @_read
     def explain_query(self, query: ObjectQuery) -> list[str]:
         """The physical plan the query would execute (one line per step)."""
         return self._call("explain_query", query=_query_to_dict(query))
 
-    @_read
     def query_mql(self, text: str) -> list[str]:
         """Run one MQL statement, e.g. ``files where run = 7 limit 10``.
 
@@ -499,7 +486,6 @@ class ClientOperations:
         """
         return self._call("query_mql", text=text)
 
-    @_read
     def explain_mql(self, text: str) -> list[str]:
         """Strategy choice, cost model and algebra for an MQL statement."""
         return self._call("explain_mql", text=text)
@@ -532,12 +518,10 @@ class ClientOperations:
         """Delete an empty logical collection."""
         return self._call("delete_collection", name=name)
 
-    @_read
     def list_collection(self, name: str) -> list[str]:
         """Names of the logical files in a collection."""
         return self._call("list_collection", name=name)
 
-    @_read
     def list_subcollections(self, name: str) -> list[str]:
         """Names of a collection's direct child collections."""
         return self._call("list_subcollections", name=name)
@@ -600,7 +584,6 @@ class ClientOperations:
             views=list(views),
         )
 
-    @_read
     def list_view(self, name: str) -> list[dict]:
         """A view's members as ``{"type", "id", "name"}`` dicts."""
         return self._call("list_view", name=name)
@@ -615,7 +598,6 @@ class ClientOperations:
             "annotate", object_type=object_type, name=name, text=text, version=version
         )
 
-    @_read
     def get_annotations(
         self, object_type: str, name: str, version: Optional[int] = None
     ) -> list[dict]:
@@ -632,14 +614,12 @@ class ClientOperations:
             "add_transformation", name=name, description=description, version=version
         )
 
-    @_read
     def get_transformations(
         self, name: str, version: Optional[int] = None
     ) -> list[dict]:
         """A logical file's recorded transformation history."""
         return self._call("get_transformations", name=name, version=version)
 
-    @_read
     def audit_log(
         self, object_type: str, name: str, version: Optional[int] = None
     ) -> list[dict]:
@@ -668,7 +648,6 @@ class ClientOperations:
             phone=phone,
         )
 
-    @_read
     def get_user(self, dn: str) -> dict:
         """The registered contact details of a user."""
         return self._call("get_user", dn=dn)
@@ -686,7 +665,6 @@ class ClientOperations:
             description=description,
         )
 
-    @_read
     def list_external_catalogs(self) -> list[dict]:
         """Every registered external catalog."""
         return self._call("list_external_catalogs")
@@ -711,17 +689,14 @@ class ClientOperations:
             permissions=list(permissions),
         )
 
-    @_read
     def get_permissions(self, object_type: str, name: Optional[str] = None) -> dict:
         """An object's ACL as ``{principal: [permission names]}``."""
         return self._call("get_permissions", object_type=object_type, name=name)
 
-    @_read
     def stats(self) -> dict:
         """Catalog row counts plus cache and metrics snapshots."""
         return self._call("stats")
 
-    @_read
     def ping(self) -> str:
         """Liveness check; answers ``"pong"``."""
         return self._call("ping")
@@ -730,11 +705,7 @@ class ClientOperations:
 #: Wire methods that are idempotent reads.  The resilience layer retries
 #: these freely; anything not listed is treated as a write and only
 #: retried under a server-deduplicated idempotency token.
-READ_METHODS = frozenset(
-    name
-    for name, operation in vars(ClientOperations).items()
-    if getattr(operation, "idempotent_read", False)
-)
+READ_METHODS = frozenset(row.name for row in OPERATIONS if row.read)
 
 
 def is_read_method(method: str) -> bool:

@@ -19,12 +19,13 @@ individual mappings"):
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import inspect
 import json
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro.core.catalog import MetadataCatalog
 from repro.core.errors import (
@@ -36,13 +37,9 @@ from repro.core.errors import (
     QueryError,
     fault_code_for,
 )
-from repro.core.model import (
-    AttributeType,
-    ExternalCatalog,
-    ObjectType,
-    UserInfo,
-)
-from repro.core.query import AttributeCondition, ObjectQuery
+from repro.core.model import ExternalCatalog, ObjectType, UserInfo
+from repro.core.operations import BY_NAME, Operation
+from repro.core.query import ObjectQuery
 from repro.db.errors import DatabaseError
 from repro.security.acl import AccessControlList, Permission, effective_permissions
 from repro.security.cas import CapabilityAssertion, PolicyRule, verify_assertion
@@ -224,6 +221,19 @@ def assertion_from_dict(data: dict) -> CapabilityAssertion:
 # --------------------------------------------------------------------------
 
 
+class Touched(NamedTuple):
+    """An object an audited operation acted on: such a body returns
+    ``(wire result, [Touched, ...])`` and the dispatcher records the row's
+    action on each.  ``name`` and ``version`` are required because they are
+    what lets a sharded catalog put the record on the owning backend."""
+
+    object_id: int
+    audit_enabled: bool
+    name: str
+    version: Optional[int]
+    detail: str = ""
+
+
 class MCSService:
     """Dispatches decoded requests against a :class:`MetadataCatalog`."""
 
@@ -242,8 +252,7 @@ class MCSService:
         self.gsi = gsi_context
         self.trusted_cas = trusted_cas
         self.audit_default = audit_default
-        self._methods: dict[str, Callable[..., Any]] = {}
-        self._register_methods()
+        self._methods = self._paired_methods()
 
     # -- SOAP integration -----------------------------------------------------
 
@@ -298,18 +307,47 @@ class MCSService:
         return result
 
     def _dispatch(self, method: str, args: dict[str, Any]) -> Any:
-        handler = self._methods.get(method)
-        if handler is None:
+        """The one place an :class:`Operation` row becomes checks and audits."""
+        entry = self._methods.get(method)
+        if entry is None:
             raise SoapFault(
                 NoSuchMethodError.fault_code, f"unknown method {method!r}"
             )
+        row, body = entry
         try:
             caller, assertion = self._authenticate(method, args)
         except (MCSError, SecurityError, DatabaseError) as exc:
             raise SoapFault(fault_code_for(exc), str(exc)) from exc
         call_args = {k: v for k, v in args.items() if k not in ("auth", "cas", "caller")}
         try:
-            return handler(caller=caller, assertion=assertion, **call_args)
+            if row.permission is None or self.granularity == "none":
+                result = body(caller=caller, **call_args)
+            elif row.per_version and self.granularity == "object":
+                result = self._permitted_versions(
+                    row, body, caller, assertion, call_args
+                )
+            else:
+                seen: set[tuple] = set()
+                self._check(row, caller, assertion, (call_args,), seen)
+                if row.each is not None and self.granularity == "object":
+                    # Below object granularity every item's target is the
+                    # service ACL, which the row's own check just passed.
+                    items_arg, item_operation = row.each
+                    self._check(
+                        BY_NAME[item_operation], caller, assertion,
+                        call_args.get(items_arg) or (), seen,
+                    )
+                result = body(caller=caller, **call_args)
+            if row.audit is not None:
+                result, touched = result
+                action, object_type = row.audit
+                for obj in touched:
+                    if obj.audit_enabled or self.audit_default:
+                        self.catalog.record_audit(
+                            object_type, obj.object_id, action, obj.detail,
+                            caller, name=obj.name, version=obj.version,
+                        )
+            return result
         except (MCSError, SecurityError, DatabaseError) as exc:
             # DatabaseError rides the same central table: LockTimeout →
             # MCS.Busy, ProgrammingError → MCS.Query, rest → MCS.Storage
@@ -326,11 +364,8 @@ class MCSService:
         """The WSDL-level description: each ``op_*`` with its wire parameters."""
         desc = ServiceDescription("MetadataCatalogService")
         for name in sorted(self._methods):
-            signature = inspect.signature(self._methods[name])
-            desc.add(
-                name,
-                tuple(p for p in signature.parameters if p not in ("caller", "assertion")),
-            )
+            signature = inspect.signature(self._methods[name][1])
+            desc.add(name, tuple(p for p in signature.parameters if p != "caller"))
         return desc
 
     # -- authentication ---------------------------------------------------------
@@ -364,25 +399,72 @@ class MCSService:
 
     # -- authorization ------------------------------------------------------------
 
+    def _targets(self, row: Operation, args: dict[str, Any]) -> Iterator[tuple]:
+        """The ``(permission, kind, name, version)`` checks *row* asks of
+        one request's — or one bulk item's — arguments."""
+        if isinstance(row.on, ObjectType):
+            kind = row.on
+        else:
+            kind = ObjectType(args.get(row.on, ObjectType.FILE))
+        if kind is ObjectType.SERVICE:
+            yield row.permission, kind, None, None
+        else:
+            yield row.permission, kind, args.get(row.name_arg), args.get("version")
+        if row.destination is not None and self.granularity == "object":
+            destination = args.get(row.destination)
+            if destination is not None:
+                yield Permission.WRITE, ObjectType.COLLECTION, destination, None
+
     def _check(
         self,
+        row: Operation,
         caller: str,
-        permission: Permission,
-        object_type: ObjectType = ObjectType.SERVICE,
-        name: Optional[str] = None,
-        version: Optional[int] = None,
-        assertion: Optional[CapabilityAssertion] = None,
+        assertion: Optional[CapabilityAssertion],
+        argument_sets: Iterable[dict[str, Any]],
+        seen: set[tuple],
     ) -> None:
-        if self.granularity == "none":
-            return
-        start = time.perf_counter() if OBS.enabled else 0.0
-        try:
-            self._check_inner(
-                caller, permission, object_type, name, version, assertion
-            )
-        finally:
-            if OBS.enabled:
-                _AUTHZ_SECONDS.observe(time.perf_counter() - start)
+        """Apply *row*'s rule to each argument set, each distinct target once."""
+        for args in argument_sets:
+            for target in self._targets(row, args):
+                if target in seen:
+                    continue
+                seen.add(target)
+                start = time.perf_counter() if OBS.enabled else 0.0
+                try:
+                    self._check_inner(caller, *target, assertion)
+                finally:
+                    if OBS.enabled:
+                        _AUTHZ_SECONDS.observe(time.perf_counter() - start)
+
+    def _permitted_versions(
+        self,
+        row: Operation,
+        body: Callable[..., list[int]],
+        caller: str,
+        assertion: Optional[CapabilityAssertion],
+        args: dict[str, Any],
+    ) -> list[int]:
+        """A ``per_version`` row under object granularity: the body's
+        versions that pass the row's check, denied only if none does.  With
+        fewer than two there is nothing to choose between and the name is
+        checked as it stands (an unknown name faults as it does elsewhere)."""
+        versions = body(caller=caller, **args)
+        if len(versions) < 2:
+            self._check(row, caller, assertion, (args,), set())
+            return versions
+        permitted: list[int] = []
+        for version in versions:
+            try:
+                self._check(
+                    row, caller, assertion, ({**args, "version": version},), set()
+                )
+            except PermissionDeniedError as exc:
+                denied = exc
+            else:
+                permitted.append(version)
+        if not permitted:
+            raise denied
+        return permitted
 
     def _check_inner(
         self,
@@ -417,41 +499,33 @@ class MCSService:
                 f"{object_type.value}{'' if not name else ' ' + name}"
             )
 
-    def _audit(
-        self,
-        object_type: ObjectType,
-        object_id: int,
-        enabled: bool,
-        action: str,
-        detail: str,
-        caller: str,
-        name: Optional[str] = None,
-        version: Optional[int] = None,
-    ) -> None:
-        if enabled or self.audit_default:
-            # name/version let a sharded catalog place the record on the
-            # object's owning backend; a single engine ignores them.
-            self.catalog.record_audit(
-                object_type, object_id, action, detail, caller,
-                name=name, version=version,
-            )
-
     # -- method registration ---------------------------------------------------------
 
-    def _register_methods(self) -> None:
+    def _paired_methods(self) -> dict[str, tuple[Operation, Callable[..., Any]]]:
+        """Every :data:`OPERATIONS` row with its ``op_*`` body."""
         prefix = "op_"
-        for attr_name in dir(self):
-            if attr_name.startswith(prefix):
-                self._methods[attr_name[len(prefix):]] = getattr(self, attr_name)
+        bodies = {
+            attr[len(prefix):]: getattr(self, attr)
+            for attr in dir(self)
+            if attr.startswith(prefix)
+        }
+        if bodies.keys() != BY_NAME.keys():
+            raise TypeError(
+                "OPERATIONS rows and op_* bodies disagree on "
+                f"{sorted(bodies.keys() ^ BY_NAME.keys())}"
+            )
+        return {name: (row, bodies[name]) for name, row in BY_NAME.items()}
 
     # ======================================================================
     # Logical file operations
     # ======================================================================
+    #
+    # A body adapts wire arguments, calls the catalog and encodes the
+    # answer.  Its authorization and audit rules are its OPERATIONS row.
 
     def op_create_logical_file(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         name: str,
         version: int = 1,
         data_type: Optional[str] = None,
@@ -461,16 +535,7 @@ class MCSService:
         master_copy: Optional[str] = None,
         audit_enabled: bool = False,
         attributes: Optional[dict[str, Any]] = None,
-    ) -> dict:
-        self._check(caller, Permission.WRITE, assertion=assertion)
-        if collection is not None and self.granularity == "object":
-            self._check(
-                caller,
-                Permission.WRITE,
-                ObjectType.COLLECTION,
-                collection,
-                assertion=assertion,
-            )
+    ) -> tuple[dict, list[Touched]]:
         file_id = self.catalog.create_file(
             name,
             version=version,
@@ -483,108 +548,47 @@ class MCSService:
             audit_enabled=audit_enabled,
             attributes=attributes,
         )
-        self._audit(
-            ObjectType.FILE, file_id, audit_enabled, "create", f"name={name}",
-            caller, name=name, version=version,
-        )
-        return {"id": file_id, "name": name, "version": version}
+        touched = Touched(file_id, audit_enabled, name, version, f"name={name}")
+        return {"id": file_id, "name": name, "version": version}, [touched]
 
     def op_get_logical_file(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        name: str,
-        version: Optional[int] = None,
-    ) -> dict:
-        self._check(
-            caller, Permission.READ, ObjectType.FILE, name, version, assertion
-        )
+        self, caller: str, name: str, version: Optional[int] = None
+    ) -> tuple[dict, list[Touched]]:
         file = self.catalog.get_file(name, version)
-        self._audit(
-            ObjectType.FILE, file.id, file.audit_enabled, "read", "", caller,
-            name=name, version=file.version,
-        )
-        return {
-            "id": file.id,
-            "name": file.name,
-            "version": file.version,
-            "data_type": file.data_type,
-            "valid": file.valid,
-            "collection_id": file.collection_id,
-            "container_id": file.container_id,
-            "container_service": file.container_service,
-            "master_copy": file.master_copy,
-            "creator": file.creator,
-            "created": file.created,
-            "last_modifier": file.last_modifier,
-            "modified": file.modified,
-            "audit_enabled": file.audit_enabled,
-        }
+        touched = Touched(file.id, file.audit_enabled, file.name, file.version)
+        return dataclasses.asdict(file), [touched]
 
     def op_modify_logical_file(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         name: str,
         version: Optional[int] = None,
         changes: Optional[dict[str, Any]] = None,
-    ) -> bool:
-        self._check(
-            caller, Permission.WRITE, ObjectType.FILE, name, version, assertion
-        )
+    ) -> tuple[bool, list[Touched]]:
         self.catalog.update_file(name, version, modifier=caller, **(changes or {}))
         file = self.catalog.get_file(name, version)
-        self._audit(
-            ObjectType.FILE,
-            file.id,
-            file.audit_enabled,
-            "modify",
-            json.dumps(changes or {}, default=str),
-            caller,
-        )
-        return True
+        detail = json.dumps(changes or {}, default=str)
+        touched = Touched(file.id, file.audit_enabled, file.name, file.version, detail)
+        return True, [touched]
 
     def op_delete_logical_file(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        name: str,
-        version: Optional[int] = None,
-    ) -> bool:
-        self._check(
-            caller, Permission.DELETE, ObjectType.FILE, name, version, assertion
-        )
+        self, caller: str, name: str, version: Optional[int] = None
+    ) -> tuple[bool, list[Touched]]:
         file = self.catalog.get_file(name, version)
         self.catalog.delete_file(name, version)
-        self._audit(
-            ObjectType.FILE, file.id, file.audit_enabled, "delete", "", caller,
-            name=name,
-        )
-        return True
+        return True, [Touched(file.id, file.audit_enabled, file.name, file.version)]
 
     def op_move_file_to_collection(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         name: str,
         collection: Optional[str] = None,
         version: Optional[int] = None,
     ) -> bool:
-        self._check(
-            caller, Permission.WRITE, ObjectType.FILE, name, version, assertion
-        )
-        if collection is not None and self.granularity == "object":
-            self._check(
-                caller, Permission.WRITE, ObjectType.COLLECTION, collection,
-                assertion=assertion,
-            )
         self.catalog.move_file_to_collection(name, collection, version, caller)
         return True
 
-    def op_list_versions(
-        self, caller: str, assertion: Optional[CapabilityAssertion], name: str
-    ) -> list[int]:
-        self._check(caller, Permission.READ, ObjectType.FILE, name, assertion=assertion)
+    def op_list_versions(self, caller: str, name: str) -> list[int]:
         return self.catalog.list_versions(name)
 
     # ======================================================================
@@ -594,13 +598,11 @@ class MCSService:
     def op_define_attribute(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         name: str,
         value_type: str,
         object_types: Optional[list[str]] = None,
         description: Optional[str] = None,
     ) -> int:
-        self._check(caller, Permission.WRITE, assertion=assertion)
         types = (
             tuple(ObjectType(t) for t in object_types)
             if object_types
@@ -610,100 +612,57 @@ class MCSService:
             name, value_type, types, description, creator=caller
         )
 
-    def op_list_attribute_defs(
-        self, caller: str, assertion: Optional[CapabilityAssertion]
-    ) -> list[dict]:
-        self._check(caller, Permission.READ, assertion=assertion)
+    def op_list_attribute_defs(self, caller: str) -> list[dict]:
         return [d.to_dict() for d in self.catalog.list_attribute_defs()]
 
     def op_set_attributes(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         object_type: str,
         name: str,
         attributes: dict[str, Any],
         version: Optional[int] = None,
     ) -> bool:
-        otype = ObjectType(object_type)
-        self._check(caller, Permission.WRITE, otype, name, version, assertion)
-        self.catalog.set_attributes(otype, name, attributes, version)
+        self.catalog.set_attributes(ObjectType(object_type), name, attributes, version)
         return True
 
     def op_get_attributes(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        object_type: str,
-        name: str,
-        version: Optional[int] = None,
+        self, caller: str, object_type: str, name: str, version: Optional[int] = None
     ) -> dict[str, Any]:
-        otype = ObjectType(object_type)
-        self._check(caller, Permission.READ, otype, name, version, assertion)
-        return self.catalog.get_attributes(otype, name, version)
+        return self.catalog.get_attributes(ObjectType(object_type), name, version)
 
     def op_remove_attribute(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         object_type: str,
         name: str,
         attribute: str,
         version: Optional[int] = None,
     ) -> bool:
-        otype = ObjectType(object_type)
-        self._check(caller, Permission.WRITE, otype, name, version, assertion)
-        self.catalog.remove_attribute(otype, name, attribute, version)
+        self.catalog.remove_attribute(ObjectType(object_type), name, attribute, version)
         return True
 
     # ======================================================================
     # Queries
     # ======================================================================
 
-    def op_query(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        query: dict[str, Any],
-    ) -> list[str]:
-        self._check(caller, Permission.READ, assertion=assertion)
+    def op_query(self, caller: str, query: dict[str, Any]) -> list[str]:
         return self.catalog.query(_query_from_dict(query))
 
-    def op_explain_query(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        query: dict[str, Any],
-    ) -> list[str]:
+    def op_explain_query(self, caller: str, query: dict[str, Any]) -> list[str]:
         """Physical plan of an attribute query — for operators/tuning."""
-        self._check(caller, Permission.READ, assertion=assertion)
         return self.catalog.explain_query(_query_from_dict(query))
 
-    def op_query_mql(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        text: str,
-    ) -> list[str]:
+    def op_query_mql(self, caller: str, text: str) -> list[str]:
         """Run one MQL statement; syntax errors fault as MCS.Query."""
-        self._check(caller, Permission.READ, assertion=assertion)
         return self.catalog.query_mql(text)
 
-    def op_explain_mql(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        text: str,
-    ) -> list[str]:
+    def op_explain_mql(self, caller: str, text: str) -> list[str]:
         """Per-leaf strategy choice + costs for one MQL statement."""
-        self._check(caller, Permission.READ, assertion=assertion)
         return self.catalog.explain_mql(text)
 
-    def op_analyze_attributes(
-        self, caller: str, assertion: Optional[CapabilityAssertion]
-    ) -> int:
+    def op_analyze_attributes(self, caller: str) -> int:
         """Exact recompute of the MQL planner statistics (ANALYZE)."""
-        self._check(caller, Permission.WRITE, assertion=assertion)
         return self.catalog.analyze_attributes()
 
     # ======================================================================
@@ -711,7 +670,7 @@ class MCSService:
     # ======================================================================
     #
     # Explicit batch handlers: authorization runs once per distinct
-    # object (single-pass), the catalog executes the batch in one
+    # object (the row's ``each``), the catalog executes the batch in one
     # transaction, and every item's outcome comes back as a wire dict —
     # ``{"ok": True, "result": ...}`` or ``{"ok": False, "code": ...,
     # "message": ...}``.  With ``atomic=True`` a failing item raises a
@@ -728,113 +687,55 @@ class MCSService:
             "message": f"{type(exc).__name__}: {exc}",
         }
 
-    @staticmethod
-    def _bulk_wire_items(outcomes: list[tuple[bool, Any]]) -> list[dict]:
-        return [
-            {"ok": True, "result": value}
-            if ok
-            else MCSService._bulk_item_error(value)
+    def _bulk_reply(
+        self, operation: str, outcomes: list[tuple[bool, Any]], start: float
+    ) -> dict:
+        """Per-item outcomes in wire form, the batch metrics observed."""
+        items = [
+            {"ok": True, "result": value} if ok else self._bulk_item_error(value)
             for ok, value in outcomes
         ]
-
-    def _bulk_observe(
-        self, operation: str, n_items: int, items: list[dict], start: float
-    ) -> None:
-        if not OBS.enabled or not n_items:
-            return
-        elapsed = time.perf_counter() - start
-        _BULK_BATCH_SIZE.labels(operation).observe(n_items)
-        _BULK_ITEM_SECONDS.labels(operation).observe(elapsed / n_items)
-        ok = sum(1 for item in items if item.get("ok"))
-        if ok:
-            _BULK_ITEMS.labels(operation, "ok").inc(ok)
-        if n_items - ok:
-            _BULK_ITEMS.labels(operation, "fault").inc(n_items - ok)
+        ok = sum(1 for item in items if item["ok"])
+        if OBS.enabled and items:
+            elapsed = time.perf_counter() - start
+            _BULK_BATCH_SIZE.labels(operation).observe(len(items))
+            _BULK_ITEM_SECONDS.labels(operation).observe(elapsed / len(items))
+            if ok:
+                _BULK_ITEMS.labels(operation, "ok").inc(ok)
+            if len(items) - ok:
+                _BULK_ITEMS.labels(operation, "fault").inc(len(items) - ok)
+        return {"items": items, "ok": ok}
 
     def op_bulk_create_files(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        entries: list[dict[str, Any]],
-        atomic: bool = True,
-    ) -> dict:
+        self, caller: str, entries: list[dict[str, Any]], atomic: bool = True
+    ) -> tuple[dict, list[Touched]]:
         start = time.perf_counter() if OBS.enabled else 0.0
-        self._check(caller, Permission.WRITE, assertion=assertion)
-        if self.granularity == "object":
-            # Single-pass authz: each distinct target collection once,
-            # not once per file.
-            seen: set[str] = set()
-            for entry in entries:
-                collection = entry.get("collection")
-                if collection is not None and collection not in seen:
-                    seen.add(collection)
-                    self._check(
-                        caller,
-                        Permission.WRITE,
-                        ObjectType.COLLECTION,
-                        collection,
-                        assertion=assertion,
-                    )
         outcomes = self.catalog.bulk_create_files(
             entries, creator=caller, atomic=atomic
         )
-        for (ok, value), entry in zip(outcomes, entries):
-            if ok:
-                self._audit(
-                    ObjectType.FILE,
-                    value,
-                    bool(entry.get("audit_enabled", False)),
-                    "create",
-                    f"name={entry.get('name')} (bulk)",
-                    caller,
-                )
-        items = self._bulk_wire_items(outcomes)
-        for item, (ok, value) in zip(items, outcomes):
-            if ok:
-                item["result"] = {"id": value}
-        self._bulk_observe("bulk_create_files", len(entries), items, start)
-        return {"items": items, "ok": sum(1 for i in items if i["ok"])}
+        touched = [
+            Touched(
+                file_id,
+                bool(entry.get("audit_enabled", False)),
+                entry["name"],
+                int(entry.get("version", 1)),
+                f"name={entry['name']} (bulk)",
+            )
+            for (ok, file_id), entry in zip(outcomes, entries)
+            if ok
+        ]
+        outcomes = [(ok, {"id": value} if ok else value) for ok, value in outcomes]
+        return self._bulk_reply("bulk_create_files", outcomes, start), touched
 
     def op_bulk_set_attributes(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        items: list[dict[str, Any]],
-        atomic: bool = True,
+        self, caller: str, items: list[dict[str, Any]], atomic: bool = True
     ) -> dict:
         start = time.perf_counter() if OBS.enabled else 0.0
-        self._check(caller, Permission.WRITE, assertion=assertion)
-        if self.granularity == "object":
-            seen: set[tuple] = set()
-            for item in items:
-                key = (
-                    item.get("object_type", "file"),
-                    item.get("name"),
-                    item.get("version"),
-                )
-                if key[1] is not None and key not in seen:
-                    seen.add(key)
-                    self._check(
-                        caller,
-                        Permission.WRITE,
-                        ObjectType(key[0]),
-                        key[1],
-                        key[2],
-                        assertion,
-                    )
         outcomes = self.catalog.bulk_set_attributes(items, atomic=atomic)
-        wire = self._bulk_wire_items(outcomes)
-        self._bulk_observe("bulk_set_attributes", len(items), wire, start)
-        return {"items": wire, "ok": sum(1 for i in wire if i["ok"])}
+        return self._bulk_reply("bulk_set_attributes", outcomes, start)
 
-    def op_bulk_query(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        queries: list[dict[str, Any]],
-    ) -> dict:
+    def op_bulk_query(self, caller: str, queries: list[dict[str, Any]]) -> dict:
         start = time.perf_counter() if OBS.enabled else 0.0
-        self._check(caller, Permission.READ, assertion=assertion)
         outcomes: list[tuple[bool, Any]] = []
         for data in queries:
             try:
@@ -843,9 +744,7 @@ class MCSService:
                 outcomes.append((False, exc))
                 continue
             outcomes.extend(self.catalog.bulk_query([parsed]))
-        wire = self._bulk_wire_items(outcomes)
-        self._bulk_observe("bulk_query", len(queries), wire, start)
-        return {"items": wire, "ok": sum(1 for i in wire if i["ok"])}
+        return self._bulk_reply("bulk_query", outcomes, start)
 
     # ======================================================================
     # Collections
@@ -854,64 +753,32 @@ class MCSService:
     def op_create_collection(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         name: str,
         parent: Optional[str] = None,
         description: Optional[str] = None,
         audit_enabled: bool = False,
         attributes: Optional[dict[str, Any]] = None,
-    ) -> int:
-        self._check(caller, Permission.WRITE, assertion=assertion)
-        if parent is not None and self.granularity == "object":
-            self._check(
-                caller, Permission.WRITE, ObjectType.COLLECTION, parent,
-                assertion=assertion,
-            )
+    ) -> tuple[int, list[Touched]]:
         collection_id = self.catalog.create_collection(
             name, parent, description, creator=caller,
             audit_enabled=audit_enabled, attributes=attributes,
         )
-        self._audit(
-            ObjectType.COLLECTION, collection_id, audit_enabled, "create",
-            f"name={name}", caller, name=name,
-        )
-        return collection_id
+        touched = Touched(collection_id, audit_enabled, name, None, f"name={name}")
+        return collection_id, [touched]
 
-    def op_delete_collection(
-        self, caller: str, assertion: Optional[CapabilityAssertion], name: str
-    ) -> bool:
-        self._check(
-            caller, Permission.DELETE, ObjectType.COLLECTION, name, assertion=assertion
-        )
+    def op_delete_collection(self, caller: str, name: str) -> bool:
         self.catalog.delete_collection(name)
         return True
 
-    def op_list_collection(
-        self, caller: str, assertion: Optional[CapabilityAssertion], name: str
-    ) -> list[str]:
-        self._check(
-            caller, Permission.READ, ObjectType.COLLECTION, name, assertion=assertion
-        )
+    def op_list_collection(self, caller: str, name: str) -> list[str]:
         return self.catalog.list_collection(name)
 
-    def op_list_subcollections(
-        self, caller: str, assertion: Optional[CapabilityAssertion], name: str
-    ) -> list[str]:
-        self._check(
-            caller, Permission.READ, ObjectType.COLLECTION, name, assertion=assertion
-        )
+    def op_list_subcollections(self, caller: str, name: str) -> list[str]:
         return self.catalog.list_subcollections(name)
 
     def op_set_collection_parent(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        name: str,
-        parent: Optional[str] = None,
+        self, caller: str, name: str, parent: Optional[str] = None
     ) -> bool:
-        self._check(
-            caller, Permission.WRITE, ObjectType.COLLECTION, name, assertion=assertion
-        )
         self.catalog.set_collection_parent(name, parent)
         return True
 
@@ -922,44 +789,29 @@ class MCSService:
     def op_create_view(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         name: str,
         description: Optional[str] = None,
         audit_enabled: bool = False,
         attributes: Optional[dict[str, Any]] = None,
-    ) -> int:
-        self._check(caller, Permission.WRITE, assertion=assertion)
+    ) -> tuple[int, list[Touched]]:
         view_id = self.catalog.create_view(
             name, description, creator=caller,
             audit_enabled=audit_enabled, attributes=attributes,
         )
-        self._audit(
-            ObjectType.VIEW, view_id, audit_enabled, "create", f"name={name}",
-            caller, name=name,
-        )
-        return view_id
+        return view_id, [Touched(view_id, audit_enabled, name, None, f"name={name}")]
 
-    def op_delete_view(
-        self, caller: str, assertion: Optional[CapabilityAssertion], name: str
-    ) -> bool:
-        self._check(
-            caller, Permission.DELETE, ObjectType.VIEW, name, assertion=assertion
-        )
+    def op_delete_view(self, caller: str, name: str) -> bool:
         self.catalog.delete_view(name)
         return True
 
     def op_add_to_view(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         view: str,
         files: Optional[list[str]] = None,
         collections: Optional[list[str]] = None,
         views: Optional[list[str]] = None,
     ) -> bool:
-        self._check(
-            caller, Permission.WRITE, ObjectType.VIEW, view, assertion=assertion
-        )
         self.catalog.add_to_view(
             view, files or (), collections or (), views or ()
         )
@@ -968,26 +820,17 @@ class MCSService:
     def op_remove_from_view(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         view: str,
         files: Optional[list[str]] = None,
         collections: Optional[list[str]] = None,
         views: Optional[list[str]] = None,
     ) -> bool:
-        self._check(
-            caller, Permission.WRITE, ObjectType.VIEW, view, assertion=assertion
-        )
         self.catalog.remove_from_view(
             view, files or (), collections or (), views or ()
         )
         return True
 
-    def op_list_view(
-        self, caller: str, assertion: Optional[CapabilityAssertion], name: str
-    ) -> list[dict]:
-        self._check(
-            caller, Permission.READ, ObjectType.VIEW, name, assertion=assertion
-        )
+    def op_list_view(self, caller: str, name: str) -> list[dict]:
         return [
             {"type": m.member_type.value, "id": m.member_id, "name": m.name}
             for m in self.catalog.list_view(name)
@@ -1000,71 +843,39 @@ class MCSService:
     def op_annotate(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         object_type: str,
         name: str,
         text: str,
         version: Optional[int] = None,
     ) -> bool:
-        otype = ObjectType(object_type)
-        self._check(caller, Permission.ANNOTATE, otype, name, version, assertion)
-        self.catalog.annotate(otype, name, text, caller, version)
+        self.catalog.annotate(ObjectType(object_type), name, text, caller, version)
         return True
 
     def op_get_annotations(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        object_type: str,
-        name: str,
-        version: Optional[int] = None,
+        self, caller: str, object_type: str, name: str, version: Optional[int] = None
     ) -> list[dict]:
-        otype = ObjectType(object_type)
-        self._check(caller, Permission.READ, otype, name, version, assertion)
         return [
             {"text": a.text, "creator": a.creator, "created": a.created}
-            for a in self.catalog.annotations(otype, name, version)
+            for a in self.catalog.annotations(ObjectType(object_type), name, version)
         ]
 
     def op_add_transformation(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        name: str,
-        description: str,
-        version: Optional[int] = None,
+        self, caller: str, name: str, description: str, version: Optional[int] = None
     ) -> bool:
-        self._check(
-            caller, Permission.WRITE, ObjectType.FILE, name, version, assertion
-        )
         self.catalog.add_transformation(name, description, version)
         return True
 
     def op_get_transformations(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        name: str,
-        version: Optional[int] = None,
+        self, caller: str, name: str, version: Optional[int] = None
     ) -> list[dict]:
-        self._check(
-            caller, Permission.READ, ObjectType.FILE, name, version, assertion
-        )
         return [
             {"description": t.description, "created": t.created}
             for t in self.catalog.transformations(name, version)
         ]
 
     def op_audit_log(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        object_type: str,
-        name: str,
-        version: Optional[int] = None,
+        self, caller: str, object_type: str, name: str, version: Optional[int] = None
     ) -> list[dict]:
-        otype = ObjectType(object_type)
-        self._check(caller, Permission.ADMIN, otype, name, version, assertion)
         return [
             {
                 "action": r.action,
@@ -1072,7 +883,7 @@ class MCSService:
                 "actor": r.actor,
                 "created": r.created,
             }
-            for r in self.catalog.audit_log(otype, name, version)
+            for r in self.catalog.audit_log(ObjectType(object_type), name, version)
         ]
 
     # ======================================================================
@@ -1082,89 +893,53 @@ class MCSService:
     def op_register_user(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         dn: str,
         description: str = "",
         institution: str = "",
         email: str = "",
         phone: str = "",
     ) -> bool:
-        self._check(caller, Permission.WRITE, assertion=assertion)
         self.catalog.register_user(UserInfo(dn, description, institution, email, phone))
         return True
 
-    def op_get_user(
-        self, caller: str, assertion: Optional[CapabilityAssertion], dn: str
-    ) -> dict:
-        self._check(caller, Permission.READ, assertion=assertion)
-        user = self.catalog.get_user(dn)
-        return {
-            "dn": user.dn,
-            "description": user.description,
-            "institution": user.institution,
-            "email": user.email,
-            "phone": user.phone,
-        }
+    def op_get_user(self, caller: str, dn: str) -> dict:
+        return dataclasses.asdict(self.catalog.get_user(dn))
 
     def op_register_external_catalog(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         name: str,
         catalog_type: str,
         host: str,
         port: int,
         description: str = "",
     ) -> bool:
-        self._check(caller, Permission.WRITE, assertion=assertion)
         self.catalog.register_external_catalog(
             ExternalCatalog(name, catalog_type, host, port, description)
         )
         return True
 
-    def op_list_external_catalogs(
-        self, caller: str, assertion: Optional[CapabilityAssertion]
-    ) -> list[dict]:
-        self._check(caller, Permission.READ, assertion=assertion)
-        return [
-            {
-                "name": c.name,
-                "catalog_type": c.catalog_type,
-                "host": c.host,
-                "port": c.port,
-                "description": c.description,
-            }
-            for c in self.catalog.list_external_catalogs()
-        ]
+    def op_list_external_catalogs(self, caller: str) -> list[dict]:
+        return [dataclasses.asdict(c) for c in self.catalog.list_external_catalogs()]
 
     def op_set_permissions(
         self,
         caller: str,
-        assertion: Optional[CapabilityAssertion],
         object_type: str,
         name: Optional[str],
         principal: str,
         permissions: list[str],
     ) -> bool:
-        otype = ObjectType(object_type)
-        if otype is not ObjectType.SERVICE:
-            self._check(caller, Permission.ADMIN, otype, name, assertion=assertion)
         bits = Permission.NONE
         for p in permissions:
             bits |= Permission[p.upper()]
-        self.catalog.set_permissions(otype, name, principal, bits)
+        self.catalog.set_permissions(ObjectType(object_type), name, principal, bits)
         return True
 
     def op_get_permissions(
-        self,
-        caller: str,
-        assertion: Optional[CapabilityAssertion],
-        object_type: str,
-        name: Optional[str] = None,
+        self, caller: str, object_type: str, name: Optional[str] = None
     ) -> dict[str, list[str]]:
-        otype = ObjectType(object_type)
-        self._check(caller, Permission.READ, assertion=assertion)
-        acl = self.catalog.get_acl(otype, name)
+        acl = self.catalog.get_acl(ObjectType(object_type), name)
         out = {
             principal: [p.name for p in Permission if p.name and p in bits]
             for principal, bits in acl.entries.items()
@@ -1173,13 +948,13 @@ class MCSService:
             out["*"] = [p.name for p in Permission if p.name and p in acl.public]
         return out
 
-    def op_stats(self, caller: str, assertion: Optional[CapabilityAssertion]) -> dict:
+    def op_stats(self, caller: str) -> dict:
         stats = self.catalog.stats()
         stats["cache"] = self.catalog.cache.stats()
         stats["metrics"] = get_registry().snapshot()
         return stats
 
-    def op_ping(self, caller: str, assertion: Optional[CapabilityAssertion]) -> str:
+    def op_ping(self, caller: str) -> str:
         return "pong"
 
 

@@ -13,7 +13,10 @@ implemented by routing:
   to every shard, so any shard can answer structural reads and each
   shard can run collection joins and cycle checks locally.
 
-Single-shard ops go straight to the owning shard; scatter queries
+The 30 methods that only need a destination are not written out: the
+``_FORWARDED`` table assigns each a routing class (``_route_*``, one
+method per class) and generates it with ``MetadataCatalog``'s signature.
+What has logic of its own is hand-written: scatter queries
 gather every shard's ``(sort key, name)`` pairs per compiled leaf and
 finish with the single engine's own dedup / sort / slice
 (:func:`repro.mql.executor.execute_compiled`); bulk batches split per
@@ -25,7 +28,9 @@ circuit breaker with read retries (``repro.resilience``), a
 
 Known divergences from a single engine, by design:
 
-* database ids are shard-local (a cross-shard move assigns a new id);
+* database ids are shard-local, which is why ``record_audit`` places a
+  record by the object's name; a cross-shard move assigns a new id and
+  leaves the file's audit trail behind;
 * cross-shard uniqueness of ``(name, version)`` is checked by a scatter
   read before insert, not by a global lock — two racing creates of the
   same name routed to *different* shards can both land;
@@ -34,8 +39,11 @@ Known divergences from a single engine, by design:
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Sequence, TypeVar
 
 from repro import faults as _faults
 from repro import mql
@@ -47,14 +55,7 @@ from repro.core.errors import (
     ObjectNotFoundError,
     QueryError,
 )
-from repro.core.model import (
-    AttributeDef,
-    LogicalCollection,
-    LogicalFile,
-    LogicalView,
-    ObjectType,
-    ViewMember,
-)
+from repro.core.model import LogicalFile, ObjectType, ViewMember
 from repro.core.query import ObjectQuery
 from repro.mql import compiler as mql_compiler
 from repro.mql import executor as mql_executor
@@ -69,6 +70,19 @@ from repro.soap.envelope import SoapFault
 from repro.soap.errors import TransportError
 
 T = TypeVar("T")
+
+
+class _Forwarded(NamedTuple):
+    """One call of a generated forwarder, as its routing class sees it."""
+
+    op: str
+    fn: Callable[[MetadataCatalog], Any]  # the call, closed over its arguments
+    write: bool
+    # What can decide the shard; None where the method has no such parameter.
+    kind: Optional[ObjectType]
+    name: Optional[str]
+    version: Optional[int]
+
 
 _OPS_TOTAL = _metrics.counter(
     "mcs_shard_ops_total",
@@ -252,6 +266,53 @@ class ShardedCatalog:
                 self._call(idx, op, fn, kind="broadcast")
         return result
 
+    # -- routing classes ---------------------------------------------------
+    #
+    # Where a pure forwarder runs, written once each; ``_FORWARDED`` below
+    # assigns one to every catalog method that needs nothing more.
+
+    def _route_replica(self, call: _Forwarded) -> Any:
+        """Replicated state, read from any shard whose breaker admits."""
+        return self._replicated_read(call.op, call.fn)
+
+    def _route_everywhere(self, call: _Forwarded) -> Any:
+        """Replicated state without a home (definitions, users, the service
+        ACL), written on every shard; shard 0 validates and answers."""
+        return self._broadcast(call.op, call.fn)
+
+    def _route_everywhere_by_name(self, call: _Forwarded) -> Any:
+        """A replicated object written on every shard; the shard its name
+        hashes to validates and answers."""
+        primary = self.map.shard_for_name(call.name)
+        return self._broadcast(call.op, call.fn, primary=primary)
+
+    def _route_everywhere_by_collection(self, call: _Forwarded) -> Any:
+        """A collection written on every shard.  The shard holding its files
+        goes first: it alone can veto deleting a non-empty collection."""
+        primary = self.map.shard_for_collection(call.name)
+        return self._broadcast(call.op, call.fn, primary=primary)
+
+    def _route_collection_shard(self, call: _Forwarded) -> Any:
+        """The one shard holding a collection's files."""
+        idx = self.map.shard_for_collection(call.name)
+        return self._call(idx, call.op, call.fn, idempotent=not call.write)
+
+    def _route_file_owner(self, call: _Forwarded) -> Any:
+        """The shard that owns a file and its dependent rows."""
+        idx, _file = self._locate_file(call.name, call.version)
+        return self._call(idx, call.op, call.fn, idempotent=not call.write)
+
+    def _route_by_object_type(self, call: _Forwarded) -> Any:
+        """Chosen by the ``object_type`` argument: a file's rows live with
+        the file; a collection's, a view's and the service's are replicated."""
+        if call.kind is ObjectType.FILE:
+            return self._route_file_owner(call)
+        if not call.write:
+            return self._route_replica(call)
+        if call.name is None:
+            return self._route_everywhere(call)
+        return self._route_everywhere_by_name(call)
+
     # -- file location -----------------------------------------------------
 
     def _locate_file(
@@ -403,28 +464,6 @@ class ShardedCatalog:
             )
         return sorted(versions)
 
-    def update_file(
-        self,
-        name: str,
-        version: Optional[int] = None,
-        modifier: Optional[str] = None,
-        **changes: Any,
-    ) -> None:
-        idx, _file = self._locate_file(name, version)
-        self._call(
-            idx,
-            "update_file",
-            lambda s: s.update_file(name, version, modifier=modifier, **changes),
-        )
-
-    def invalidate_file(
-        self,
-        name: str,
-        version: Optional[int] = None,
-        modifier: Optional[str] = None,
-    ) -> None:
-        self.update_file(name, version, modifier=modifier, valid=False)
-
     def move_file_to_collection(
         self,
         name: str,
@@ -472,113 +511,14 @@ class ShardedCatalog:
 
     def delete_file(self, name: str, version: Optional[int] = None) -> None:
         idx, file = self._locate_file(name, version)
+        # The hint stays: it is how a post-delete audit finds this shard.
         self._call(
             idx, "delete_file", lambda s: s.delete_file(name, file.version)
-        )
-        self._hints.discard(name)
-
-    # ======================================================================
-    # Collections (replicated)
-    # ======================================================================
-
-    def create_collection(
-        self,
-        name: str,
-        parent: Optional[str] = None,
-        description: Optional[str] = None,
-        creator: Optional[str] = None,
-        audit_enabled: bool = False,
-        attributes: Optional[dict[str, Any]] = None,
-    ) -> int:
-        return self._broadcast(
-            "create_collection",
-            lambda s: s.create_collection(
-                name,
-                parent=parent,
-                description=description,
-                creator=creator,
-                audit_enabled=audit_enabled,
-                attributes=attributes,
-            ),
-            primary=self.map.shard_for_collection(name),
-        )
-
-    def get_collection(self, name: str) -> LogicalCollection:
-        return self._replicated_read(
-            "get_collection", lambda s: s.get_collection(name)
-        )
-
-    def set_collection_parent(self, name: str, parent: Optional[str]) -> None:
-        self._broadcast(
-            "set_collection_parent",
-            lambda s: s.set_collection_parent(name, parent),
-            primary=self.map.shard_for_collection(name),
-        )
-
-    def delete_collection(self, name: str) -> None:
-        # The owning shard sees the collection's files, so it alone can
-        # veto a non-empty delete; it must validate first.
-        self._broadcast(
-            "delete_collection",
-            lambda s: s.delete_collection(name),
-            primary=self.map.shard_for_collection(name),
-        )
-
-    def list_collection(self, name: str) -> list[str]:
-        return self._call(
-            self.map.shard_for_collection(name),
-            "list_collection",
-            lambda s: s.list_collection(name),
-            idempotent=True,
-        )
-
-    def list_subcollections(self, name: str) -> list[str]:
-        return self._replicated_read(
-            "list_subcollections", lambda s: s.list_subcollections(name)
-        )
-
-    def collection_chain(self, name: str) -> list[str]:
-        return self._replicated_read(
-            "collection_chain", lambda s: s.collection_chain(name)
-        )
-
-    def file_collection_chain(
-        self, name: str, version: Optional[int] = None
-    ) -> list[str]:
-        idx, _file = self._locate_file(name, version)
-        return self._call(
-            idx,
-            "file_collection_chain",
-            lambda s: s.file_collection_chain(name, version),
-            idempotent=True,
         )
 
     # ======================================================================
     # Views (structure replicated, file members partitioned)
     # ======================================================================
-
-    def create_view(
-        self,
-        name: str,
-        description: Optional[str] = None,
-        creator: Optional[str] = None,
-        audit_enabled: bool = False,
-        attributes: Optional[dict[str, Any]] = None,
-    ) -> int:
-        return self._broadcast(
-            "create_view",
-            lambda s: s.create_view(
-                name,
-                description=description,
-                creator=creator,
-                audit_enabled=audit_enabled,
-                attributes=attributes,
-            ),
-            primary=self.map.shard_for_name(name),
-        )
-
-    def get_view(self, name: str) -> LogicalView:
-        return self._replicated_read("get_view", lambda s: s.get_view(name))
 
     def add_to_view(
         self,
@@ -653,116 +593,6 @@ class ShardedCatalog:
                 if member.member_type is ObjectType.FILE:
                     members.append(member)
         return sorted(members, key=lambda m: (m.member_type.value, m.name))
-
-    def delete_view(self, name: str) -> None:
-        self._broadcast(
-            "delete_view",
-            lambda s: s.delete_view(name),
-            primary=self.map.shard_for_name(name),
-        )
-
-    # ======================================================================
-    # Attribute definitions (replicated)
-    # ======================================================================
-
-    def define_attribute(
-        self,
-        name: str,
-        value_type: Any,
-        object_types: Iterable[ObjectType] = (
-            ObjectType.FILE,
-            ObjectType.COLLECTION,
-            ObjectType.VIEW,
-        ),
-        description: Optional[str] = None,
-        creator: Optional[str] = None,
-    ) -> int:
-        object_types = tuple(object_types)
-        return self._broadcast(
-            "define_attribute",
-            lambda s: s.define_attribute(
-                name,
-                value_type,
-                object_types=object_types,
-                description=description,
-                creator=creator,
-            ),
-        )
-
-    def get_attribute_def(self, name: str) -> AttributeDef:
-        return self._replicated_read(
-            "get_attribute_def", lambda s: s.get_attribute_def(name)
-        )
-
-    def list_attribute_defs(self) -> list[AttributeDef]:
-        return self._replicated_read(
-            "list_attribute_defs", lambda s: s.list_attribute_defs()
-        )
-
-    # ======================================================================
-    # User-defined attribute values
-    # ======================================================================
-
-    def set_attributes(
-        self,
-        object_type: ObjectType,
-        name: str,
-        attributes: dict[str, Any],
-        version: Optional[int] = None,
-    ) -> None:
-        if object_type is ObjectType.FILE:
-            idx, _file = self._locate_file(name, version)
-            self._call(
-                idx,
-                "set_attributes",
-                lambda s: s.set_attributes(object_type, name, attributes, version),
-            )
-        else:
-            self._broadcast(
-                "set_attributes",
-                lambda s: s.set_attributes(object_type, name, attributes, version),
-                primary=self.map.shard_for_name(name),
-            )
-
-    def get_attributes(
-        self,
-        object_type: ObjectType,
-        name: str,
-        version: Optional[int] = None,
-    ) -> dict[str, Any]:
-        if object_type is ObjectType.FILE:
-            idx, _file = self._locate_file(name, version)
-            return self._call(
-                idx,
-                "get_attributes",
-                lambda s: s.get_attributes(object_type, name, version),
-                idempotent=True,
-            )
-        return self._replicated_read(
-            "get_attributes",
-            lambda s: s.get_attributes(object_type, name, version),
-        )
-
-    def remove_attribute(
-        self,
-        object_type: ObjectType,
-        name: str,
-        attr_name: str,
-        version: Optional[int] = None,
-    ) -> None:
-        if object_type is ObjectType.FILE:
-            idx, _file = self._locate_file(name, version)
-            self._call(
-                idx,
-                "remove_attribute",
-                lambda s: s.remove_attribute(object_type, name, attr_name, version),
-            )
-        else:
-            self._broadcast(
-                "remove_attribute",
-                lambda s: s.remove_attribute(object_type, name, attr_name, version),
-                primary=self.map.shard_for_name(name),
-            )
 
     # ======================================================================
     # Query (scatter/gather)
@@ -1139,69 +969,8 @@ class ShardedCatalog:
         return results
 
     # ======================================================================
-    # Annotations, provenance, audit
+    # Audit
     # ======================================================================
-
-    def annotate(
-        self,
-        object_type: ObjectType,
-        name: str,
-        text: str,
-        creator: str,
-        version: Optional[int] = None,
-    ) -> None:
-        if object_type is ObjectType.FILE:
-            idx, _file = self._locate_file(name, version)
-            self._call(
-                idx,
-                "annotate",
-                lambda s: s.annotate(object_type, name, text, creator, version),
-            )
-        else:
-            self._broadcast(
-                "annotate",
-                lambda s: s.annotate(object_type, name, text, creator, version),
-                primary=self.map.shard_for_name(name),
-            )
-
-    def annotations(
-        self,
-        object_type: ObjectType,
-        name: str,
-        version: Optional[int] = None,
-    ) -> list[Any]:
-        if object_type is ObjectType.FILE:
-            idx, _file = self._locate_file(name, version)
-            return self._call(
-                idx,
-                "annotations",
-                lambda s: s.annotations(object_type, name, version),
-                idempotent=True,
-            )
-        return self._replicated_read(
-            "annotations", lambda s: s.annotations(object_type, name, version)
-        )
-
-    def add_transformation(
-        self, file_name: str, description: str, version: Optional[int] = None
-    ) -> None:
-        idx, _file = self._locate_file(file_name, version)
-        self._call(
-            idx,
-            "add_transformation",
-            lambda s: s.add_transformation(file_name, description, version),
-        )
-
-    def transformations(
-        self, file_name: str, version: Optional[int] = None
-    ) -> list[Any]:
-        idx, _file = self._locate_file(file_name, version)
-        return self._call(
-            idx,
-            "transformations",
-            lambda s: s.transformations(file_name, version),
-            idempotent=True,
-        )
 
     def record_audit(
         self,
@@ -1213,25 +982,25 @@ class ShardedCatalog:
         name: Optional[str] = None,
         version: Optional[int] = None,
     ) -> None:
-        if object_type is ObjectType.FILE and name is not None:
+        """Database ids are shard-local, so the record is placed by *name*:
+        on a file's owning shard, on every replica of a collection or view."""
+        if name is None:
+            raise InvalidAttributeError("a sharded audit needs the object's name")
+        if object_type is ObjectType.FILE:
+            # Read first: a failed locate drops the hint, and once the file
+            # is deleted the hint is the only trace of where it lived.
+            hinted = self._hints.get(name)
             try:
                 idx, _file = self._locate_file(name, version)
             except (ObjectNotFoundError, InvalidAttributeError):
-                # Post-delete audit: the row is gone; hash placement keeps
-                # the record findable without a live file.
-                idx = self._hints.get(name)
-                if idx is None:
-                    idx = self.map.shard_for_name(name)
+                idx = hinted if hinted is not None else self.map.shard_for_name(name)
             self._call(
                 idx,
                 "record_audit",
-                lambda s: s.record_audit(
-                    object_type, object_id, action, detail, actor
-                ),
+                lambda s: s.record_audit(object_type, object_id, action, detail, actor),
             )
-        elif object_type in (ObjectType.COLLECTION, ObjectType.VIEW) and name:
-            # Replicated objects have shard-local ids: each replica must
-            # key the audit row by its own id for audit_log to find it.
+        else:
+            # Each replica keys the row by its own id for audit_log to find it.
             def _record(shard: MetadataCatalog) -> None:
                 if object_type is ObjectType.COLLECTION:
                     local_id = shard.get_collection(name).id
@@ -1240,95 +1009,6 @@ class ShardedCatalog:
                 shard.record_audit(object_type, local_id, action, detail, actor)
 
             self._broadcast("record_audit", _record)
-        else:
-            self._broadcast(
-                "record_audit",
-                lambda s: s.record_audit(
-                    object_type, object_id, action, detail, actor
-                ),
-            )
-
-    def audit_log(
-        self,
-        object_type: ObjectType,
-        name: str,
-        version: Optional[int] = None,
-    ) -> list[Any]:
-        if object_type is ObjectType.FILE:
-            idx, _file = self._locate_file(name, version)
-            return self._call(
-                idx,
-                "audit_log",
-                lambda s: s.audit_log(object_type, name, version),
-                idempotent=True,
-            )
-        return self._replicated_read(
-            "audit_log", lambda s: s.audit_log(object_type, name, version)
-        )
-
-    # ======================================================================
-    # Users, external catalogs, ACLs
-    # ======================================================================
-
-    def register_user(self, user: Any) -> None:
-        self._broadcast("register_user", lambda s: s.register_user(user))
-
-    def get_user(self, dn: str) -> Any:
-        return self._replicated_read("get_user", lambda s: s.get_user(dn))
-
-    def register_external_catalog(self, catalog: Any) -> None:
-        self._broadcast(
-            "register_external_catalog",
-            lambda s: s.register_external_catalog(catalog),
-        )
-
-    def list_external_catalogs(self) -> list[Any]:
-        return self._replicated_read(
-            "list_external_catalogs", lambda s: s.list_external_catalogs()
-        )
-
-    def set_permissions(
-        self,
-        object_type: ObjectType,
-        name: Optional[str],
-        principal: str,
-        permissions: Any,
-        version: Optional[int] = None,
-    ) -> None:
-        if object_type is ObjectType.FILE and name is not None:
-            idx, _file = self._locate_file(name, version)
-            self._call(
-                idx,
-                "set_permissions",
-                lambda s: s.set_permissions(
-                    object_type, name, principal, permissions, version
-                ),
-            )
-        else:
-            self._broadcast(
-                "set_permissions",
-                lambda s: s.set_permissions(
-                    object_type, name, principal, permissions, version
-                ),
-            )
-
-    def get_acl(
-        self,
-        object_type: ObjectType,
-        name: Optional[str],
-        version: Optional[int] = None,
-    ) -> Any:
-        if object_type is ObjectType.FILE and name is not None:
-            idx, _file = self._locate_file(name, version)
-            return self._call(
-                idx,
-                "get_acl",
-                lambda s: s.get_acl(object_type, name, version),
-                idempotent=True,
-            )
-        return self._replicated_read(
-            "get_acl", lambda s: s.get_acl(object_type, name, version)
-        )
 
     # ======================================================================
     # Statistics
@@ -1364,6 +1044,73 @@ class ShardedCatalog:
             "attribute_values": file_attr_values + replicated_attr_values,
             "shards": self.shard_count,
         }
+
+
+def _forwarder(
+    method: str, route: Callable[[Any, _Forwarded], Any], write: bool
+) -> Callable[..., Any]:
+    """A ``ShardedCatalog`` method that sends ``MetadataCatalog.<method>``,
+    arguments untouched, where *route* says."""
+    target = vars(MetadataCatalog)[method]
+    names = list(inspect.signature(target).parameters)[1:]
+    name_key = "file_name" if "file_name" in names else "name"
+
+    @functools.wraps(target)
+    def forward(self: ShardedCatalog, *args: Any, **kwargs: Any) -> Any:
+        if write:
+            # Every replica must see the same arguments: a one-shot iterator
+            # would be spent on the first.
+            args = tuple(tuple(a) if isinstance(a, Iterator) else a for a in args)
+        given = {**dict(zip(names, args)), **kwargs}
+        # The method is looked up per call, so a tracer that wraps
+        # MetadataCatalog's methods by attribute sees forwarded calls too.
+        fn = lambda shard: getattr(shard, method)(*args, **kwargs)  # noqa: E731
+        where = given.get("object_type"), given.get(name_key), given.get("version")
+        return route(self, _Forwarded(method, fn, write, *where))
+
+    forward.__qualname__ = f"ShardedCatalog.{method}"
+    return forward
+
+
+#: The catalog methods that need nothing but a destination: method →
+#: (routing class, writes?).  Everything with logic of its own is written
+#: out on the class; ``tests/shard/test_routing_table.py`` checks that
+#: each public ``MetadataCatalog`` method is in exactly one of the two
+#: places and keeps its signature.
+_FORWARDED: dict[str, tuple[Callable[..., Any], bool]] = {
+    "update_file": (ShardedCatalog._route_file_owner, True),
+    "invalidate_file": (ShardedCatalog._route_file_owner, True),
+    "file_collection_chain": (ShardedCatalog._route_file_owner, False),
+    "add_transformation": (ShardedCatalog._route_file_owner, True),
+    "transformations": (ShardedCatalog._route_file_owner, False),
+    "create_collection": (ShardedCatalog._route_everywhere_by_collection, True),
+    "set_collection_parent": (ShardedCatalog._route_everywhere_by_collection, True),
+    "delete_collection": (ShardedCatalog._route_everywhere_by_collection, True),
+    "list_collection": (ShardedCatalog._route_collection_shard, False),
+    "get_collection": (ShardedCatalog._route_replica, False),
+    "list_subcollections": (ShardedCatalog._route_replica, False),
+    "collection_chain": (ShardedCatalog._route_replica, False),
+    "create_view": (ShardedCatalog._route_everywhere_by_name, True),
+    "delete_view": (ShardedCatalog._route_everywhere_by_name, True),
+    "get_view": (ShardedCatalog._route_replica, False),
+    "define_attribute": (ShardedCatalog._route_everywhere, True),
+    "get_attribute_def": (ShardedCatalog._route_replica, False),
+    "list_attribute_defs": (ShardedCatalog._route_replica, False),
+    "register_user": (ShardedCatalog._route_everywhere, True),
+    "get_user": (ShardedCatalog._route_replica, False),
+    "register_external_catalog": (ShardedCatalog._route_everywhere, True),
+    "list_external_catalogs": (ShardedCatalog._route_replica, False),
+    "set_attributes": (ShardedCatalog._route_by_object_type, True),
+    "get_attributes": (ShardedCatalog._route_by_object_type, False),
+    "remove_attribute": (ShardedCatalog._route_by_object_type, True),
+    "annotate": (ShardedCatalog._route_by_object_type, True),
+    "annotations": (ShardedCatalog._route_by_object_type, False),
+    "audit_log": (ShardedCatalog._route_by_object_type, False),
+    "set_permissions": (ShardedCatalog._route_by_object_type, True),
+    "get_acl": (ShardedCatalog._route_by_object_type, False),
+}
+for _method, (_route, _write) in _FORWARDED.items():
+    setattr(ShardedCatalog, _method, _forwarder(_method, _route, _write))
 
 
 def build_sharded_catalog(

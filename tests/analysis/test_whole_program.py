@@ -115,3 +115,72 @@ def test_src_tree_is_clean_whole_program() -> None:
     root = Path(__file__).parents[2]
     findings = run_whole_program([root / "src" / "repro", root / "examples"])
     assert findings == [], "\n".join(f.render_with_trace() for f in findings)
+
+
+# -- generated forwarders (ShardedCatalog) ----------------------------------
+#
+# ShardedCatalog's pure forwarders are built at import from a routing
+# table, so ``("ShardedCatalog", "*")`` cannot see them in the AST.  The
+# routing classes they all run through are span roots instead.
+
+_ROUTER_WITH_GENERATED_FORWARDERS = """\
+from repro import obs
+from repro.core import faults
+
+
+class ShardedCatalog:
+    def _call(self, op):
+{call_body}
+
+    def _route_replica(self, call):
+        return self._call(call)
+
+
+def _forwarder(method):
+    def forward(self):
+        return ShardedCatalog._route_replica(self, method)
+
+    return forward
+
+
+setattr(ShardedCatalog, "get_collection", _forwarder("get_collection"))
+"""
+
+
+def _router_program(tmp_path: Path, call_body: str) -> Path:
+    shim = WP / "repro"
+    for relative in ("__init__.py", "obs.py", "core/__init__.py", "core/faults.py"):
+        target = tmp_path / "repro" / relative
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text((shim / relative).read_text())
+    (tmp_path / "repro" / "router.py").write_text(
+        _ROUTER_WITH_GENERATED_FORWARDERS.format(call_body=call_body)
+    )
+    return tmp_path
+
+
+def test_fault_site_behind_a_generated_forwarder_is_still_covered(tmp_path) -> None:
+    """Reachable only through ``get_collection``, which exists only at run
+    time: with ``_call``'s span removed the site must still be reported."""
+    bare = _router_program(
+        tmp_path / "bare", '        return faults.check("shard.call", op)'
+    )
+    findings = run_whole_program([bare], select=["MCS016"])
+    assert [(f.file, f.line) for f in findings] == [("repro/router.py", 7)]
+    assert "_route_replica" in findings[0].message
+
+    spanned = _router_program(
+        tmp_path / "spanned",
+        '        with obs.span("shard.route", op=op):\n'
+        '            return faults.check("shard.call", op)',
+    )
+    assert run_whole_program([spanned], select=["MCS016"]) == []
+
+
+def test_every_routing_class_is_a_span_root() -> None:
+    from repro.analysis.wprules import SPAN_ENTRY_POINTS
+    from repro.shard.router import _FORWARDED
+
+    roots = {method for cls, method in SPAN_ENTRY_POINTS if cls == "ShardedCatalog"}
+    routes = {route.__name__ for route, _write in _FORWARDED.values()}
+    assert routes and routes <= roots

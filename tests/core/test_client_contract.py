@@ -3,15 +3,18 @@
 ``ClientOperations`` is the one place an operation is written down;
 ``MCSClient`` and ``AsyncMCSClient`` only add how a call is carried out.
 These checks keep that true and keep the declaration in step with the
-service's ``op_*`` surface.
+server half: the ``OPERATIONS`` rows and the service's ``op_*`` bodies.
 """
 
 from __future__ import annotations
 
 import inspect
 
+import pytest
+
 from repro.core import AsyncMCSClient, MCSClient, MCSService
 from repro.core.client import READ_METHODS, ClientOperations, is_read_method
+from repro.core.operations import OPERATIONS
 
 #: Client-side sugar composed from other operations; no wire method.
 COMPOSED = {"invalidate_logical_file"}
@@ -27,11 +30,37 @@ def declared_operations() -> dict[str, object]:
     }
 
 
-def test_every_service_op_has_a_client_operation_and_vice_versa():
-    service_ops = {
+def test_rows_bodies_and_client_operations_are_one_set():
+    rows = [row.name for row in OPERATIONS]
+    bodies = {
         name[len("op_"):] for name in vars(MCSService) if name.startswith("op_")
     }
-    assert set(declared_operations()) - COMPOSED == service_ops
+    assert len(rows) == len(set(rows))
+    assert set(rows) == bodies == set(declared_operations()) - COMPOSED
+
+
+def test_a_body_without_a_row_or_a_row_without_a_body_fails_construction(monkeypatch):
+    class ExtraBody(MCSService):
+        def op_undeclared(self, caller: str) -> bool:
+            return True
+
+    with pytest.raises(TypeError, match="undeclared"):
+        ExtraBody()
+
+    from repro.core import operations, service
+
+    extra_row = operations.Operation("unbodied", None)
+    monkeypatch.setattr(service, "BY_NAME", {**operations.BY_NAME, "unbodied": extra_row})
+    with pytest.raises(TypeError, match="unbodied"):
+        MCSService()
+
+
+def test_no_body_takes_the_assertion_or_states_a_rule():
+    for name in vars(MCSService):
+        if name.startswith("op_"):
+            parameters = list(inspect.signature(getattr(MCSService, name)).parameters)
+            assert parameters[:2] == ["self", "caller"], name
+            assert "assertion" not in parameters, name
 
 
 def test_operations_are_declared_only_on_the_shared_base():
@@ -54,8 +83,8 @@ def test_signatures_are_real_not_catch_alls():
     assert parameters["version"].default == 1
 
 
-def test_read_methods_are_declared_operations():
-    assert READ_METHODS <= set(declared_operations()) - COMPOSED
+def test_read_methods_are_the_read_rows():
+    assert READ_METHODS == {row.name for row in OPERATIONS if row.read}
     assert is_read_method("query") and is_read_method("bulk_query")
     assert not is_read_method("create_logical_file")
     # Not wire methods, so never read methods (the retired shims were).
