@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tour of the extension features beyond the paper's core: replication,
-containers, master-copy consistency, EXPLAIN, and the XML backend.
+containers, master-copy consistency and EXPLAIN.
 
 Each section corresponds to something the paper mentions and defers
-(§3 containers and master copies, §9 replication and XML backends) or a
+(§3 containers and master copies, §9 replication) or a
 tooling affordance a production catalog would grow (plan inspection).
 
     python examples/advanced_features.py
@@ -13,7 +13,6 @@ from repro.consistency import ConsistencyManager, ReplicaState
 from repro.container import ContainerService
 from repro.core import MCSClient, MCSService, ObjectQuery
 from repro.core.replicated import ReplicatedMCS
-from repro.core.xmlbackend import XmlMetadataBackend
 from repro.gridftp import GridFTPServer, StorageSite
 from repro.rls import LocalReplicaCatalog, ReplicaLocationIndex, RLSClient
 
@@ -111,23 +110,8 @@ def explain_demo() -> None:
     print(f"  -> {client.query(query)}")
 
 
-def xml_backend_demo() -> None:
-    print("\n== Native XML backend (§9): functional, slower on complex queries ==")
-    backend = XmlMetadataBackend()
-    for i in range(20):
-        backend.create_file(
-            f"x-{i}", attributes={"model": f"M{i % 3}", "year": 1990 + i}
-        )
-    hits = backend.query(
-        ObjectQuery().where("model", "=", "M1").where("year", "=", 1994)
-    )
-    print(f"  XPath-backed conjunctive query: {hits}")
-    print("  (see benchmarks/test_ablation_xml_backend.py for the rate gap)")
-
-
 if __name__ == "__main__":
     replication_demo()
     container_demo()
     consistency_demo()
     explain_demo()
-    xml_backend_demo()

@@ -22,8 +22,6 @@ Subpackages
     The paper's two application integrations.
 ``repro.federation``
     The §9 future-work federated-catalog design.
-``repro.workloads`` / ``repro.bench``
-    The §7 scalability-study workloads and measurement harness.
 
 Quickest start::
 

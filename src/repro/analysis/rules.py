@@ -289,11 +289,10 @@ def iter_metric_declarations(tree: ast.Module) -> Iterator[tuple[int, str]]:
 class MetricRegistryRule(Rule):
     """Every emitted metric name must be declared.
 
-    ``/metrics``, the SOAP ``stats`` call and the bench reports key on
-    the names in ``repro.obs.metric_names.DECLARED_METRICS``.  A call
-    site minting an undeclared (or mis-shaped) name adds an unreviewed
-    series that no dashboard will ever query — the classic /metrics
-    drift.
+    ``/metrics`` and the SOAP ``stats`` call key on the names in
+    ``repro.obs.metric_names.DECLARED_METRICS``.  A call site minting
+    an undeclared (or mis-shaped) name adds an unreviewed series that
+    no dashboard will ever query — the classic /metrics drift.
     """
 
     id = "MCS005"
@@ -378,22 +377,17 @@ class StructuredLoggingRule(Rule):
 
     Server-side stdout is invisible to operators; the structured logger
     carries request ids and renders as JSON.  ``print`` belongs only to
-    the user-facing CLI and the bench report renderer.
+    the user-facing CLI and the linter's own report.
     """
 
     id = "MCS008"
     name = "structured-logging"
     invariant = (
         "no print() in library code; use repro.obs.log (print is CLI/"
-        "bench-report only)"
+        "linter-report only)"
     )
     only_modules = ("repro",)
-    exempt_modules = (
-        "repro.cli",
-        "repro.bench.report",
-        "repro.bench.__main__",
-        "repro.analysis",
-    )
+    exempt_modules = ("repro.cli", "repro.analysis")
 
     def check(self, module: Module) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

@@ -145,7 +145,7 @@ class CatalogCache:
     The cache shares its :class:`GenerationMap` with the catalog's
     :class:`~repro.db.engine.Database`, so commits on *any* connection
     of that database (including replication apply) invalidate entries.
-    ``enabled`` may be flipped at runtime (the bench ablation axis);
+    ``enabled`` may be flipped at runtime (the cached-vs-uncached lane);
     disabling bypasses lookups and stores but keeps entries, which
     revalidate against current generations when re-enabled.
     """

@@ -80,7 +80,6 @@ class AsyncMCSClient(ClientOperations):
             host,
             port,
             timeout=config.timeout_s,
-            simulated_latency_s=config.simulated_latency_s,
             pool_size=config.pool_size,
         )
 

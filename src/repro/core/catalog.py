@@ -92,10 +92,10 @@ class MetadataCatalog:
         # Strict-consistency read caches (attribute defs, object ids,
         # query results), invalidated by the engine's commit-time
         # generation bumps.  ``cache=False`` (or flipping
-        # ``self.cache.enabled``) disables lookups — the bench ablation.
+        # ``self.cache.enabled``) disables lookups.
         self.cache = CatalogCache(self.db, enabled=cache)
         # Query pipeline: optional strategy override (None = cost-based,
-        # or one of "index" / "join" / "scan" — the bench ablation axis),
+        # or one of "index" / "join" / "scan" — the equivalence lane's axis),
         # the parsed-and-compiled form of recent MQL texts (compilation
         # is purely syntactic, so nothing invalidates it), and the
         # planner's in-memory copy of attribute_stats.

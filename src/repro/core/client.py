@@ -65,7 +65,6 @@ class ClientConfig:
     breaker: Optional[object] = None
     pool_size: int = 2
     timeout_s: float = 30.0
-    simulated_latency_s: float = 0.0
 
     def with_options(self, **changes: Any) -> "ClientConfig":
         """A copy with the given fields replaced."""
@@ -722,12 +721,7 @@ class MCSClient(ClientOperations):
 
     @staticmethod
     def _http_transport(host: str, port: int, config: ClientConfig) -> Transport:
-        return HttpTransport(
-            host,
-            port,
-            timeout=config.timeout_s,
-            simulated_latency_s=config.simulated_latency_s,
-        )
+        return HttpTransport(host, port, timeout=config.timeout_s)
 
     def close(self) -> None:
         self._transport.close()

@@ -212,9 +212,8 @@ class WriteAheadLog:
         """Durably append one committed transaction.
 
         Injection site ``db.wal:append`` (see :mod:`repro.faults`): a
-        ``latency`` rule emulates a slower commit device — the sharded
-        benchmarks use it to model one-disk-per-shard deployments — and
-        an ``error`` rule models a write failure before anything reaches
+        ``latency`` rule emulates a slower commit device, and an
+        ``error`` rule models a write failure before anything reaches
         the log.
         """
         if not records:

@@ -1,10 +1,9 @@
 """The declared metric-name registry.
 
-Every metric family the process may emit — through ``/metrics``, the
-SOAP ``stats`` call, or bench reports — must be declared here, under the
-``mcs_`` prefix.  The declaration is what dashboards, alerts and the
-paper-reproduction reports key on, so drift in either direction is a
-bug:
+Every metric family the process may emit — through ``/metrics`` or the
+SOAP ``stats`` call — must be declared here, under the ``mcs_`` prefix.
+The declaration is what dashboards and alerts key on, so drift in
+either direction is a bug:
 
 * a call site minting a name that is **not** declared silently adds an
   unreviewed series to ``/metrics`` (lint rule ``MCS005`` catches it);

@@ -81,9 +81,8 @@ _span_hist_guard = threading.Lock()
 class _TracingSwitch:
     """Span recording on/off, independent of the wider OBS switch.
 
-    Metrics stay live when tracing is off — this is the knob the
-    ``sweep_tracing_ablation`` benchmark toggles to isolate what the span
-    machinery itself costs on the SOAP path.
+    Metrics stay live when tracing is off — this is the knob that
+    isolates what the span machinery itself costs on the SOAP path.
     """
 
     __slots__ = ("enabled",)

@@ -1,9 +1,9 @@
 """ResilientTransport: retry + deadline + circuit breaker over any transport.
 
 Wraps a :class:`repro.soap.transport.Transport` and implements the same
-protocol, so :class:`~repro.core.client.MCSClient`, federation members
-and the bench harness can layer resilience over direct, loopback or HTTP
-transports without touching call sites.
+protocol, so :class:`~repro.core.client.MCSClient` and federation
+members can layer resilience over direct, loopback or HTTP transports
+without touching call sites.
 
 Per logical call (:class:`RetryState`, which does no I/O — the transport
 classes are thin shells that run the attempts and sleep the backoffs):

@@ -10,7 +10,7 @@ trip, and server-side thread dispatch.
 * :mod:`repro.soap.server` — threaded HTTP SOAP server
 * :mod:`repro.soap.client` — HTTP SOAP client with connection reuse
 * :mod:`repro.soap.transport` — pluggable transports (HTTP, loopback,
-  in-process) so benchmarks can separate codec cost from socket cost
+  in-process) so codec cost can be told apart from socket cost
 """
 
 from repro.soap.envelope import BulkItem, SoapFault

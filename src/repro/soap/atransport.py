@@ -70,7 +70,6 @@ class AsyncHttpTransport(EnvelopeTransport):
         host: str,
         port: int,
         timeout: float = 30.0,
-        simulated_latency_s: float = 0.0,
         connect_timeout: Optional[float] = None,
         read_timeout: Optional[float] = None,
         pool_size: int = 2,
@@ -79,7 +78,6 @@ class AsyncHttpTransport(EnvelopeTransport):
         self.port = port
         self.connect_timeout = timeout if connect_timeout is None else connect_timeout
         self.read_timeout = timeout if read_timeout is None else read_timeout
-        self.simulated_latency_s = simulated_latency_s
         self.pool_size = max(1, pool_size)
         self._idle: list[_Conn] = []
         # Created lazily so the transport can be constructed outside any
@@ -103,8 +101,6 @@ class AsyncHttpTransport(EnvelopeTransport):
         )
 
     async def _post(self, payload: bytes, label: str) -> bytes:
-        if self.simulated_latency_s > 0:
-            await asyncio.sleep(self.simulated_latency_s)
         request = (
             f"POST /soap HTTP/1.1\r\n"
             f"Host: {self.host}:{self.port}\r\n"

@@ -1,9 +1,9 @@
 """Pluggable call transports.
 
 Three transports share the ``call(method, args) -> result`` interface so
-the MCS client can run over any of them.  This is what lets the benchmark
-suite reproduce the paper's "MySQL without web service" vs "MCS with web
-service" comparison, and additionally decompose the web-service penalty:
+the MCS client can run over any of them.  This is what reproduces the
+paper's "MySQL without web service" vs "MCS with web service"
+comparison, and separates the codec's share of the web-service penalty:
 
 ================  =====================================================
 DirectTransport   in-process function call; no XML, no socket — the
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import http.client
 import socket
-import time
 from typing import Any, Callable, Optional, Protocol, Sequence
 
 from repro import faults as _faults
@@ -315,12 +314,9 @@ class _NoDelayConnection(http.client.HTTPConnection):
 class HttpTransport(EnvelopeTransport):
     """SOAP over HTTP with a persistent connection per transport.
 
-    ``simulated_latency_s`` models the client↔server network distance:
-    each request sleeps that long before hitting the wire.  It exists for
-    the multi-host scalability experiments — on a single machine the
-    loopback RTT is effectively zero, so without it one client host
-    trivially saturates the server, hiding the paper's Figures 8–10
-    behaviour (aggregate rate growing with the number of client hosts).
+    A slower network link is a fault-plan rule, not an option:
+    ``soap.http:*=latency,ms=N`` (see :mod:`repro.faults`) delays every
+    request by *N* ms.
 
     ``timeout`` historically bounded *both* the TCP connect and every
     subsequent socket read with one value, so a slow response got the
@@ -335,7 +331,6 @@ class HttpTransport(EnvelopeTransport):
         host: str,
         port: int,
         timeout: float = 30.0,
-        simulated_latency_s: float = 0.0,
         connect_timeout: Optional[float] = None,
         read_timeout: Optional[float] = None,
     ) -> None:
@@ -343,14 +338,11 @@ class HttpTransport(EnvelopeTransport):
         self.port = port
         self.connect_timeout = timeout if connect_timeout is None else connect_timeout
         self.read_timeout = timeout if read_timeout is None else read_timeout
-        self.simulated_latency_s = simulated_latency_s
         # The idle keep-alive connection, once one exchange completed on
         # it; None before the first call and after any failure.
         self._conn: Optional[_NoDelayConnection] = None
 
     def _post(self, payload: bytes, label: str) -> bytes:
-        if self.simulated_latency_s > 0:
-            time.sleep(self.simulated_latency_s)
         headers = {"Content-Type": "text/xml; charset=utf-8", "SOAPAction": label}
         state, self._conn = PostState(self._conn), None
         while True:

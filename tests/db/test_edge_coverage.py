@@ -133,21 +133,3 @@ class TestConsistencyEdges:
         states = manager.audit("solo.dat")
         assert len(states) == 1 and states[0].state.name == "MASTER"
 
-
-class TestXmlBackendEdges:
-    def test_xpath_cache_bounded(self):
-        from repro.core.xmlbackend import XmlMetadataBackend
-
-        backend = XmlMetadataBackend()
-        backend.create_file("f", attributes={"a": 1})
-        for i in range(4100):
-            backend.query_files_by_attributes({"a": i})
-        assert len(backend._xpath_cache) <= 4101
-
-    def test_unindexed_backend_still_correct(self):
-        from repro.core.xmlbackend import XmlMetadataBackend
-
-        backend = XmlMetadataBackend(index_names=False)
-        backend.create_file("f1", attributes={"a": 1})
-        backend.create_file("f2", attributes={"a": 2})
-        assert backend.query_files_by_attributes({"a": 2}) == ["f2"]

@@ -1,9 +1,11 @@
-"""Transport failure handling: reconnects, latency knob, server restart."""
+"""Transport failure handling: reconnects, injected latency, server restart."""
 
 import time
 
 import pytest
 
+from repro import faults
+from repro.faults import FaultPlan
 from repro.soap import SoapClient, SoapFault, SoapServer
 from repro.soap.errors import TransportError
 from repro.soap.transport import HttpTransport
@@ -41,27 +43,16 @@ class TestReconnect:
         transport.close()
 
 
-class TestSimulatedLatency:
-    def test_latency_delays_requests(self):
-        with SoapServer(echo) as server:
-            host, port = server.endpoint
-            fast = HttpTransport(host, port, simulated_latency_s=0.0)
-            slow = HttpTransport(host, port, simulated_latency_s=0.05)
+def test_fault_plan_latency_slows_the_link_not_the_answer():
+    """A slow link is a ``soap.http`` latency rule, end to end."""
+    plan = FaultPlan.parse("seed=1;soap.http:*=latency,ms=50")
+    with SoapServer(echo) as server, faults.active(plan):
+        transport = HttpTransport(*server.endpoint)
+        try:
             t0 = time.perf_counter()
-            fast.call("echo", {})
-            fast_time = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            slow.call("echo", {})
-            slow_time = time.perf_counter() - t0
-            assert slow_time >= 0.05
-            assert slow_time > fast_time
-            fast.close()
-            slow.close()
-
-    def test_default_latency_zero(self):
-        with SoapServer(echo) as server:
-            transport = HttpTransport(*server.endpoint)
-            assert transport.simulated_latency_s == 0.0
+            assert transport.call("echo", {"n": 7}) == {"n": 7}
+            assert time.perf_counter() - t0 >= 0.05
+        finally:
             transport.close()
 
 
