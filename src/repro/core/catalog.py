@@ -196,7 +196,7 @@ class MetadataCatalog:
                 ) from exc
             file_id = result.lastrowid
             if attributes:
-                self._set_attributes(conn, ObjectType.FILE, file_id, attributes)
+                self._set_attributes(conn, ObjectType.FILE, file_id, attributes, new=True)
         return file_id
 
     def get_file(self, name: str, version: Optional[int] = None) -> LogicalFile:
@@ -395,7 +395,9 @@ class MetadataCatalog:
             ) from exc
         file_id = result.lastrowid
         if state.get("attributes"):
-            self._set_attributes(conn, ObjectType.FILE, file_id, state["attributes"])
+            self._set_attributes(
+                conn, ObjectType.FILE, file_id, state["attributes"], new=True
+            )
         for text, creator, created in state.get("annotations", ()):
             conn.execute(
                 "INSERT INTO annotation (object_type, object_id, annotation, "
@@ -475,20 +477,27 @@ class MetadataCatalog:
         attributes: Optional[dict[str, Any]] = None,
     ) -> int:
         conn = self._conn
-        parent_id = None if parent is None else self._collection_id(conn, parent)
-        now = _now()
-        try:
-            result = conn.execute(
-                "INSERT INTO logical_collection (name, description, parent_id, "
-                "creator, created, last_modifier, modified, audit_enabled) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (name, description, parent_id, creator, now, creator, now, audit_enabled),
-            )
-        except IntegrityError as exc:
-            raise DuplicateObjectError(f"collection {name!r} already exists") from exc
-        collection_id = result.lastrowid
-        if attributes:
-            self._set_attributes(conn, ObjectType.COLLECTION, collection_id, attributes)
+        with self._atomic(
+            conn,
+            read=("attribute_def",),
+            write=("logical_collection", "attribute_value", "attribute_stats"),
+        ):
+            parent_id = None if parent is None else self._collection_id(conn, parent)
+            now = _now()
+            try:
+                result = conn.execute(
+                    "INSERT INTO logical_collection (name, description, parent_id, "
+                    "creator, created, last_modifier, modified, audit_enabled) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    (name, description, parent_id, creator, now, creator, now, audit_enabled),
+                )
+            except IntegrityError as exc:
+                raise DuplicateObjectError(f"collection {name!r} already exists") from exc
+            collection_id = result.lastrowid
+            if attributes:
+                self._set_attributes(
+                    conn, ObjectType.COLLECTION, collection_id, attributes, new=True
+                )
         return collection_id
 
     def get_collection(self, name: str) -> LogicalCollection:
@@ -505,28 +514,25 @@ class MetadataCatalog:
     def set_collection_parent(self, name: str, parent: Optional[str]) -> None:
         """Re-parent a collection, preserving acyclicity."""
         conn = self._conn
-        collection = self.get_collection(name)
-        if parent is None:
+        # The walk and the UPDATE share one write-locked transaction, so
+        # two concurrent re-parentings cannot both pass the walk.
+        with self._atomic(conn, write=("logical_collection",)):
+            collection = self.get_collection(name)
+            parent_id = None if parent is None else self.get_collection(parent).id
+            # Walk up from the proposed parent; hitting `collection` is a cycle.
+            cursor: Optional[int] = parent_id
+            while cursor is not None:
+                if cursor == collection.id:
+                    raise CycleError(
+                        f"making {parent!r} the parent of {name!r} creates a cycle"
+                    )
+                cursor = conn.execute(
+                    "SELECT parent_id FROM logical_collection WHERE id = ?", (cursor,)
+                ).scalar()
             conn.execute(
                 "UPDATE logical_collection SET parent_id = ? WHERE id = ?",
-                (None, collection.id),
+                (parent_id, collection.id),
             )
-            return
-        parent_obj = self.get_collection(parent)
-        # Walk up from the proposed parent; hitting `collection` is a cycle.
-        cursor: Optional[int] = parent_obj.id
-        while cursor is not None:
-            if cursor == collection.id:
-                raise CycleError(
-                    f"making {parent!r} the parent of {name!r} creates a cycle"
-                )
-            cursor = conn.execute(
-                "SELECT parent_id FROM logical_collection WHERE id = ?", (cursor,)
-            ).scalar()
-        conn.execute(
-            "UPDATE logical_collection SET parent_id = ? WHERE id = ?",
-            (parent_obj.id, collection.id),
-        )
 
     def delete_collection(self, name: str) -> None:
         collection = self.get_collection(name)
@@ -613,18 +619,23 @@ class MetadataCatalog:
         attributes: Optional[dict[str, Any]] = None,
     ) -> int:
         conn = self._conn
-        now = _now()
-        try:
-            result = conn.execute(
-                "INSERT INTO logical_view (name, description, creator, created, "
-                "last_modifier, modified, audit_enabled) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (name, description, creator, now, creator, now, audit_enabled),
-            )
-        except IntegrityError as exc:
-            raise DuplicateObjectError(f"view {name!r} already exists") from exc
-        view_id = result.lastrowid
-        if attributes:
-            self._set_attributes(conn, ObjectType.VIEW, view_id, attributes)
+        with self._atomic(
+            conn,
+            read=("attribute_def",),
+            write=("logical_view", "attribute_value", "attribute_stats"),
+        ):
+            now = _now()
+            try:
+                result = conn.execute(
+                    "INSERT INTO logical_view (name, description, creator, created, "
+                    "last_modifier, modified, audit_enabled) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    (name, description, creator, now, creator, now, audit_enabled),
+                )
+            except IntegrityError as exc:
+                raise DuplicateObjectError(f"view {name!r} already exists") from exc
+            view_id = result.lastrowid
+            if attributes:
+                self._set_attributes(conn, ObjectType.VIEW, view_id, attributes, new=True)
         return view_id
 
     def get_view(self, name: str) -> LogicalView:
@@ -860,7 +871,13 @@ class MetadataCatalog:
         object_type: ObjectType,
         object_id: int,
         attributes: dict[str, Any],
+        new: bool = False,
     ) -> None:
+        """Insert or replace attribute values.
+
+        ``new``: the object was created in this transaction, so it has no
+        attribute row to replace and every value is a plain INSERT.
+        """
         for attr_name, value in attributes.items():
             definition = self.get_attribute_def(attr_name)
             if object_type not in definition.object_types:
@@ -869,20 +886,19 @@ class MetadataCatalog:
                 )
             coerced = _coerce_attr_value(definition, value)
             column = definition.value_type.value_column
-            updated = conn.execute(
+            if not new and conn.execute(
                 f"UPDATE attribute_value SET {column} = ? WHERE attr_id = ? "
                 "AND object_type = ? AND object_id = ?",
                 (coerced, definition.id, object_type.value, object_id),
-            ).rowcount
-            if updated == 0:
-                conn.execute(
-                    f"INSERT INTO attribute_value (attr_id, object_type, "
-                    f"object_id, {column}) VALUES (?, ?, ?, ?)",
-                    (definition.id, object_type.value, object_id, coerced),
-                )
-                _attr_stats.note_insert(conn, definition, object_type, coerced)
-            else:
+            ).rowcount:
                 _attr_stats.note_update(conn, definition, object_type, coerced)
+                continue
+            conn.execute(
+                f"INSERT INTO attribute_value (attr_id, object_type, "
+                f"object_id, {column}) VALUES (?, ?, ?, ?)",
+                (definition.id, object_type.value, object_id, coerced),
+            )
+            _attr_stats.note_insert(conn, definition, object_type, coerced)
 
     def get_attributes(
         self,

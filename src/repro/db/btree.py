@@ -80,25 +80,19 @@ class BPlusTree:
     def __len__(self) -> int:
         return self._len
 
-    @property
-    def key_count(self) -> int:
-        """Number of distinct keys in the tree."""
-        count = 0
-        leaf = self._first_leaf()
-        while leaf is not None:
-            count += len(leaf.keys)
-            leaf = leaf.next
-        return count
-
     # -- mutation -----------------------------------------------------------
 
     def insert(self, raw_key: tuple, rowid: int) -> None:
         """Insert a posting.  Raises IntegrityError on unique violation."""
-        key = make_key(raw_key)
+        self.insert_key(make_key(raw_key), rowid)
+
+    def insert_key(self, key: tuple, rowid: int) -> None:
+        """:meth:`insert` for a key already built by :func:`make_key`."""
         leaf = self._find_leaf(key)
         idx = bisect.bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             if self.unique:
+                raw_key = tuple(value for _rank, value in key)
                 raise IntegrityError(
                     f"unique index {self.name or '<anon>'}: duplicate key {raw_key!r}"
                 )

@@ -1,8 +1,9 @@
 """Database engine facade: connections, statement execution, durability.
 
 Thread model: a :class:`Database` is shared; each thread uses its own
-:class:`Connection`.  Parsed statements are cached per SQL text and shared
-(they are immutable); parameter binding produces per-execution copies.
+:class:`Connection`.  Per SQL text the engine caches the parsed statement
+and, beside it, the plan templates built from it; both are immutable and
+shared, and binding parameters produces per-execution copies.
 """
 
 from __future__ import annotations
@@ -17,9 +18,16 @@ from repro.db.errors import (
     SchemaError,
     TransactionError,
 )
-from repro.db.expr import Expr, bind_parameters, Literal
+from repro.db.expr import Like, Parameter, bind_parameters, conjuncts
 from repro.db.executor import execute_select, select_rowids
-from repro.db.planner import plan_mutation, plan_select
+from repro.db.planner import (
+    bind_access,
+    bind_plan,
+    describe_plan,
+    is_plain_prefix,
+    plan_mutation,
+    plan_select,
+)
 from repro.db.schema import IndexDef, TableDef
 from repro.db.sql.ast import (
     BeginTransaction,
@@ -31,11 +39,8 @@ from repro.db.sql.ast import (
     DropIndex,
     DropTable,
     Insert,
-    Join,
-    OrderItem,
     RollbackTransaction,
     Select,
-    SelectItem,
     Statement,
     Update,
 )
@@ -57,7 +62,8 @@ _PARSE_SECONDS = _obs_histogram(
     "mcs_db_parse_seconds", "SQL text to AST parse time (cache misses only)"
 )
 _PLAN_SECONDS = _obs_histogram(
-    "mcs_db_plan_seconds", "Physical planning time per planned statement"
+    "mcs_db_plan_seconds",
+    "Physical planning time per plan template built (plan-cache misses only)",
 )
 _STATEMENT_SECONDS = _obs_histogram(
     "mcs_db_statement_seconds",
@@ -160,11 +166,6 @@ class Database:
         Seconds to wait for a table lock before LockTimeoutError.
     durable_sync:
         fsync the WAL on every commit (slow, crash-safe).
-    cost_stats:
-        Let the planner consult live table/index cardinalities
-        (:class:`repro.db.planner.TableStats`) and consider index
-        intersections or cost-based seq-scan fallbacks.  Off by default:
-        the rule-based plans stay exactly as they always were.
     """
 
     def __init__(
@@ -172,10 +173,8 @@ class Database:
         directory: Optional[str] = None,
         lock_timeout: float = 5.0,
         durable_sync: bool = False,
-        cost_stats: bool = False,
     ) -> None:
         self.catalog = Catalog()
-        self.catalog.cost_stats = cost_stats
         self.locks = LockManager(lock_timeout)
         self.fk = ForeignKeyEnforcer(self.catalog)
         # Per-table commit generations: the invalidation signal for the
@@ -183,8 +182,11 @@ class Database:
         # commit is durable, before its write locks are released.
         self.generations = GenerationMap()
         self.directory = directory
-        self._stmt_cache: dict[str, Statement] = {}
+        self._stmt_cache: dict[str, _Prepared] = {}
         self._stmt_cache_guard = threading.Lock()
+        # Bumped by every schema change, under the exclusive schema lock;
+        # a plan template from an older epoch is never used.
+        self._schema_epoch = 0
         self._wal_guard = threading.Lock()
         self._wal: Optional[walmod.WriteAheadLog] = None
         self._commit_listeners: list[Callable[[list[dict]], None]] = []
@@ -220,20 +222,27 @@ class Database:
     # -- shared helpers --------------------------------------------------------
 
     def parse(self, sql: str) -> Statement:
-        stmt = self._stmt_cache.get(sql)
-        if stmt is not None:
+        return self._prepare(sql).stmt
+
+    def _prepare(self, sql: str) -> "_Prepared":
+        prepared = self._stmt_cache.get(sql)
+        if prepared is not None:
             _STMT_CACHE_HIT.inc()
-            return stmt
+            return prepared
         _STMT_CACHE_MISS.inc()
         start = time.perf_counter() if OBS.enabled else 0.0
-        stmt = parse_statement(sql)
+        prepared = _Prepared(parse_statement(sql))
         if OBS.enabled:
             _PARSE_SECONDS.observe(time.perf_counter() - start)
         with self._stmt_cache_guard:
             if len(self._stmt_cache) > 4096:
                 self._stmt_cache.clear()
-            self._stmt_cache[sql] = stmt
-        return stmt
+            self._stmt_cache[sql] = prepared
+        return prepared
+
+    def _schema_changed(self) -> None:
+        """Retire every plan template; the caller holds the schema lock exclusively."""
+        self._schema_epoch += 1
 
     def add_commit_listener(self, listener: Callable[[list[dict]], None]) -> None:
         """Register a callable invoked with every committed record batch.
@@ -265,6 +274,7 @@ class Database:
             if if_not_exists and self.catalog.has_table(definition.name):
                 return
             self.catalog.create_table(definition)
+            self._schema_changed()
             self.wal_commit(
                 [{"op": "create_table", "def": walmod.table_def_to_dict(definition)}]
             )
@@ -282,6 +292,7 @@ class Database:
             ):
                 return
             table.create_index(index_def)
+            self._schema_changed()
             self.wal_commit(
                 [
                     {
@@ -329,14 +340,14 @@ class Connection:
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         if self._closed:
             raise ProgrammingError("connection is closed")
-        stmt = self._db.parse(sql)
+        prepared = self._db._prepare(sql)
         if not OBS.enabled or not _sample_tick():
-            return self._dispatch(stmt, tuple(params))
+            return self._dispatch(prepared, tuple(params))
         start = time.perf_counter()
         try:
-            return self._dispatch(stmt, tuple(params))
+            return self._dispatch(prepared, tuple(params))
         finally:
-            _statement_timer(stmt).observe(time.perf_counter() - start)
+            _statement_timer(prepared.stmt).observe(time.perf_counter() - start)
 
     def executemany(
         self, sql: str, seq_of_params: Sequence[Sequence[Any]]
@@ -429,17 +440,18 @@ class Connection:
 
     # -- dispatch ------------------------------------------------------------------
 
-    def _dispatch(self, stmt: Statement, params: tuple) -> ResultSet:
+    def _dispatch(self, prepared: "_Prepared", params: tuple) -> ResultSet:
+        stmt = prepared.stmt
         if isinstance(stmt, Select):
-            return self._execute_select(stmt, params)
+            return self._execute_select(prepared, params)
         if isinstance(stmt, Explain):
-            return self._execute_explain(stmt, params)
+            return self._execute_explain(prepared, params)
         if isinstance(stmt, Insert):
             return self._execute_insert(stmt, params)
         if isinstance(stmt, Update):
-            return self._execute_update(stmt, params)
+            return self._execute_update(prepared, params)
         if isinstance(stmt, Delete):
-            return self._execute_delete(stmt, params)
+            return self._execute_delete(prepared, params)
         if isinstance(stmt, BeginTransaction):
             return self._begin_txn()
         if isinstance(stmt, CommitTransaction):
@@ -566,44 +578,50 @@ class Connection:
 
     # -- SELECT ---------------------------------------------------------------------------
 
-    def _execute_select(self, stmt: Select, params: tuple) -> ResultSet:
-        bound = _bind_select(stmt, params)
-        read_tables: set[str] = set()
-        if bound.table is not None:
-            read_tables.add(bound.table.name)
-        for join in bound.joins:
-            read_tables.add(join.table.name)
-        held = self._with_locks(read_tables, set())
+    def _execute_select(self, prepared: "_Prepared", params: tuple) -> ResultSet:
+        held = self._with_locks(_read_tables(prepared.query), set())
         try:
-            plan = self._plan_timed(plan_select, bound)
-            names, rows = execute_select(self._db.catalog, plan)
+            names, rows = execute_select(self._db.catalog, self._plan(prepared, params))
             return ResultSet(columns=names, rows=rows)
         finally:
             self._statement_done(held, True)
 
-    def _plan_timed(self, planner, *args):
-        if not OBS.enabled or not _sample_tick():
-            return planner(self._db.catalog, *args)
-        start = time.perf_counter()
-        try:
-            return planner(self._db.catalog, *args)
-        finally:
-            _PLAN_SECONDS.observe(time.perf_counter() - start)
+    def _plan(self, prepared: "_Prepared", params: tuple):
+        """The statement's cached plan template with *params* bound.
 
-    def _execute_explain(self, stmt: Explain, params: tuple) -> ResultSet:
-        from repro.db.planner import describe_plan
+        A SELECT binds into a :class:`SelectPlan`, an UPDATE/DELETE into
+        its :class:`AccessPath`.  Planning happens on a miss only: per
+        LIKE key and schema epoch.  Called under the statement's shared
+        schema lock, so the epoch cannot move while the plan is in use.
+        """
+        query, count = prepared.query, prepared.stmt.param_count
+        if len(params) < count:
+            raise ProgrammingError(
+                f"statement requires at least {count} parameters, got {len(params)}"
+            )
+        bind = bind_plan if isinstance(query, Select) else bind_access
+        key = tuple(i for i in prepared.like_params if is_plain_prefix(params[i]))
+        epoch = self._db._schema_epoch
+        cached = prepared.plans.get(key)
+        if cached is not None and cached[0] == epoch:
+            template = cached[1]
+        else:
+            start = time.perf_counter()
+            if isinstance(query, Select):
+                template = plan_select(self._db.catalog, query, key)
+            else:
+                template = plan_mutation(self._db.catalog, query.table, query.where, key)
+            if not count:
+                template = bind(template, ())  # no slot left to fill later
+            if OBS.enabled:
+                _PLAN_SECONDS.observe(time.perf_counter() - start)
+            prepared.plans[key] = (epoch, template)
+        return bind(template, params) if count else template
 
-        assert isinstance(stmt.inner, Select)
-        bound = _bind_select(stmt.inner, params)
-        read_tables: set[str] = set()
-        if bound.table is not None:
-            read_tables.add(bound.table.name)
-        for join in bound.joins:
-            read_tables.add(join.table.name)
-        held = self._with_locks(read_tables, set())
+    def _execute_explain(self, prepared: "_Prepared", params: tuple) -> ResultSet:
+        held = self._with_locks(_read_tables(prepared.query), set())
         try:
-            plan = plan_select(self._db.catalog, bound)
-            lines = describe_plan(plan)
+            lines = describe_plan(self._plan(prepared, params))
             return ResultSet(columns=("plan",), rows=[(line,) for line in lines])
         finally:
             self._statement_done(held, True)
@@ -667,7 +685,8 @@ class Connection:
 
     # -- UPDATE ---------------------------------------------------------------------------
 
-    def _execute_update(self, stmt: Update, params: tuple) -> ResultSet:
+    def _execute_update(self, prepared: "_Prepared", params: tuple) -> ResultSet:
+        stmt = prepared.stmt
         table = self._db.catalog.table(stmt.table)
         read_tables = {fk.ref_table for fk in table.definition.foreign_keys}
         # Children that reference this table must be visible for parent checks.
@@ -682,14 +701,11 @@ class Connection:
         undo_mark = self._txn.undo.mark()
         wal_mark = len(self._txn.wal_records)
         try:
-            where = (
-                bind_parameters(stmt.where, params) if stmt.where is not None else None
-            )
+            access = self._plan(prepared, params)
             assignments = [
                 (col, bind_parameters(expr, params)) for col, expr in stmt.assignments
             ]
-            plan = self._plan_timed(plan_mutation, stmt.table, where)
-            rowids = select_rowids(self._db.catalog, plan.access)
+            rowids = select_rowids(self._db.catalog, access)
             names = table.definition.column_names
             qualified = tuple(f"{stmt.table}.{c}" for c in names)
             referenced_cols = {
@@ -735,7 +751,8 @@ class Connection:
 
     # -- DELETE ---------------------------------------------------------------------------
 
-    def _execute_delete(self, stmt: Delete, params: tuple) -> ResultSet:
+    def _execute_delete(self, prepared: "_Prepared", params: tuple) -> ResultSet:
+        stmt = prepared.stmt
         table = self._db.catalog.table(stmt.table)
         read_tables: set[str] = set()
         for other in self._db.catalog.tables.values():
@@ -749,11 +766,8 @@ class Connection:
         undo_mark = self._txn.undo.mark()
         wal_mark = len(self._txn.wal_records)
         try:
-            where = (
-                bind_parameters(stmt.where, params) if stmt.where is not None else None
-            )
-            plan = self._plan_timed(plan_mutation, stmt.table, where)
-            rowids = select_rowids(self._db.catalog, plan.access)
+            access = self._plan(prepared, params)
+            rowids = select_rowids(self._db.catalog, access)
             for rowid in rowids:
                 row = table.rows[rowid]
                 self._db.fk.check_delete(table, row)
@@ -853,6 +867,7 @@ class Connection:
                 )
                 bump_table = table_name
             if bump_table is not None:
+                self._db._schema_changed()
                 self._db.generations.bump((bump_table,))
             return ResultSet(rowcount=0)
         finally:
@@ -860,45 +875,37 @@ class Connection:
 
 
 # --------------------------------------------------------------------------
-# Parameter binding for SELECT statements
+# The statement cache entry
 # --------------------------------------------------------------------------
 
 
-def _bind_select(stmt: Select, params: tuple) -> Select:
-    """Produce a parameter-bound copy of a (cached, shared) Select."""
-    items = [
-        SelectItem(
-            expr=bind_parameters(i.expr, params) if i.expr is not None else None,
-            alias=i.alias,
-            star=i.star,
-            star_table=i.star_table,
-            aggregate=i.aggregate,
-            count_star=i.count_star,
+class _Prepared:
+    """One SQL text: its parsed statement and the plan templates built from it.
+
+    ``query`` is the statement that gets planned (an EXPLAIN's inner
+    SELECT).  ``plans`` maps the LIKE key — which ``LIKE ?`` slots hold a
+    plain prefix this time — to ``(schema epoch, template)``.  Templates
+    are immutable and shared across threads.
+    """
+
+    __slots__ = ("stmt", "query", "like_params", "plans")
+
+    def __init__(self, stmt: Statement) -> None:
+        self.stmt = stmt
+        self.query = query = stmt.inner if isinstance(stmt, Explain) else stmt
+        clauses = [getattr(query, "where", None)]
+        clauses += [join.condition for join in getattr(query, "joins", ())]
+        self.like_params = tuple(
+            part.pattern.index
+            for clause in clauses
+            for part in conjuncts(clause)
+            if isinstance(part, Like) and isinstance(part.pattern, Parameter)
         )
-        for i in stmt.items
-    ]
-    joins = [
-        Join(
-            table=j.table,
-            kind=j.kind,
-            condition=bind_parameters(j.condition, params)
-            if j.condition is not None
-            else None,
-        )
-        for j in stmt.joins
-    ]
-    return Select(
-        items=items,
-        table=stmt.table,
-        joins=joins,
-        where=bind_parameters(stmt.where, params) if stmt.where is not None else None,
-        group_by=[bind_parameters(g, params) for g in stmt.group_by],
-        having=bind_parameters(stmt.having, params) if stmt.having is not None else None,
-        order_by=[
-            OrderItem(bind_parameters(o.expr, params), o.descending)
-            for o in stmt.order_by
-        ],
-        limit=stmt.limit,
-        offset=stmt.offset,
-        distinct=stmt.distinct,
-    )
+        self.plans: dict[tuple, tuple[int, Any]] = {}
+
+
+def _read_tables(stmt: Select) -> set[str]:
+    tables = {join.table.name for join in stmt.joins}
+    if stmt.table is not None:
+        tables.add(stmt.table.name)
+    return tables

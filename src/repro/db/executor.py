@@ -8,7 +8,7 @@ into output tuples.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 from repro.db.errors import ProgrammingError
 from repro.db.expr import Expr
@@ -28,16 +28,7 @@ def iter_rowids(table: Table, path: AccessPath) -> Iterator[int]:
     if path.kind == "seq":
         yield from list(table.rows.keys())
         return
-    if path.kind == "index_and":
-        # Intersect the posting sets of every subpath, cheapest first
-        # (the planner pre-sorted them); bail as soon as it empties.
-        surviving: Optional[set[int]] = None
-        for sub in path.subpaths:
-            rowids = set(iter_rowids(table, sub))
-            surviving = rowids if surviving is None else (surviving & rowids)
-            if not surviving:
-                break
-        yield from sorted(surviving or ())
+    if path.kind == "empty":
         return
     assert path.index is not None
     tree = table.indexes[path.index]
@@ -56,32 +47,35 @@ def iter_rowids(table: Table, path: AccessPath) -> Iterator[int]:
                 yield from tree.prefix((value,))
         return
     if path.kind == "index_range":
+        # The index yields candidates; the row's own value decides, since
+        # NULL keys sort first and a 1-tuple bound cuts composite keys short.
+        range_col = index_cols[len(path.eq_values)]
+        col_idx = table.definition.column_index(range_col)
         if path.eq_values:
-            # Prefix-bounded range: walk the equality prefix and filter the
-            # range column from the row itself.
-            range_col = index_cols[len(path.eq_values)]
-            col_idx = table.definition.column_index(range_col)
-            for rowid in tree.prefix(path.eq_values):
-                value = table.rows[rowid][col_idx]
-                if value is None:
+            candidates = tree.prefix(path.eq_values)
+        else:
+            low = (path.low,) if path.low is not None else None
+            high = None
+            if path.high is not None and (len(index_cols) == 1 or not path.high_inclusive):
+                high = (path.high,)
+            candidates = tree.range(low, high, True, path.high_inclusive)
+        for rowid in candidates:
+            value = table.rows[rowid][col_idx]
+            if value is None:
+                continue
+            if path.low is not None:
+                if path.low_inclusive:
+                    if sort_key(value) < sort_key(path.low):
+                        continue
+                elif sort_key(value) <= sort_key(path.low):
                     continue
-                if path.low is not None:
-                    if path.low_inclusive:
-                        if sort_key(value) < sort_key(path.low):
-                            continue
-                    elif sort_key(value) <= sort_key(path.low):
+            if path.high is not None:
+                if path.high_inclusive:
+                    if sort_key(value) > sort_key(path.high):
                         continue
-                if path.high is not None:
-                    if path.high_inclusive:
-                        if sort_key(value) > sort_key(path.high):
-                            continue
-                    elif sort_key(value) >= sort_key(path.high):
-                        continue
-                yield rowid
-            return
-        low = (path.low,) if path.low is not None else None
-        high = (path.high,) if path.high is not None else None
-        yield from tree.range(low, high, path.low_inclusive, path.high_inclusive)
+                elif sort_key(value) >= sort_key(path.high):
+                    continue
+            yield rowid
         return
     raise ProgrammingError(f"unknown access kind {path.kind!r}")  # pragma: no cover
 

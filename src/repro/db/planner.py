@@ -15,14 +15,27 @@ nested loop.
 
 Column references are resolved during planning: every bare ``col`` is
 rewritten to ``alias.col``; ambiguous references raise ProgrammingError.
+
+A plan is built once per statement text, against its ``?`` placeholders:
+a ``Parameter`` is a *slot* wherever a literal may stand, and
+:func:`bind_plan` / :func:`bind_access` copy the template with values in
+its slots.  A bound value changes the plan in exactly three ways, each
+settled here without planning again:
+
+* a NULL in a key slot matches no row (``col = NULL`` is never true), so
+  the bound access becomes ``empty`` and no NULL reaches an index key;
+* ``LIKE ?`` narrows to a range only for a plain-prefix pattern — the
+  caller plans once per set of prefix patterns (``prefix_params``);
+* several bounds on one column are intersected at bind time.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence
 
-from repro.db.errors import ProgrammingError, SchemaError
+from repro.db.errors import ProgrammingError
 from repro.db.expr import (
     And,
     Arithmetic,
@@ -37,10 +50,14 @@ from repro.db.expr import (
     Literal,
     Not,
     Or,
+    Parameter,
+    bind_parameters,
     conjuncts,
+    count_parameters,
 )
-from repro.db.sql.ast import Join, OrderItem, Select, SelectItem, TableRef
+from repro.db.sql.ast import OrderItem, Select
 from repro.db.storage import Catalog, Table
+from repro.db.types import sort_key
 
 
 # --------------------------------------------------------------------------
@@ -50,44 +67,25 @@ from repro.db.storage import Catalog, Table
 
 @dataclass
 class AccessPath:
-    """How to produce candidate rowids for one table."""
+    """How to produce candidate rowids for one table.
+
+    In a template the value fields hold slots (``Literal``, ``Parameter``
+    or a LIKE-prefix end) and ``low`` / ``high`` hold every candidate
+    bound as ``(slot, inclusive)`` pairs; :func:`bind_access` turns them
+    into values and one intersected bound per side.
+    """
 
     table: str
     alias: str
-    kind: str  # "seq" | "index_eq" | "index_range" | "index_in" | "index_and"
+    kind: str  # "seq" | "index_eq" | "index_range" | "index_in" | "empty"
     index: Optional[str] = None
-    eq_values: tuple = ()          # literal prefix values for index_eq / index_range
+    eq_values: tuple = ()          # prefix values for index_eq / index_range
     in_values: tuple = ()          # values for index_in (single column)
     low: Any = None                # range bound on the column after the eq prefix
     high: Any = None
     low_inclusive: bool = True
     high_inclusive: bool = True
     residual: Optional[Expr] = None  # post-access filter
-    subpaths: tuple = ()           # index_and: single-index paths to intersect
-
-
-@dataclass(frozen=True)
-class TableStats:
-    """Cheap cardinality statistics driving cost-based access choice.
-
-    ``row_count`` is the live row count; ``index_key_counts`` maps index
-    name to its number of distinct keys (``rows / keys`` approximates the
-    posting-list length of one equality probe).  Only consulted when the
-    database opted in via ``Database(cost_stats=True)`` — the default
-    planner stays purely rule-based.
-    """
-
-    row_count: int
-    index_key_counts: dict[str, int]
-
-    @classmethod
-    def from_table(cls, table: Table) -> "TableStats":
-        return cls(
-            row_count=len(table.rows),
-            index_key_counts={
-                name: tree.key_count for name, tree in table.indexes.items()
-            },
-        )
 
 
 @dataclass
@@ -111,7 +109,7 @@ class ProjectionItem:
     """One output column: expression or aggregate, plus its name."""
 
     expr: Optional[Expr]
-    name: str
+    name: Optional[str]  # None in a template: named after the bound expr
     aggregate: Optional[str] = None
     count_star: bool = False
 
@@ -133,13 +131,6 @@ class SelectPlan:
     distinct: bool
     column_layout: dict[str, tuple[str, ...]]  # alias -> qualified column keys
     output_names: tuple[str, ...] = ()
-
-
-@dataclass
-class MutationPlan:
-    """Plan for UPDATE/DELETE: which rowids to touch."""
-
-    access: AccessPath
 
 
 # --------------------------------------------------------------------------
@@ -218,106 +209,113 @@ class _Resolver:
 # --------------------------------------------------------------------------
 
 
-def _literal_value(expr: Expr) -> tuple[bool, Any]:
-    if isinstance(expr, Literal):
-        return True, expr.value
-    return False, None
+@dataclass(frozen=True)
+class _PrefixEnd:
+    """One end of the range a plain-prefix LIKE pattern narrows to."""
+
+    pattern: Expr  # the Literal or Parameter holding the pattern
+    high: bool
+
+
+def is_plain_prefix(pattern: Any) -> bool:
+    """``'abc%'``: one trailing ``%`` and no other wildcard."""
+    return (
+        isinstance(pattern, str)
+        and len(pattern) > 1
+        and pattern.endswith("%")
+        and "%" not in pattern[:-1]
+        and "_" not in pattern
+    )
+
+
+def _slot(expr: Expr) -> Optional[Expr]:
+    """*expr* when it can fill an index key: a ``?`` or a non-NULL literal."""
+    if isinstance(expr, Parameter):
+        return expr
+    if isinstance(expr, Literal) and expr.value is not None:
+        return expr
+    return None
+
+
+def _is_column_of(expr: Expr, alias: str) -> bool:
+    return isinstance(expr, ColumnRef) and expr.table == alias
+
+
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+@dataclass
+class _Range:
+    """Every bound seen on one column, and the conjuncts they encode."""
+
+    lows: list = field(default_factory=list)   # (slot, inclusive)
+    highs: list = field(default_factory=list)
+    parts: list = field(default_factory=list)
 
 
 def _split_sargable(
-    parts: list[Expr], alias: str
-) -> tuple[dict[str, Any], dict[str, dict[str, Any]], dict[str, list], list[Expr]]:
-    """Classify conjuncts touching *alias* columns against literals.
+    parts: list[Expr], alias: str, prefix_params: Sequence[int] = ()
+) -> tuple[dict[str, tuple], dict[str, _Range], dict[str, tuple], list[Expr]]:
+    """Classify conjuncts comparing *alias* columns with value slots.
 
-    Returns (equalities, ranges, in_lists, leftovers) where equalities maps
-    column -> value, ranges maps column -> {low, high, low_inc, high_inc},
-    in_lists maps column -> list of values.
+    Returns (equalities, ranges, in_lists, leftovers): equalities maps
+    column -> (slot, conjunct) and in_lists column -> (slots, conjunct),
+    each for the first such conjunct on the column (a second one stays a
+    leftover); ranges maps column -> :class:`_Range`.
     """
-    equalities: dict[str, Any] = {}
-    ranges: dict[str, dict[str, Any]] = {}
-    in_lists: dict[str, list] = {}
+    equalities: dict[str, tuple] = {}
+    ranges: dict[str, _Range] = {}
+    in_lists: dict[str, tuple] = {}
     leftovers: list[Expr] = []
-
-    def narrow(column: str, low=None, low_inc=True, high=None, high_inc=True):
-        """Intersect new bounds into the column's running range."""
-        from repro.db.types import sort_key
-
-        bounds = ranges.setdefault(
-            column, {"low": None, "high": None, "low_inc": True, "high_inc": True}
-        )
-        if low is not None:
-            if bounds["low"] is None or sort_key(low) > sort_key(bounds["low"]):
-                bounds["low"], bounds["low_inc"] = low, low_inc
-            elif sort_key(low) == sort_key(bounds["low"]) and not low_inc:
-                bounds["low_inc"] = False
-        if high is not None:
-            if bounds["high"] is None or sort_key(high) < sort_key(bounds["high"]):
-                bounds["high"], bounds["high_inc"] = high, high_inc
-            elif sort_key(high) == sort_key(bounds["high"]) and not high_inc:
-                bounds["high_inc"] = False
 
     for part in parts:
         consumed = False
         if isinstance(part, Comparison):
             left, right, op = part.left, part.right, part.op
             if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):
-                left, right = right, left
-                flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-                op = flip.get(op, op)
-            if isinstance(left, ColumnRef) and left.table == alias:
-                ok, value = _literal_value(right)
-                if ok and value is not None:
-                    if op == "=":
-                        equalities[left.name] = value
-                        consumed = True
-                    elif op in ("<", "<="):
-                        narrow(left.name, high=value, high_inc=(op == "<="))
-                        consumed = True
-                    elif op in (">", ">="):
-                        narrow(left.name, low=value, low_inc=(op == ">="))
-                        consumed = True
+                left, right, op = right, left, _FLIP.get(op, op)
+            slot = _slot(right)
+            if _is_column_of(left, alias) and slot is not None:
+                if op == "=" and left.name not in equalities:
+                    equalities[left.name] = (slot, part)
+                    consumed = True
+                elif op in _FLIP:
+                    bounds = ranges.setdefault(left.name, _Range())
+                    side = bounds.highs if op[0] == "<" else bounds.lows
+                    side.append((slot, op.endswith("=")))
+                    bounds.parts.append(part)
+                    consumed = True
         elif isinstance(part, Between) and not part.negated:
-            if isinstance(part.inner, ColumnRef) and part.inner.table == alias:
-                ok_lo, lo = _literal_value(part.low)
-                ok_hi, hi = _literal_value(part.high)
-                if ok_lo and ok_hi and lo is not None and hi is not None:
-                    narrow(part.inner.name, low=lo, high=hi)
-                    consumed = True
+            low, high = _slot(part.low), _slot(part.high)
+            if _is_column_of(part.inner, alias) and low is not None and high is not None:
+                bounds = ranges.setdefault(part.inner.name, _Range())
+                bounds.lows.append((low, True))
+                bounds.highs.append((high, True))
+                bounds.parts.append(part)
+                consumed = True
         elif isinstance(part, Like) and not part.negated:
-            # LIKE 'abc%' (prefix pattern, no other wildcards) narrows to a
-            # range ['abc', 'abc￿'); the LIKE itself stays as a
-            # residual filter so '_' semantics remain exact.
-            if isinstance(part.inner, ColumnRef) and part.inner.table == alias:
-                ok, pattern = _literal_value(part.pattern)
-                if (
-                    ok
-                    and isinstance(pattern, str)
-                    and pattern.endswith("%")
-                    and "%" not in pattern[:-1]
-                    and "_" not in pattern
-                    and len(pattern) > 1
-                ):
-                    prefix = pattern[:-1]
-                    narrow(
-                        part.inner.name,
-                        low=prefix,
-                        high=prefix + "￿",
-                        high_inc=False,
-                    )
-                    # NOT consumed: the LIKE stays as a residual filter.
+            # LIKE 'abc%' narrows to the range ['abc', 'abc￿'); the
+            # LIKE itself stays a residual filter so '_' semantics remain
+            # exact.  A ``?`` pattern narrows when the caller planned for
+            # a plain prefix in that slot.
+            pattern = part.pattern
+            if _is_column_of(part.inner, alias) and (
+                (isinstance(pattern, Literal) and is_plain_prefix(pattern.value))
+                or (isinstance(pattern, Parameter) and pattern.index in prefix_params)
+            ):
+                bounds = ranges.setdefault(part.inner.name, _Range())
+                bounds.lows.append((_PrefixEnd(pattern, False), True))
+                bounds.highs.append((_PrefixEnd(pattern, True), False))
         elif isinstance(part, InList) and not part.negated:
-            if isinstance(part.inner, ColumnRef) and part.inner.table == alias:
-                values = []
-                ok_all = True
-                for option in part.options:
-                    ok, value = _literal_value(option)
-                    if not ok or value is None:
-                        ok_all = False
-                        break
-                    values.append(value)
-                if ok_all and values:
-                    in_lists.setdefault(part.inner.name, []).extend(values)
-                    consumed = True
+            slots = tuple(_slot(option) for option in part.options)
+            if (
+                _is_column_of(part.inner, alias)
+                and slots
+                and all(s is not None for s in slots)
+                and part.inner.name not in in_lists
+            ):
+                in_lists[part.inner.name] = (slots, part)
+                consumed = True
         if not consumed:
             leftovers.append(part)
     return equalities, ranges, in_lists, leftovers
@@ -327,21 +325,14 @@ def choose_access_path(
     table: Table,
     alias: str,
     where_parts: list[Expr],
-    stats: Optional[TableStats] = None,
+    prefix_params: Sequence[int] = (),
 ) -> AccessPath:
-    """Pick the best access path for *table* given conjuncts on it.
-
-    Without *stats* the choice is purely rule-based (the historical
-    behaviour, bit-for-bit).  With *stats* the rule-based winner is
-    re-examined against a simple cost model that can instead pick an
-    ``index_and`` intersection of several fully-covered equality indexes,
-    or fall back to a sequential scan when every index is unselective.
-    """
-    equalities, ranges, in_lists, leftovers = _split_sargable(where_parts, alias)
+    """Pick the best access path for *table* given conjuncts on it."""
+    equalities, ranges, in_lists, _ = _split_sargable(where_parts, alias, prefix_params)
 
     best: Optional[AccessPath] = None
     best_score: tuple = ()
-    eq_candidates: list[AccessPath] = []
+    best_parts: list[Expr] = []  # the conjuncts the chosen path encodes
     for index_def in table.index_defs():
         cols = index_def.columns
         prefix_len = 0
@@ -355,31 +346,20 @@ def choose_access_path(
             if cols[0] in in_lists:
                 score = (1, 0, 0, 0)
                 if best is None or score > best_score:
+                    slots, part = in_lists[cols[0]]
                     best = AccessPath(
                         table=table.name,
                         alias=alias,
                         kind="index_in",
                         index=index_def.name,
-                        in_values=tuple(in_lists[cols[0]]),
+                        in_values=slots,
                     )
-                    best_score = score
+                    best_score, best_parts = score, [part]
             continue
         # Tie-break equal prefix lengths by whether the equality prefix
         # covers the whole index: a fully-covered (attr, value) index is
         # far more selective than the same-length prefix of a wider one.
         fully_covered = 1 if prefix_len == len(cols) else 0
-        if fully_covered and not has_range:
-            # Every fully-covered equality probe is an intersection
-            # candidate for the cost-based pass below.
-            eq_candidates.append(
-                AccessPath(
-                    table=table.name,
-                    alias=alias,
-                    kind="index_eq",
-                    index=index_def.name,
-                    eq_values=tuple(equalities[c] for c in cols),
-                )
-            )
         score = (
             3 if full_unique else 2,
             prefix_len,
@@ -388,7 +368,8 @@ def choose_access_path(
         )
         if best is not None and score <= best_score:
             continue
-        eq_values = tuple(equalities[c] for c in cols[:prefix_len])
+        eq_values = tuple(equalities[c][0] for c in cols[:prefix_len])
+        best_parts = [equalities[c][1] for c in cols[:prefix_len]]
         if has_range:
             bounds = ranges[range_col]
             best = AccessPath(
@@ -397,11 +378,10 @@ def choose_access_path(
                 kind="index_range",
                 index=index_def.name,
                 eq_values=eq_values,
-                low=bounds["low"],
-                high=bounds["high"],
-                low_inclusive=bounds["low_inc"],
-                high_inclusive=bounds["high_inc"],
+                low=tuple(bounds.lows),
+                high=tuple(bounds.highs),
             )
+            best_parts += bounds.parts
         else:
             best = AccessPath(
                 table=table.name,
@@ -412,167 +392,14 @@ def choose_access_path(
             )
         best_score = score
 
-    if stats is not None:
-        refined = _cost_refine(table, alias, where_parts, best, eq_candidates, stats)
-        if refined is not None:
-            return refined
-
-    residual = _combine(where_parts) if best is None else _residual_for(best, where_parts, table)
     if best is None:
-        return AccessPath(table=table.name, alias=alias, kind="seq", residual=residual)
-    best.residual = residual
-    return best
-
-
-def _estimate_path(path: AccessPath, stats: TableStats) -> float:
-    """Modeled candidate-row count for one single-index access path."""
-    rows = float(stats.row_count)
-    if path.kind == "seq" or path.index is None:
-        return rows
-    keys = float(stats.index_key_counts.get(path.index, 0))
-    per_key = rows / keys if keys else rows
-    if path.kind == "index_eq":
-        return per_key
-    if path.kind == "index_in":
-        return per_key * max(len(path.in_values), 1)
-    if path.kind == "index_range":
-        # A range touches a fraction of the key space; without histograms
-        # assume a third, but never better than one equality probe.
-        return max(rows / 3.0, per_key)
-    return rows
-
-
-#: An index whose probe still yields more than this fraction of the table
-#: is not worth the lookup overhead — fall back to the sequential scan.
-_SEQ_FALLBACK_FRACTION = 0.5
-
-#: Intersecting posting lists handles rowids only (no row fetch), so a
-#: probe inside an index_and costs roughly half a row-producing probe.
-_INTERSECT_PROBE_FACTOR = 0.5
-
-
-def _cost_refine(
-    table: Table,
-    alias: str,
-    where_parts: list[Expr],
-    best: Optional[AccessPath],
-    eq_candidates: list[AccessPath],
-    stats: TableStats,
-) -> Optional[AccessPath]:
-    """Cost-based second opinion on the rule-based choice.
-
-    Returns a complete replacement path (residual attached) when the
-    model prefers an ``index_and`` intersection or a sequential scan;
-    ``None`` keeps the rule-based winner untouched.
-    """
-    rows = float(stats.row_count)
-    # A single-index path fetches and residual-filters every candidate
-    # row: probe plus per-row work.
-    best_est = _estimate_path(best, stats) if best is not None else rows
-    best_cost = 2.0 * best_est
-
-    # Intersecting >= 2 distinct fully-covered equality indexes: the
-    # probes stream rowids only (cheap), and row fetch + residual runs
-    # on the multiplied-selectivity survivor set.
-    distinct = []
-    seen: set[str] = set()
-    for candidate in eq_candidates:
-        if candidate.index not in seen:
-            seen.add(candidate.index)  # type: ignore[arg-type]
-            distinct.append(candidate)
-    if len(distinct) >= 2:
-        distinct.sort(key=lambda p: _estimate_path(p, stats))
-        estimates = [_estimate_path(p, stats) for p in distinct]
-        survivors = rows
-        for estimate in estimates:
-            survivors *= estimate / rows if rows else 0.0
-        and_cost = (
-            _INTERSECT_PROBE_FACTOR * sum(estimates) + 2.0 * survivors
-        )
-        if and_cost < best_cost:
-            return AccessPath(
-                table=table.name,
-                alias=alias,
-                kind="index_and",
-                subpaths=tuple(distinct),
-                # Conservative: re-apply every conjunct to the survivors.
-                residual=_combine(where_parts),
-            )
-
-    if best is not None and best_est > _SEQ_FALLBACK_FRACTION * rows:
         return AccessPath(
-            table=table.name,
-            alias=alias,
-            kind="seq",
-            residual=_combine(where_parts),
+            table=table.name, alias=alias, kind="seq", residual=_combine(where_parts)
         )
-    return None
-
-
-def _residual_for(path: AccessPath, parts: list[Expr], table: Table) -> Optional[Expr]:
-    """Keep every conjunct not exactly consumed by the access path.
-
-    Index range bounds and IN lists fully cover their predicates, so any
-    conjunct whose effect is entirely captured can be dropped.  To stay
-    safe we re-apply range/IN predicates only when they were *not* the ones
-    encoded in the path; equality prefixes encoded in the path are exact
-    and always droppable.
-    """
-    index_def = next(d for d in table.index_defs() if d.name == path.index)
-    consumed_eq = set(index_def.columns[: len(path.eq_values)])
-    keep: list[Expr] = []
-    range_col = (
-        index_def.columns[len(path.eq_values)]
-        if path.kind == "index_range" and len(path.eq_values) < len(index_def.columns)
-        else None
-    )
-    in_col = index_def.columns[0] if path.kind == "index_in" else None
-    for part in parts:
-        if isinstance(part, Comparison) and part.op == "=":
-            left, right = part.left, part.right
-            if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):
-                left, right = right, left
-            if (
-                isinstance(left, ColumnRef)
-                and left.table == path.alias
-                and left.name in consumed_eq
-                and isinstance(right, Literal)
-            ):
-                continue
-        if range_col is not None:
-            if isinstance(part, Comparison) and part.op in ("<", "<=", ">", ">="):
-                left, right = part.left, part.right
-                if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):
-                    left, right = right, left
-                if (
-                    isinstance(left, ColumnRef)
-                    and left.table == path.alias
-                    and left.name == range_col
-                    and isinstance(right, Literal)
-                ):
-                    continue
-            if (
-                isinstance(part, Between)
-                and not part.negated
-                and isinstance(part.inner, ColumnRef)
-                and part.inner.table == path.alias
-                and part.inner.name == range_col
-                and isinstance(part.low, Literal)
-                and isinstance(part.high, Literal)
-            ):
-                continue
-        if in_col is not None:
-            if (
-                isinstance(part, InList)
-                and not part.negated
-                and isinstance(part.inner, ColumnRef)
-                and part.inner.table == path.alias
-                and part.inner.name == in_col
-                and all(isinstance(o, Literal) for o in part.options)
-            ):
-                continue
-        keep.append(part)
-    return _combine(keep)
+    # The path encodes its own conjuncts exactly; every other one filters.
+    encoded = {id(p) for p in best_parts}
+    best.residual = _combine([p for p in where_parts if id(p) not in encoded])
+    return best
 
 
 def _combine(parts: list[Expr]) -> Optional[Expr]:
@@ -588,7 +415,14 @@ def _combine(parts: list[Expr]) -> Optional[Expr]:
 # --------------------------------------------------------------------------
 
 
-def plan_select(catalog: Catalog, stmt: Select) -> SelectPlan:
+def plan_select(
+    catalog: Catalog, stmt: Select, prefix_params: Sequence[int] = ()
+) -> SelectPlan:
+    """Plan *stmt* as a template: bind it with :func:`bind_plan`.
+
+    ``prefix_params`` lists the ``LIKE ?`` slots whose bound pattern will
+    be a plain prefix.
+    """
     if stmt.table is None:
         raise ProgrammingError("SELECT without FROM is not supported")
     tables: list[tuple[str, str]] = [(stmt.table.effective_alias, stmt.table.name)]
@@ -612,9 +446,7 @@ def plan_select(catalog: Catalog, stmt: Select) -> SelectPlan:
     consumed = set(id(p) for p in base_parts)
 
     base_table = catalog.table(tables[0][1])
-    base = choose_access_path(
-        base_table, tables[0][0], base_parts, stats=_stats_for(catalog, base_table)
-    )
+    base = choose_access_path(base_table, tables[0][0], base_parts, prefix_params)
 
     join_steps: list[JoinStep] = []
     for join in stmt.joins:
@@ -631,19 +463,18 @@ def plan_select(catalog: Catalog, stmt: Select) -> SelectPlan:
         ]
         for p in newly:
             consumed.add(id(p))
-        inner_stats = _stats_for(catalog, inner_table)
         if join.kind == "left":
             # WHERE predicates filter the padded result, not the match
             # (x LEFT JOIN y ... WHERE y.c IS NULL must see the padding).
             step = _plan_join(
                 inner_table, alias, cond_parts, set(available), join.kind,
-                stats=inner_stats,
+                prefix_params,
             )
             step.post_filter = _combine(newly)
         else:
             step = _plan_join(
                 inner_table, alias, cond_parts + newly, set(available), join.kind,
-                stats=inner_stats,
+                prefix_params,
             )
         join_steps.append(step)
         available.append(alias)
@@ -684,6 +515,8 @@ def plan_select(catalog: Catalog, stmt: Select) -> SelectPlan:
         if item.aggregate and item.alias is None:
             inner = item.expr.name if isinstance(item.expr, ColumnRef) else ("*" if item.count_star else "expr")
             name = f"{item.aggregate.lower()}({inner})"
+        elif item.alias is None and count_parameters(expr):
+            name = None  # named after the bound expression, by bind_plan
         items.append(
             ProjectionItem(
                 expr=expr,
@@ -742,20 +575,13 @@ def _parts_for(parts: list[Expr], aliases: set[str]) -> list[Expr]:
     return [p for p in parts if _aliases_of(p) <= aliases and _aliases_of(p)]
 
 
-def _stats_for(catalog: Catalog, table: Table) -> Optional[TableStats]:
-    """Live statistics when the database opted into cost-based planning."""
-    if not getattr(catalog, "cost_stats", False):
-        return None
-    return TableStats.from_table(table)
-
-
 def _plan_join(
     inner: Table,
     alias: str,
     parts: list[Expr],
     outer_aliases: set[str],
     kind: str,
-    stats: Optional[TableStats] = None,
+    prefix_params: Sequence[int] = (),
 ) -> JoinStep:
     """Plan one join of *inner* against the already-joined aliases."""
     left_outer = kind == "left"
@@ -787,7 +613,7 @@ def _plan_join(
             residual.append(part)
 
     # Try an index on the inner table covering a prefix of the equi columns
-    # (plus local equality literals).
+    # (plus local equality slots).
     local_eq, _, _, _ = _split_sargable(local_parts, alias)
     best_index = None
     best_exprs: list[Expr] = []
@@ -804,7 +630,7 @@ def _plan_join(
                 exprs.append(matched)
                 equi_cols.add(col)
             elif col in local_eq:
-                exprs.append(Literal(local_eq[col]))
+                exprs.append(local_eq[col][0])
                 local_cols.add(col)
             else:
                 break
@@ -818,17 +644,14 @@ def _plan_join(
 
     if best_index is not None:
         # A predicate is dropped only when the index key consumed it from
-        # the matching source: equi column vs. local literal.
+        # the matching source: equi column vs. local slot.
         rest = [
             Comparison("=", ColumnRef(c, table=alias), e)
             for c, e in equi
             if c not in best_equi_cols
         ]
-        local_rest = [
-            p
-            for p in local_parts
-            if not _is_consumed_local_eq(p, alias, best_local_cols)
-        ]
+        encoded = {id(local_eq[c][1]) for c in best_local_cols}
+        local_rest = [p for p in local_parts if id(p) not in encoded]
         cond = _combine(rest + local_rest + residual)
         access = AccessPath(table=inner.name, alias=alias, kind="index_eq", index=best_index)
         return JoinStep(
@@ -839,8 +662,8 @@ def _plan_join(
             condition=cond,
         )
 
+    access = choose_access_path(inner, alias, local_parts, prefix_params)
     if equi:
-        access = choose_access_path(inner, alias, local_parts, stats=stats)
         return JoinStep(
             kind="hash",
             access=access,
@@ -849,8 +672,6 @@ def _plan_join(
             hash_inner=tuple(ColumnRef(c, table=alias) for c, _ in equi),
             condition=_combine(residual),
         )
-
-    access = choose_access_path(inner, alias, local_parts, stats=stats)
     return JoinStep(
         kind="nested",
         access=access,
@@ -859,31 +680,129 @@ def _plan_join(
     )
 
 
-def _is_consumed_local_eq(part: Expr, alias: str, consumed: set[str]) -> bool:
-    if not isinstance(part, Comparison) or part.op != "=":
-        return False
-    left, right = part.left, part.right
-    if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):
-        left, right = right, left
-    return (
-        isinstance(left, ColumnRef)
-        and left.table == alias
-        and left.name in consumed
-        and isinstance(right, Literal)
-        and right.value is not None
-    )
-
-
-def plan_mutation(catalog: Catalog, table_name: str, where: Optional[Expr]) -> MutationPlan:
-    """Plan row selection for UPDATE/DELETE on a single table."""
+def plan_mutation(
+    catalog: Catalog,
+    table_name: str,
+    where: Optional[Expr],
+    prefix_params: Sequence[int] = (),
+) -> AccessPath:
+    """Plan row selection for UPDATE/DELETE on a single table (a template)."""
     table = catalog.table(table_name)
     resolver = _Resolver(catalog, [(table_name, table_name)])
     resolved = resolver.resolve(where) if where is not None else None
-    parts = conjuncts(resolved)
-    access = choose_access_path(
-        table, table_name, parts, stats=_stats_for(catalog, table)
+    return choose_access_path(table, table_name, conjuncts(resolved), prefix_params)
+
+
+# --------------------------------------------------------------------------
+# Binding a template
+# --------------------------------------------------------------------------
+
+
+class _NoMatch(Exception):
+    """A NULL reached a key slot: ``col = NULL`` and friends are never true."""
+
+
+def _raw(slot: Any, params: Sequence[Any]) -> Any:
+    if isinstance(slot, Parameter):
+        return params[slot.index]
+    if isinstance(slot, _PrefixEnd):
+        prefix = _raw(slot.pattern, params)[:-1]
+        return prefix + "\uffff" if slot.high else prefix
+    return slot.value
+
+
+def _value(slot: Any, params: Sequence[Any]) -> Any:
+    value = _raw(slot, params)
+    if value is None:
+        raise _NoMatch
+    return value
+
+
+def _tightest(
+    bounds: Optional[tuple], params: Sequence[Any], tighter: Callable[[Any, Any], bool]
+) -> tuple[Any, bool]:
+    """Intersect ``(slot, inclusive)`` bounds into the tightest one."""
+    best, best_inclusive = None, True
+    for slot, inclusive in bounds or ():
+        value = _value(slot, params)
+        if best is None or tighter(sort_key(value), sort_key(best)):
+            best, best_inclusive = value, inclusive
+        elif sort_key(value) == sort_key(best) and not inclusive:
+            best_inclusive = False
+    return best, best_inclusive
+
+
+def bind_access(path: AccessPath, params: Sequence[Any]) -> AccessPath:
+    """A copy of the template *path* with *params* bound into its slots."""
+    residual = None if path.residual is None else bind_parameters(path.residual, params)
+    if path.kind == "seq":
+        return AccessPath(path.table, path.alias, "seq", residual=residual)
+    # IN drops its NULL options (they match nothing) and duplicates.
+    in_values = tuple(
+        {sort_key(v): v for v in (_raw(s, params) for s in path.in_values) if v is not None}.values()
     )
-    return MutationPlan(access=access)
+    try:
+        eq_values = tuple(_value(s, params) for s in path.eq_values)
+        low, low_inclusive = _tightest(path.low, params, operator.gt)
+        high, high_inclusive = _tightest(path.high, params, operator.lt)
+    except _NoMatch:
+        return AccessPath(path.table, path.alias, "empty", residual=residual)
+    if path.kind == "index_in" and not in_values:
+        return AccessPath(path.table, path.alias, "empty", residual=residual)
+    return AccessPath(
+        path.table, path.alias, path.kind, path.index, eq_values, in_values,
+        low, high, low_inclusive, high_inclusive, residual,
+    )
+
+
+def bind_plan(plan: SelectPlan, params: Sequence[Any]) -> SelectPlan:
+    """A copy of the template *plan* with *params* bound.
+
+    Templates are shared across threads: binding builds new nodes and
+    never modifies the template.
+    """
+
+    def bind(expr: Optional[Expr]) -> Any:
+        return None if expr is None else bind_parameters(expr, params)
+
+    joins = [
+        JoinStep(
+            kind=step.kind,
+            access=bind_access(step.access, params),
+            left_outer=step.left_outer,
+            outer_key_exprs=tuple(bind(e) for e in step.outer_key_exprs),
+            hash_outer=tuple(bind(e) for e in step.hash_outer),
+            hash_inner=step.hash_inner,
+            condition=bind(step.condition),
+            post_filter=bind(step.post_filter),
+        )
+        for step in plan.joins
+    ]
+    items = []
+    for item in plan.items:
+        expr = bind(item.expr)
+        name = item.name if item.name is not None else str(expr)
+        items.append(ProjectionItem(expr, name, item.aggregate, item.count_star))
+    output_names = plan.output_names
+    if any(item.name is None for item in plan.items):
+        output_names = output_names[: len(output_names) - len(items)] + tuple(
+            item.name for item in items
+        )
+    return SelectPlan(
+        base=bind_access(plan.base, params),
+        joins=joins,
+        items=items,
+        star_aliases=plan.star_aliases,
+        group_by=[bind(g) for g in plan.group_by],
+        having=bind(plan.having),
+        order_by=[OrderItem(bind(o.expr), o.descending) for o in plan.order_by],
+        order_on_output=plan.order_on_output,
+        limit=plan.limit,
+        offset=plan.offset,
+        distinct=plan.distinct,
+        column_layout=plan.column_layout,
+        output_names=output_names,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -911,11 +830,8 @@ def describe_access(path: AccessPath) -> str:
             f"INDEX IN-LIST {path.table} AS {path.alias} "
             f"USING {path.index} VALUES {path.in_values!r}"
         )
-    elif path.kind == "index_and":
-        probes = " & ".join(
-            f"{sub.index} ON {sub.eq_values!r}" for sub in path.subpaths
-        )
-        base = f"INDEX INTERSECT {path.table} AS {path.alias} USING {probes}"
+    elif path.kind == "empty":
+        base = f"EMPTY {path.table} AS {path.alias} (NULL key)"
     else:  # pragma: no cover - exhaustive
         base = f"? {path.kind}"
     if path.residual is not None:

@@ -87,6 +87,8 @@ class Replica:
         try:
             for record in records:
                 _apply_record(self.database.catalog, record)
+            if any(r["op"] not in ("insert", "update", "delete") for r in records):
+                self.database._schema_changed()
             # Invalidate the replica's read caches before readers can see
             # the new rows (mirrors the primary's commit-time bump).
             tables = set()

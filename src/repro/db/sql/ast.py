@@ -12,6 +12,9 @@ from repro.db.schema import ForeignKey, Column
 class Statement:
     """Base class for parsed SQL statements."""
 
+    #: Number of ``?`` placeholders in the text (set by the parser).
+    param_count = 0
+
 
 @dataclass
 class CreateTable(Statement):

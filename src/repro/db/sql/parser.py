@@ -147,6 +147,7 @@ class _Parser:
             self._accept_punct(";")
             if self._peek().type is not TokenType.EOF:
                 raise self._error("unexpected trailing tokens")
+            statement.param_count = self._param_count
             return statement
         handlers = {
             "SELECT": self._parse_select,
@@ -166,6 +167,7 @@ class _Parser:
         self._accept_punct(";")
         if self._peek().type is not TokenType.EOF:
             raise self._error("unexpected trailing tokens")
+        statement.param_count = self._param_count
         return statement
 
     # -- transactions -------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Any, Callable, Iterator, Optional
 from repro.db.btree import BPlusTree
 from repro.db.errors import IntegrityError, SchemaError
 from repro.db.schema import IndexDef, TableDef
+from repro.db.types import sort_key
 
 
 class Table:
@@ -125,8 +126,7 @@ class Table:
         rowid = self._next_rowid
         self._next_rowid += 1
         self.rows[rowid] = stored
-        for name, cols in self._index_cols.items():
-            self.indexes[name].insert(tuple(stored[i] for i in cols), rowid)
+        self._index_row(stored, rowid)
         return rowid, stored
 
     def insert_row_with_id(self, rowid: int, row: tuple) -> None:
@@ -140,8 +140,15 @@ class Table:
             val = row[self.definition.column_index(auto_col)]
             if isinstance(val, int):
                 self._next_auto = max(self._next_auto, val + 1)
+        self._index_row(row, rowid)
+
+    def _index_row(self, row: tuple, rowid: int) -> None:
+        # One sort key per column, shared by every index key of the row:
+        # a column in several indexes (attribute_value.attr_id is in
+        # eight) is held once per row, not once per index.
+        keys = tuple(map(sort_key, row))
         for name, cols in self._index_cols.items():
-            self.indexes[name].insert(tuple(row[i] for i in cols), rowid)
+            self.indexes[name].insert_key(tuple(keys[i] for i in cols), rowid)
 
     def update(self, rowid: int, changes: dict[str, Any]) -> tuple[tuple, tuple]:
         """Apply *changes* to the row; returns ``(old_row, new_row)``."""
@@ -216,9 +223,6 @@ class Catalog:
 
     def __init__(self) -> None:
         self.tables: dict[str, Table] = {}
-        # Opt-in flag set by Database(cost_stats=True): lets the planner
-        # consult live cardinalities (see repro.db.planner.TableStats).
-        self.cost_stats = False
 
     def create_table(self, definition: TableDef) -> Table:
         if definition.name in self.tables:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
+import functools
 from typing import Any
 
 from repro.db.errors import TypeMismatchError
@@ -231,7 +232,18 @@ def sort_key(value: Any) -> tuple:
 
     NULLs sort first (MySQL semantics); bools before numbers before strings
     before temporals.  Within a rank values use natural ordering.
+
+    Recent keys are shared: an index holds one key per row, and repeated
+    values (attribute ids, object types, low-cardinality attribute
+    values) then cost one tuple instead of one per row.
     """
+    try:
+        return _shared_sort_key(value)
+    except TypeError:  # unhashable: nothing to share
+        return _sort_key(value)
+
+
+def _sort_key(value: Any) -> tuple:
     if value is None:
         return (-1, 0)
     rank = _ORDER_RANK.get(type(value))
@@ -246,3 +258,6 @@ def sort_key(value: Any) -> tuple:
     if isinstance(value, bool):
         value = int(value)
     return (rank, value)
+
+
+_shared_sort_key = functools.lru_cache(maxsize=4096, typed=True)(_sort_key)

@@ -56,7 +56,6 @@ class TestBTreeBoundaries:
         tree.insert(("a",), 1)
         tree.insert(("a",), 2)
         tree.insert(("b",), 3)
-        assert tree.key_count == 2
         assert len(tree) == 3
 
     def test_deep_tree_invariants_after_churn(self):

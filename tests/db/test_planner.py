@@ -3,8 +3,7 @@
 import pytest
 
 from repro.db import Database
-from repro.db.engine import _bind_select
-from repro.db.planner import choose_access_path, plan_select
+from repro.db.planner import bind_plan, plan_select
 from repro.db.errors import ProgrammingError
 
 
@@ -33,9 +32,7 @@ def db():
 
 
 def plan_of(db, sql, params=()):
-    stmt = db.parse(sql)
-    bound = _bind_select(stmt, tuple(params))
-    return plan_select(db.catalog, bound)
+    return bind_plan(plan_select(db.catalog, db.parse(sql)), tuple(params))
 
 
 class TestAccessPathSelection:
@@ -101,9 +98,10 @@ class TestAccessPathSelection:
 
     def test_null_comparison_not_sargable(self, db):
         # a = NULL can never match; must not be turned into an index probe
-        # that would bypass three-valued logic.
+        # that would bypass three-valued logic: the bound access is empty.
         plan = plan_of(db, "SELECT a FROM t WHERE a = ?", [None])
-        assert plan.base.kind == "seq"
+        assert plan.base.kind == "empty"
+        assert db.connect().execute("SELECT a FROM t WHERE a = ?", (None,)).fetchall() == []
 
 
 class TestJoinPlanning:
@@ -202,6 +200,30 @@ class TestRangeIntersection:
             "SELECT COUNT(*) FROM t WHERE id BETWEEN 1 AND 8"
         ).scalar()
         assert got == want
+
+    def test_range_scan_skips_null_keys(self, db):
+        conn = db.connect()
+        conn.execute("CREATE INDEX t_c ON t (c)")
+        conn.execute("INSERT INTO t (a, b, c) VALUES ('k9', 1, NULL)")
+        assert conn.execute("SELECT COUNT(*) FROM t WHERE c < 3.0").scalar() == 3
+
+    def test_range_on_composite_index_keeps_its_bound_key(self, db):
+        conn = db.connect()
+        conn.execute("CREATE TABLE w (x INTEGER, y INTEGER)")
+        conn.execute("CREATE INDEX w_xy ON w (x, y)")
+        conn.executemany(
+            "INSERT INTO w (x, y) VALUES (?, ?)", [(i % 4, i) for i in range(12)]
+        )
+        assert conn.execute("SELECT COUNT(*) FROM w WHERE x <= 2").scalar() == 9
+        assert conn.execute("SELECT COUNT(*) FROM w WHERE x > 2").scalar() == 3
+
+    def test_repeated_equality_or_in_list_on_one_column(self, db):
+        conn = db.connect()
+        assert conn.execute("SELECT COUNT(*) FROM t WHERE a = 'k1' AND a = 'k2'").scalar() == 0
+        assert conn.execute(
+            "SELECT COUNT(*) FROM t WHERE a IN ('k1', 'k2') AND a IN ('k2', 'k3')"
+        ).scalar() == 5
+        assert conn.execute("SELECT COUNT(*) FROM t WHERE a IN ('k1', 'k1')").scalar() == 5
 
     def test_contradictory_bounds_empty(self, db):
         conn = db.connect()

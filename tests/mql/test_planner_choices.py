@@ -1,14 +1,9 @@
-"""Planner-choice regressions: fixed statistics → fixed access paths.
+"""Planner-choice regressions: fixed inputs → fixed access paths.
 
-Three layers, matching the cost pipeline:
+Two layers:
 
-* ``repro.db.planner.choose_access_path`` with hand-built
-  :class:`TableStats` fixtures — index-intersection vs single-index vs
-  sequential scan, plus the guarantee that ``stats=None`` keeps the
-  rule-based default byte-identical;
-* the engine end to end: ``Database(cost_stats=True)`` EXPLAIN output
-  flips to ``INDEX INTERSECT`` / ``SEQ SCAN`` on the same data where the
-  default engine keeps its rule-based ``INDEX LOOKUP``;
+* ``repro.db.planner.choose_access_path`` and the engine's EXPLAIN: the
+  rule-based choice between a single fully-covered index and a scan;
 * the leaf planner: strategy choice under controlled
   ``attribute_stats``, forced-strategy overrides, the compiled-text LRU
   (parse + compile once, plan every run), the planner's statement
@@ -22,13 +17,13 @@ from repro.core.errors import QueryError
 from repro.core.query import ObjectQuery
 from repro.db import Database
 from repro.db.expr import conjuncts
-from repro.db.planner import TableStats, choose_access_path, describe_access
+from repro.db.planner import choose_access_path
 from repro.db.sql.parser import parse_statement
 
 pytestmark = pytest.mark.mql
 
 
-# -- choose_access_path with fixed TableStats fixtures -----------------------
+# -- choose_access_path ------------------------------------------------------
 
 
 @pytest.fixture
@@ -43,51 +38,12 @@ def table():
     return db.catalog.table("t")
 
 
-def _parts(sql):
-    return conjuncts(parse_statement(sql).where)
-
-
-def _choose(table, sql, stats):
-    return choose_access_path(table, "t", _parts(sql), stats=stats)
-
-
-def test_two_selective_equalities_pick_index_intersection(table):
-    stats = TableStats(
-        row_count=10_000, index_key_counts={"t_a": 100, "t_b": 50}
-    )
-    path = _choose(table, "SELECT id FROM t WHERE t.a = 1 AND t.b = 2", stats)
-    assert path.kind == "index_and"
-    assert {sub.index for sub in path.subpaths} == {"t_a", "t_b"}
-    # The conservative residual re-applies every conjunct.
-    assert path.residual is not None
-    assert "INDEX INTERSECT" in describe_access(path)
+def _choose(table, sql):
+    return choose_access_path(table, "t", conjuncts(parse_statement(sql).where))
 
 
 def test_single_equality_keeps_single_index(table):
-    stats = TableStats(
-        row_count=10_000, index_key_counts={"t_a": 100, "t_b": 50}
-    )
-    path = _choose(table, "SELECT id FROM t WHERE t.a = 1", stats)
-    assert path.kind == "index_eq"
-    assert path.index == "t_a"
-
-
-def test_unselective_equality_falls_back_to_seq(table):
-    # One distinct key: the probe would fetch every row anyway, and the
-    # cost model prefers the straight scan past the 50% threshold.
-    stats = TableStats(row_count=10_000, index_key_counts={"t_a": 1, "t_b": 1})
-    path = _choose(table, "SELECT id FROM t WHERE t.a = 1", stats)
-    assert path.kind == "seq"
-    assert path.residual is not None
-
-
-def test_lopsided_intersection_keeps_the_selective_index(table):
-    # t_b barely discriminates; intersecting through it costs more than
-    # probing t_a alone and filtering.
-    stats = TableStats(
-        row_count=10_000, index_key_counts={"t_a": 5_000, "t_b": 2}
-    )
-    path = _choose(table, "SELECT id FROM t WHERE t.a = 1 AND t.b = 2", stats)
+    path = _choose(table, "SELECT id FROM t WHERE t.a = 1")
     assert path.kind == "index_eq"
     assert path.index == "t_a"
 
@@ -97,16 +53,14 @@ def test_no_stats_keeps_the_rule_based_default(table):
         "SELECT id FROM t WHERE t.a = 1 AND t.b = 2",
         "SELECT id FROM t WHERE t.a = 1",
     ):
-        path = _choose(table, sql, None)
-        assert path.kind == "index_eq"
-        assert not path.subpaths
+        assert _choose(table, sql).kind == "index_eq"
 
 
-# -- engine end to end: EXPLAIN with and without cost statistics -------------
+# -- engine end to end: EXPLAIN ----------------------------------------------
 
 
-def _filled(cost_stats):
-    db = Database(cost_stats=cost_stats)
+def _filled():
+    db = Database()
     conn = db.connect()
     conn.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, c INTEGER)"
@@ -122,35 +76,14 @@ def _filled(cost_stats):
     return conn
 
 
-def _plan(conn, sql):
-    return [row[0] for row in conn.execute("EXPLAIN " + sql)]
-
-
-def test_explain_shows_index_intersect_with_cost_stats():
-    sql = "SELECT id FROM t WHERE a = 3 AND b = 4"
-    with_stats = _plan(_filled(True), sql)
-    assert with_stats[0].startswith("INDEX INTERSECT t AS t")
-    assert "t_a" in with_stats[0] and "t_b" in with_stats[0]
-    default = _plan(_filled(False), sql)
-    assert default[0].startswith("INDEX LOOKUP t")
-
-
-def test_explain_falls_back_to_seq_scan_on_constant_column():
-    sql = "SELECT id FROM t WHERE c = 1"
-    with_stats = _plan(_filled(True), sql)
-    assert with_stats[0].startswith("SEQ SCAN t")
-    default = _plan(_filled(False), sql)
-    assert default[0].startswith("INDEX LOOKUP t")
-
-
-def test_cost_stats_results_match_default_engine():
+def test_explain_default_engine_keeps_index_lookup():
+    conn = _filled()
     for sql in (
-        "SELECT id FROM t WHERE a = 3 AND b = 4 ORDER BY id",
-        "SELECT id FROM t WHERE c = 1 AND a = 2 ORDER BY id",
+        "SELECT id FROM t WHERE a = 3 AND b = 4",
+        "SELECT id FROM t WHERE c = 1",
     ):
-        rows_stats = list(_filled(True).execute(sql))
-        rows_plain = list(_filled(False).execute(sql))
-        assert rows_stats == rows_plain
+        plan = [row[0] for row in conn.execute("EXPLAIN " + sql)]
+        assert plan[0].startswith("INDEX LOOKUP t")
 
 
 # -- MQL leaf strategy choice ------------------------------------------------
