@@ -14,7 +14,6 @@ Client (all commands take ``--host``/``--port``; default localhost:8686)::
     mcs get-file NAME
     mcs query [--attr k=v ...] [--field k=v ...]
     mcs query "files where run = 7 and site like \\"ligo-%\\" limit 10"
-    mcs analyze-attributes
     mcs create-collection NAME [--parent P]
     mcs list-collection NAME
     mcs annotate NAME TEXT
@@ -191,11 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="descending order (with --order-by)")
     query.add_argument("--explain", action="store_true",
                        help="show the physical query plan instead of results")
-
-    sub.add_parser(
-        "analyze-attributes",
-        help="recompute the MQL planner's attribute statistics exactly",
-    )
 
     coll = sub.add_parser("create-collection", help="create a collection")
     coll.add_argument("name")
@@ -510,8 +504,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(line)
             else:
                 _emit(client.query_mql(args.mql))
-        elif args.command == "analyze-attributes":
-            _emit(client.analyze_attributes())
         elif args.command == "query":
             query = ObjectQuery().limit(args.limit).offset(args.offset)
             if args.order_by:

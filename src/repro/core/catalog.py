@@ -48,7 +48,6 @@ from repro.db.engine import Connection
 from repro.mql import compiler as mql_compiler
 from repro.mql import executor as mql_executor
 from repro.mql import planner as mql_planner
-from repro.mql import stats as _attr_stats
 from repro.mql.compiler import CompiledStatement, Leaf
 from repro.mql.planner import StatementPlan
 from repro.obs.metrics import counter as _obs_counter, histogram as _obs_histogram
@@ -97,11 +96,9 @@ class MetadataCatalog:
         # Query pipeline: optional strategy override (None = cost-based,
         # or one of "index" / "join" / "scan" — the equivalence lane's axis),
         # the parsed-and-compiled form of recent MQL texts (compilation
-        # is purely syntactic, so nothing invalidates it), and the
-        # planner's in-memory copy of attribute_stats.
+        # is purely syntactic, so nothing invalidates it).
         self.mql_strategy: Optional[str] = None
         self._mql_compiled: LRUCache[str, CompiledStatement] = LRUCache(128)
-        self._stats_snapshot = _attr_stats.StatsSnapshot(self.db.generations)
 
     # -- connection pooling ------------------------------------------------
 
@@ -120,9 +117,8 @@ class MetadataCatalog:
         Passthrough when the caller already holds a transaction (the
         bulk operations begin their own with wider lock sets); otherwise
         begin / lock / commit, rolling back completely on any failure so
-        a refused WAL commit can never leave a torn write — the EAV row,
-        its secondary-index entries and the incremental ``attribute_stats``
-        row land together or not at all.
+        a refused WAL commit can never leave a torn write — the object
+        row and its EAV rows land together or not at all.
         """
         if conn.in_transaction:
             yield
@@ -162,7 +158,7 @@ class MetadataCatalog:
         with self._atomic(
             conn,
             read=("logical_collection", "attribute_def"),
-            write=("logical_file", "attribute_value", "attribute_stats"),
+            write=("logical_file", "attribute_value"),
         ):
             collection_id = None
             if collection is not None:
@@ -196,7 +192,7 @@ class MetadataCatalog:
                 ) from exc
             file_id = result.lastrowid
             if attributes:
-                self._set_attributes(conn, ObjectType.FILE, file_id, attributes, new=True)
+                self._insert_attributes(conn, ObjectType.FILE, [(file_id, attributes)])
         return file_id
 
     def get_file(self, name: str, version: Optional[int] = None) -> LogicalFile:
@@ -395,8 +391,8 @@ class MetadataCatalog:
             ) from exc
         file_id = result.lastrowid
         if state.get("attributes"):
-            self._set_attributes(
-                conn, ObjectType.FILE, file_id, state["attributes"], new=True
+            self._insert_attributes(
+                conn, ObjectType.FILE, [(file_id, state["attributes"])]
             )
         for text, creator, created in state.get("annotations", ()):
             conn.execute(
@@ -433,7 +429,6 @@ class MetadataCatalog:
             write=(
                 "logical_file",
                 "attribute_value",
-                "attribute_stats",
                 "annotation",
                 "transformation",
                 "view_member",
@@ -441,7 +436,6 @@ class MetadataCatalog:
             ),
         ):
             file = self.get_file(name, version)
-            _attr_stats.note_object_delete(conn, ObjectType.FILE, file.id)
             conn.execute(
                 "DELETE FROM attribute_value WHERE object_type = 'file' "
                 "AND object_id = ?",
@@ -480,7 +474,7 @@ class MetadataCatalog:
         with self._atomic(
             conn,
             read=("attribute_def",),
-            write=("logical_collection", "attribute_value", "attribute_stats"),
+            write=("logical_collection", "attribute_value"),
         ):
             parent_id = None if parent is None else self._collection_id(conn, parent)
             now = _now()
@@ -495,8 +489,8 @@ class MetadataCatalog:
                 raise DuplicateObjectError(f"collection {name!r} already exists") from exc
             collection_id = result.lastrowid
             if attributes:
-                self._set_attributes(
-                    conn, ObjectType.COLLECTION, collection_id, attributes, new=True
+                self._insert_attributes(
+                    conn, ObjectType.COLLECTION, [(collection_id, attributes)]
                 )
         return collection_id
 
@@ -550,7 +544,6 @@ class MetadataCatalog:
                 f"collection {name!r} still has {n_files} files and "
                 f"{n_children} subcollections"
             )
-        _attr_stats.note_object_delete(conn, ObjectType.COLLECTION, collection.id)
         for table in ("attribute_value", "annotation", "acl_entry"):
             conn.execute(
                 f"DELETE FROM {table} WHERE object_type = 'collection' AND object_id = ?",
@@ -622,7 +615,7 @@ class MetadataCatalog:
         with self._atomic(
             conn,
             read=("attribute_def",),
-            write=("logical_view", "attribute_value", "attribute_stats"),
+            write=("logical_view", "attribute_value"),
         ):
             now = _now()
             try:
@@ -635,7 +628,7 @@ class MetadataCatalog:
                 raise DuplicateObjectError(f"view {name!r} already exists") from exc
             view_id = result.lastrowid
             if attributes:
-                self._set_attributes(conn, ObjectType.VIEW, view_id, attributes, new=True)
+                self._insert_attributes(conn, ObjectType.VIEW, [(view_id, attributes)])
         return view_id
 
     def get_view(self, name: str) -> LogicalView:
@@ -774,7 +767,6 @@ class MetadataCatalog:
                 f"view {name!r} is a member of {referencing} other view(s)"
             )
         conn.execute("DELETE FROM view_member WHERE view_id = ?", (view_obj.id,))
-        _attr_stats.note_object_delete(conn, ObjectType.VIEW, view_obj.id)
         for table in ("attribute_value", "annotation", "acl_entry"):
             conn.execute(
                 f"DELETE FROM {table} WHERE object_type = 'view' AND object_id = ?",
@@ -860,7 +852,7 @@ class MetadataCatalog:
                 "logical_view",
                 "attribute_def",
             ),
-            write=("attribute_value", "attribute_stats"),
+            write=("attribute_value",),
         ):
             object_id = self._object_id(conn, object_type, name, version)
             self._set_attributes(conn, object_type, object_id, attributes)
@@ -871,34 +863,53 @@ class MetadataCatalog:
         object_type: ObjectType,
         object_id: int,
         attributes: dict[str, Any],
-        new: bool = False,
     ) -> None:
-        """Insert or replace attribute values.
+        """Replace the values the object has; insert the others in one pass."""
+        missing = {}
+        for definition, value in self._resolve_values(object_type, attributes):
+            if not conn.execute(
+                f"UPDATE attribute_value SET {definition.value_type.value_column} "
+                "= ? WHERE object_type = ? AND object_id = ? AND attr_id = ?",
+                (value, object_type.value, object_id, definition.id),
+            ).rowcount:
+                missing[definition.name] = value
+        if missing:
+            self._insert_attributes(conn, object_type, [(object_id, missing)])
 
-        ``new``: the object was created in this transaction, so it has no
-        attribute row to replace and every value is a plain INSERT.
-        """
+    def _insert_attributes(
+        self,
+        conn: Connection,
+        object_type: ObjectType,
+        objects: Iterable[tuple[int, dict[str, Any]]],
+    ) -> None:
+        """Attribute rows of objects that have none yet: one multi-row
+        ``executemany`` INSERT per value column, however many objects."""
+        rows: dict[str, list[tuple]] = {}
+        for object_id, attributes in objects:
+            for definition, value in self._resolve_values(object_type, attributes):
+                rows.setdefault(definition.value_type.value_column, []).append(
+                    (definition.id, object_type.value, object_id, value)
+                )
+        for column, params in rows.items():
+            conn.executemany(
+                f"INSERT INTO attribute_value (attr_id, object_type, "
+                f"object_id, {column}) VALUES (?, ?, ?, ?)",
+                params,
+            )
+
+    def _resolve_values(
+        self, object_type: ObjectType, attributes: dict[str, Any]
+    ) -> list[tuple[AttributeDef, Any]]:
+        """Each named attribute's definition and its coerced value."""
+        resolved = []
         for attr_name, value in attributes.items():
             definition = self.get_attribute_def(attr_name)
             if object_type not in definition.object_types:
                 raise InvalidAttributeError(
                     f"attribute {attr_name!r} does not apply to {object_type.value}s"
                 )
-            coerced = _coerce_attr_value(definition, value)
-            column = definition.value_type.value_column
-            if not new and conn.execute(
-                f"UPDATE attribute_value SET {column} = ? WHERE attr_id = ? "
-                "AND object_type = ? AND object_id = ?",
-                (coerced, definition.id, object_type.value, object_id),
-            ).rowcount:
-                _attr_stats.note_update(conn, definition, object_type, coerced)
-                continue
-            conn.execute(
-                f"INSERT INTO attribute_value (attr_id, object_type, "
-                f"object_id, {column}) VALUES (?, ?, ?, ?)",
-                (definition.id, object_type.value, object_id, coerced),
-            )
-            _attr_stats.note_insert(conn, definition, object_type, coerced)
+            resolved.append((definition, _coerce_attr_value(definition, value)))
+        return resolved
 
     def get_attributes(
         self,
@@ -939,16 +950,15 @@ class MetadataCatalog:
                 "logical_view",
                 "attribute_def",
             ),
-            write=("attribute_value", "attribute_stats"),
+            write=("attribute_value",),
         ):
             object_id = self._object_id(conn, object_type, name, version)
             definition = self.get_attribute_def(attr_name)
-            removed = conn.execute(
-                "DELETE FROM attribute_value WHERE attr_id = ? AND "
-                "object_type = ? AND object_id = ?",
-                (definition.id, object_type.value, object_id),
-            ).rowcount
-            _attr_stats.note_remove(conn, definition.id, object_type, removed)
+            conn.execute(
+                "DELETE FROM attribute_value WHERE object_type = ? AND "
+                "object_id = ? AND attr_id = ?",
+                (object_type.value, object_id, definition.id),
+            )
 
     # ======================================================================
     # Attribute-based query (discovery): ObjectQuery and MQL
@@ -1034,22 +1044,6 @@ class MetadataCatalog:
             lambda leaf, leaf_plan: mql_executor.join_plan_lines(self, leaf, leaf_plan),
         )
 
-    def analyze_attributes(self) -> int:
-        """Exactly recompute ``attribute_stats`` (repairs drift)."""
-        conn = self._conn
-        conn.begin()
-        try:
-            conn.lock_tables(
-                read=("attribute_def", "attribute_value"),
-                write=("attribute_stats",),
-            )
-            written = _attr_stats.analyze(conn)
-        except Exception:
-            conn.rollback()
-            raise
-        conn.commit()
-        return written
-
     # ======================================================================
     # Bulk operations
     # ======================================================================
@@ -1086,7 +1080,7 @@ class MetadataCatalog:
         try:
             conn.lock_tables(
                 read=("logical_collection", "attribute_def"),
-                write=("logical_file", "attribute_value", "attribute_stats"),
+                write=("logical_file", "attribute_value"),
             )
             if atomic:
                 results = self._bulk_create_files_atomic(conn, entries, creator)
@@ -1157,37 +1151,13 @@ class MetadataCatalog:
                 f"duplicate logical file in bulk batch: {exc}"
             ) from exc
         file_ids = result.lastrowids
-        # New files have no existing attribute rows, so a plain INSERT
-        # suffices (no UPDATE-then-INSERT); group rows per value column
-        # so each type needs only one multi-row statement.
-        attr_rows: dict[str, list[tuple]] = {}
-        stat_notes: list[tuple[Any, Any]] = []
-        for file_id, entry in zip(file_ids, entries):
-            for attr_name, value in (entry.get("attributes") or {}).items():
-                definition = self.get_attribute_def(attr_name)
-                if ObjectType.FILE not in definition.object_types:
-                    raise InvalidAttributeError(
-                        f"attribute {attr_name!r} does not apply to files"
-                    )
-                coerced = _coerce_attr_value(definition, value)
-                attr_rows.setdefault(
-                    definition.value_type.value_column, []
-                ).append(
-                    (definition.id, ObjectType.FILE.value, file_id, coerced)
-                )
-                stat_notes.append((definition, coerced))
-        for column, rows in attr_rows.items():
-            conn.executemany(
-                f"INSERT INTO attribute_value (attr_id, object_type, "
-                f"object_id, {column}) VALUES (?, ?, ?, ?)",
-                rows,
-            )
-        # Stats after the batch insert, aggregated per attribute: one
-        # novelty probe per distinct inserted value instead of three
-        # statements per row.
-        _attr_stats.note_insert_batch(
+        self._insert_attributes(
             conn,
-            [(d, ObjectType.FILE, v) for d, v in stat_notes],
+            ObjectType.FILE,
+            [
+                (file_id, entry.get("attributes") or {})
+                for file_id, entry in zip(file_ids, entries)
+            ],
         )
         return [(True, file_id) for file_id in file_ids]
 
@@ -1244,7 +1214,7 @@ class MetadataCatalog:
                     "logical_view",
                     "attribute_def",
                 ),
-                write=("attribute_value", "attribute_stats"),
+                write=("attribute_value",),
             )
             results: list[tuple[bool, Any]] = []
             for item in items:

@@ -489,10 +489,6 @@ class ClientOperations:
         """Strategy choice, cost model and algebra for an MQL statement."""
         return self._call("explain_mql", text=text)
 
-    def analyze_attributes(self) -> int:
-        """Recompute MQL planner statistics exactly (like SQL ANALYZE)."""
-        return self._call("analyze_attributes")
-
     # -- Collections ---------------------------------------------------------------
 
     def create_collection(

@@ -45,14 +45,7 @@ class AttributeType(enum.Enum):
     @property
     def value_column(self) -> str:
         """The attribute_value column holding this type."""
-        return {
-            AttributeType.STRING: "value_string",
-            AttributeType.INT: "value_int",
-            AttributeType.FLOAT: "value_float",
-            AttributeType.DATE: "value_date",
-            AttributeType.TIME: "value_time",
-            AttributeType.DATETIME: "value_datetime",
-        }[self]
+        return f"value_{self.value}"
 
     def python_type(self) -> tuple[type, ...]:
         return {

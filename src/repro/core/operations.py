@@ -77,7 +77,6 @@ OPERATIONS: tuple[Operation, ...] = (
     Operation("explain_query", _READ, read=True),
     Operation("query_mql", _READ, read=True),
     Operation("explain_mql", _READ, read=True),
-    Operation("analyze_attributes", _WRITE),
     # -- bulk -------------------------------------------------------------
     Operation("bulk_create_files", _WRITE, audit=("create", _FILE),
               each=("entries", "create_logical_file")),

@@ -7,7 +7,7 @@ transformation history and external catalog pointers.
 
 User-defined attribute values use an entity-attribute-value (EAV) table
 with one typed column per attribute type, indexed on
-``(attr_id, value_<type>)`` for attribute-match queries and on
+``(attr_id, value_<type>)`` for attribute-match queries and keyed on
 ``(object_type, object_id, attr_id)`` for per-object lookups and join
 probes — the same physical design choices whose cost behaviour the
 paper's §7 measures.
@@ -120,9 +120,11 @@ def install_schema(db: Database) -> None:
             unique=[("name",)],
         ),
         TableDef(
+            # One row per (object, attribute): that triple is the key, so
+            # the row needs no surrogate id and one unique index serves
+            # both the per-object probe and the uniqueness check.
             "attribute_value",
             [
-                _col("id", ColumnType.INTEGER, autoincrement=True, nullable=False),
                 _col("attr_id", ColumnType.INTEGER, nullable=False),
                 _col("object_type", ColumnType.STRING, nullable=False),
                 _col("object_id", ColumnType.INTEGER, nullable=False),
@@ -133,27 +135,7 @@ def install_schema(db: Database) -> None:
                 _col("value_time", ColumnType.TIME),
                 _col("value_datetime", ColumnType.DATETIME),
             ],
-            primary_key=("id",),
-            unique=[("attr_id", "object_type", "object_id")],
-            foreign_keys=[ForeignKey(("attr_id",), "attribute_def", ("id",))],
-        ),
-        TableDef(
-            # Incrementally maintained planner statistics for the MQL
-            # cost model (repro.mql.stats): one row per (attribute,
-            # object type).  min/max are canonical strings (str() /
-            # isoformat) so one column pair covers every value type.
-            "attribute_stats",
-            [
-                _col("id", ColumnType.INTEGER, autoincrement=True, nullable=False),
-                _col("attr_id", ColumnType.INTEGER, nullable=False),
-                _col("object_type", ColumnType.STRING, nullable=False),
-                _col("row_count", ColumnType.INTEGER, nullable=False, default=0),
-                _col("distinct_count", ColumnType.INTEGER, nullable=False, default=0),
-                _col("min_value", ColumnType.STRING),
-                _col("max_value", ColumnType.STRING),
-            ],
-            primary_key=("id",),
-            unique=[("attr_id", "object_type")],
+            primary_key=("object_type", "object_id", "attr_id"),
             foreign_keys=[ForeignKey(("attr_id",), "attribute_def", ("id",))],
         ),
         TableDef(
@@ -243,16 +225,14 @@ def install_schema(db: Database) -> None:
         IndexDef("lc_parent", "logical_collection", ("parent_id",)),
         IndexDef("vm_view", "view_member", ("view_id",)),
         IndexDef("vm_member", "view_member", ("member_type", "member_id")),
-        # EAV access paths: per-object probe and per-(attr, value) match.
-        IndexDef("av_object", "attribute_value", ("object_type", "object_id", "attr_id")),
+        # EAV access paths per (attr, value); the per-object probe is the
+        # primary key.  The planner reads its statistics off these trees.
         IndexDef("av_string", "attribute_value", ("attr_id", "value_string")),
         IndexDef("av_int", "attribute_value", ("attr_id", "value_int")),
         IndexDef("av_float", "attribute_value", ("attr_id", "value_float")),
         IndexDef("av_date", "attribute_value", ("attr_id", "value_date")),
         IndexDef("av_time", "attribute_value", ("attr_id", "value_time")),
         IndexDef("av_datetime", "attribute_value", ("attr_id", "value_datetime")),
-        IndexDef("as_attr", "attribute_stats", ("attr_id", "object_type")),
-        IndexDef("as_object_type", "attribute_stats", ("object_type",)),
         IndexDef("ann_object", "annotation", ("object_type", "object_id")),
         IndexDef("audit_object", "audit_record", ("object_type", "object_id")),
         IndexDef("tr_file", "transformation", ("file_id",)),

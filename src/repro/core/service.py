@@ -661,10 +661,6 @@ class MCSService:
         """Per-leaf strategy choice + costs for one MQL statement."""
         return self.catalog.explain_mql(text)
 
-    def op_analyze_attributes(self, caller: str) -> int:
-        """Exact recompute of the MQL planner statistics (ANALYZE)."""
-        return self.catalog.analyze_attributes()
-
     # ======================================================================
     # Bulk operations
     # ======================================================================

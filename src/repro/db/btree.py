@@ -5,6 +5,11 @@ Keys are tuples of canonical column values wrapped with
 Leaves hold, per key, the set of row ids carrying that key (a single row id
 for unique indexes).  Leaves are chained for range scans.
 
+A tree asked for counts (:meth:`BPlusTree.count_leading`) also keeps, per
+leading-column value, its postings and its distinct whole keys whose last
+column is not NULL — the planner's statistics, exact after every insert,
+delete, rollback and replay because those all pass through here.
+
 The tree is *not* itself thread-safe; the engine serializes index access
 under its table locks.
 """
@@ -19,6 +24,8 @@ from repro.db.types import sort_key
 from repro.obs.metrics import counter as _obs_counter
 
 DEFAULT_ORDER = 64
+
+_NULL = sort_key(None)
 
 _PROBES = _obs_counter(
     "mcs_db_index_probes_total",
@@ -74,6 +81,9 @@ class BPlusTree:
         self.name = name
         self._root: _Node = _Leaf()
         self._len = 0  # number of (key, rowid) postings
+        #: leading sort key -> [postings, distinct non-NULL-ended keys];
+        #: None until :meth:`count_leading` is first called.
+        self.counts: Optional[dict[tuple, list[int]]] = None
 
     # -- basic properties --------------------------------------------------
 
@@ -102,10 +112,17 @@ class BPlusTree:
                 return  # already present; idempotent
             postings.insert(pos, rowid)
             self._len += 1
+            if self.counts is not None:
+                self.counts[key[0]][0] += 1
             return
         leaf.keys.insert(idx, key)
         leaf.values.insert(idx, [rowid])
         self._len += 1
+        if self.counts is not None:
+            entry = self.counts.setdefault(key[0], [0, 0])
+            entry[0] += 1
+            if key[-1] != _NULL:
+                entry[1] += 1
         if len(leaf.keys) > self.order:
             self._split_leaf(leaf)
 
@@ -130,11 +147,40 @@ class BPlusTree:
         if not postings:
             leaf.keys.pop(idx)
             leaf.values.pop(idx)
+        if self.counts is not None:
+            entry = self.counts[key[0]]
+            entry[0] -= 1
+            if not postings and key[-1] != _NULL:
+                entry[1] -= 1
+            if not entry[0]:
+                del self.counts[key[0]]
         return True
 
     def clear(self) -> None:
         self._root = _Leaf()
         self._len = 0
+        if self.counts is not None:
+            self.counts.clear()
+
+    def count_leading(self) -> dict[tuple, list[int]]:
+        """Keep counts from now on (one leaf walk the first time).
+
+        Returns the live mapping: leading sort key -> ``[postings,
+        distinct whole keys whose last column is not NULL]``.  An entry
+        goes when its last posting does.
+        """
+        if self.counts is None:
+            counts: dict[tuple, list[int]] = {}
+            leaf: Optional[_Leaf] = self._first_leaf()
+            while leaf is not None:
+                for key, postings in zip(leaf.keys, leaf.values):
+                    entry = counts.setdefault(key[0], [0, 0])
+                    entry[0] += len(postings)
+                    if key[-1] != _NULL:
+                        entry[1] += 1
+                leaf = leaf.next
+            self.counts = counts
+        return self.counts
 
     # -- lookups -------------------------------------------------------------
 
@@ -318,6 +364,12 @@ class BPlusTree:
                 assert leaf.next.prev is leaf
             leaf = leaf.next
         assert counted == self._len, f"posting count {counted} != tracked {self._len}"
+        if self.counts is not None:
+            kept, self.counts = self.counts, None
+            try:
+                assert kept == self.count_leading(), "leading-key counts drifted"
+            finally:
+                self.counts = kept
         self._check_node(self._root)
 
     def _check_node(self, node: _Node) -> None:

@@ -192,8 +192,10 @@ class Database:
         self._commit_listeners: list[Callable[[list[dict]], None]] = []
         if directory is not None:
             walmod.load_snapshot(self.catalog, directory)
-            walmod.replay_wal(self.catalog, directory)
-            self._wal = walmod.WriteAheadLog(directory, sync=durable_sync)
+            last_txn = walmod.replay_wal(self.catalog, directory)
+            self._wal = walmod.WriteAheadLog(
+                directory, sync=durable_sync, last_txn=last_txn
+            )
 
     # -- connections --------------------------------------------------------
 
@@ -398,6 +400,31 @@ class Connection:
             raise TransactionError("lock_tables requires an explicit transaction")
         held = self._with_locks(set(read) - set(write), set(write))
         self._txn.held.extend(held)
+
+    def index_counts(
+        self, table: str, leading: tuple[str, ...]
+    ) -> dict[tuple, list[int]]:
+        """Live counts of the index of *table* that leads with *leading*.
+
+        Maps each leading sort key to ``[postings, distinct whole keys
+        whose last column is not NULL]`` (:meth:`BPlusTree.count_leading`).
+        No statement: the first call for an index enables counting under
+        the table's read lock, later calls just hand the mapping back.
+        Uncommitted writes show until they commit or roll back — the
+        counts are advisory.
+        """
+        found = self._db.catalog.table(table)
+        name = found.find_index_on(leading)
+        if name is None:
+            raise SchemaError(f"no index on {table}{leading}")
+        counts = found.indexes[name].counts
+        if counts is not None:
+            return counts
+        held = self._with_locks({table}, set())
+        try:
+            return self._db.catalog.table(table).indexes[name].count_leading()
+        finally:
+            LockManager.release(self._txn, held)
 
     def begin(self) -> None:
         self.execute("BEGIN")

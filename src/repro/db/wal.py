@@ -200,13 +200,14 @@ def load_snapshot(catalog: Catalog, directory: str) -> bool:
 class WriteAheadLog:
     """Append-only commit log.  Thread safety is the engine's job."""
 
-    def __init__(self, directory: str, sync: bool = False) -> None:
+    def __init__(self, directory: str, sync: bool = False, last_txn: int = 0) -> None:
         self.directory = directory
         self.sync = sync
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, WAL_NAME)
         self._fh = open(self.path, "a", encoding="utf-8")
-        self._txn_counter = 0
+        # Continue the numbering of the log being appended to.
+        self._txn_counter = last_txn
 
     def append_commit(self, records: list[dict]) -> None:
         """Durably append one committed transaction.
@@ -248,15 +249,24 @@ class WriteAheadLog:
 
 
 def replay_wal(catalog: Catalog, directory: str) -> int:
-    """Apply committed WAL transactions to *catalog*; returns #txns."""
+    """Apply committed WAL transactions to *catalog*.
+
+    Returns the highest txn id in the log (0 for none), from which the
+    next session numbers its commits.
+    """
     path = os.path.join(directory, WAL_NAME)
     if not os.path.exists(path):
         return 0
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    # Group records per txn; apply only those with a commit marker.
-    pending: dict[int, list[dict]] = {}
-    committed: list[int] = []
+    # One commit is written whole — its records, then its marker — so a
+    # txn's records are contiguous.  Apply them at their marker; records
+    # not followed by their own marker are a torn commit and are dropped.
+    # (Logs written before sessions continued the numbering reuse ids, so
+    # an id alone does not name one commit.)
+    staged: list[dict] = []
+    current: Optional[int] = None
+    last = 0
     for line in lines:
         if not line.strip():
             continue
@@ -265,16 +275,16 @@ def replay_wal(catalog: Catalog, directory: str) -> int:
         except json.JSONDecodeError:
             break  # torn tail write — everything after is discarded
         txn = record.get("txn")
+        last = max(last, txn)
+        if txn != current:
+            staged, current = [], txn
         if record.get("op") == "commit":
-            committed.append(txn)
+            for staged_record in staged:
+                _apply_record(catalog, staged_record)
+            staged, current = [], None
         else:
-            pending.setdefault(txn, []).append(record)
-    applied = 0
-    for txn in committed:
-        for record in pending.get(txn, []):
-            _apply_record(catalog, record)
-        applied += 1
-    return applied
+            staged.append(record)
+    return last
 
 
 def _apply_record(catalog: Catalog, record: dict) -> None:

@@ -12,8 +12,8 @@ AMGA did for grid metadata catalogs.  ``repro.mql`` is that layer:
   and DNF expansion) onto the existing conjunctive
   :class:`repro.core.query.ObjectQuery` leaves;
 * a cost-based planner choosing, per leaf, between index-intersection
-  probes, the EAV join, and a full scan — fed by the incrementally
-  maintained ``attribute_stats`` table;
+  probes, the EAV join, and a full scan — fed by the exact counts the
+  engine's attribute indexes keep (no statistics table, no statement);
 * an executor whose three strategies are answer-equivalent by
   construction (one shared deterministic ordering/dedup contract),
   proven by the ``-m mql`` equivalence lane.

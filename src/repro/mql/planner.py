@@ -12,10 +12,15 @@ same ``(sort key, name)`` pairs:
   object table, evaluated in Python with the engine's own expression
   semantics (the equivalence-lane oracle and the ablation baseline).
 
-Costs come from the incrementally maintained ``attribute_stats`` table,
-read through the catalog's generation-stamped in-memory snapshot
-(:class:`repro.mql.stats.StatsSnapshot`), so planning is arithmetic and
-every query is planned against current statistics.  Selectivity model,
+Costs come from counts the engine's B+trees keep as they change
+(:meth:`repro.db.engine.Connection.index_counts`): per attribute, rows
+and distinct non-NULL values from its own ``av_<type>`` index; per
+object type, all EAV rows from the index that leads with
+``object_type``.  The counts are exact and reading them is no
+statement, so planning is arithmetic and every query is planned against
+current statistics.  Counts are per attribute, not per (attribute,
+object type): an ``av_<type>`` probe walks every object type's rows of
+the attribute, so that is its true cost.  Selectivity model,
 deliberately simple:
 
 * equality → ``rows / distinct``;
@@ -30,7 +35,8 @@ one user condition always has all three strategies to choose from.
 ``cost(join) = best estimate · |conditions|`` (the best condition
 drives the join as base table), ``cost(scan) = all EAV rows of the
 object type``.  Ties break index → join → scan.  Statistics are
-advisory: a bad estimate costs time, never correctness.
+advisory (a transaction in flight shows in them until it ends): a bad
+estimate costs time, never correctness.
 
 The plan names the order the strategies take the leaf's conditions in
 (most selective first); the leaf itself is never modified, so one leaf
@@ -43,8 +49,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from repro.core.errors import QueryError
-from repro.core.model import AttributeDef
+from repro.core.model import AttributeDef, ObjectType
 from repro.core.query import AttributeCondition
+from repro.db.types import sort_key
 from repro.mql.compiler import CompiledStatement, Leaf
 from repro.obs.metrics import counter as _obs_counter
 
@@ -113,9 +120,7 @@ def plan_leaf(
         raise QueryError(
             f"unknown MQL strategy {forced!r}; expected one of {STRATEGIES}"
         )
-    by_attribute, totals = catalog._stats_snapshot.read(catalog._conn)
-    type_text = leaf.object_type.value
-    eav_total = totals.get(type_text, 0.0)
+    eav_total = object_type_rows(catalog, leaf.object_type)
     scan = ("scan", eav_total + max(eav_total, 1.0))
     conditions = leaf.query.conditions
     order: tuple[int, ...] = ()
@@ -129,7 +134,7 @@ def plan_leaf(
             forced = "join"
     else:
         estimates = [
-            _estimate(condition, by_attribute.get((definition.id, type_text), _NO_STATS))
+            _estimate(condition, attribute_counts(catalog, definition))
             for condition, definition in zip(
                 conditions, resolve_definitions(catalog, leaf)
             )
@@ -180,6 +185,23 @@ def resolve_definitions(
             )
         definitions.append(definition)
     return definitions
+
+
+def attribute_counts(
+    catalog: "MetadataCatalog", definition: AttributeDef
+) -> tuple[float, float]:
+    """(rows, distinct non-NULL values) of one attribute, all object types."""
+    counts = catalog._conn.index_counts(
+        "attribute_value", ("attr_id", definition.value_type.value_column)
+    )
+    rows, distinct = counts.get(sort_key(definition.id), _NO_STATS)
+    return float(rows), float(distinct)
+
+
+def object_type_rows(catalog: "MetadataCatalog", object_type: ObjectType) -> float:
+    """``attribute_value`` rows of one object type (every attribute)."""
+    counts = catalog._conn.index_counts("attribute_value", ("object_type",))
+    return float(counts.get(sort_key(object_type.value), _NO_STATS)[0])
 
 
 def _estimate(

@@ -716,18 +716,6 @@ class ShardedCatalog:
             "explain_mql", lambda s: s.explain_mql(text), compiled.order_field
         )
 
-    def analyze_attributes(self) -> int:
-        """Recompute ``attribute_stats`` on every shard; total rows written."""
-        written = 0
-        for idx in self.map.all_shards():
-            written += self._call(
-                idx,
-                "analyze_attributes",
-                lambda s: s.analyze_attributes(),
-                kind="scatter",
-            )
-        return written
-
     # ======================================================================
     # Bulk operations (split per shard, reassemble in submission order)
     # ======================================================================

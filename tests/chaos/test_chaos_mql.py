@@ -1,17 +1,17 @@
 """Chaos: secondary-index maintenance under injected WAL-append faults.
 
-Every attribute write maintains three things in one engine transaction:
-the EAV row, the ``av_*`` secondary index entries and the incremental
-``attribute_stats`` row.  A ``db.wal:append`` fault fails the commit
-*after* the in-memory work is staged — the catalog must roll all three
-back together, and the write-ahead log must never see a torn triple.
+Every attribute write changes, in one engine transaction, the EAV row,
+its index entries and with them the counts the planner reads.  A
+``db.wal:append`` fault fails the commit *after* the in-memory work is
+staged — the catalog must roll all of it back together, and the
+write-ahead log must never see a torn write.
 
 The test drives a seeded workload against a durable catalog at a 30%
 WAL-fault rate, mirrors every *successful* operation into a fault-free
 in-memory oracle, then crash-reopens the directory (WAL replay) and
-asserts all three MQL execution strategies agree with the oracle —
-before and after an exact ``analyze_attributes()`` repair, which must
-be a no-op for answers.
+asserts all three MQL execution strategies agree with the oracle, and
+that the planner's counts — on the faulted catalog before the crash and
+on the reopened one — equal an exact recount.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.core import MetadataCatalog, ObjectType
 from repro.db import Database
 from repro.faults import FaultPlan, active
 from repro.soap.errors import TransportError
+from tests.recount import assert_counts_exact, planner_counts
 
 pytestmark = pytest.mark.chaos
 
@@ -116,9 +117,13 @@ def test_index_maintenance_converges_after_wal_faults(tmp_path, no_faults, seed)
     oracle = _prepare(MetadataCatalog())
     oracle.mql_strategy = "scan"
 
+    assert_counts_exact(durable)  # counting starts before the faulted writes
     plan = FaultPlan.parse(f"seed={seed};db.wal:append=error@0.3")
     with active(plan):
         _chaos_workload(random.Random(seed), durable, oracle)
+    # Rolled-back commits took their counts with them.
+    assert_counts_exact(durable, " after faulted commits")
+    assert_counts_exact(oracle)
     del durable  # crash: no close, no checkpoint — recovery is WAL-only
 
     reopened = MetadataCatalog(Database(directory=str(tmp_path)))
@@ -131,12 +136,8 @@ def test_index_maintenance_converges_after_wal_faults(tmp_path, no_faults, seed)
                     f"{strategy} diverges after WAL-fault replay "
                     f"for {statement!r}"
                 )
-        # The incremental statistics survived the same WAL discipline;
-        # an exact recompute must not change a single answer.
-        reopened.analyze_attributes()
-        reopened.mql_strategy = "index"
-        for statement in STATEMENTS:
-            assert reopened.query_mql(statement) == expected[statement]
+        assert_counts_exact(reopened, " after WAL-fault replay")
+        assert planner_counts(reopened) == planner_counts(oracle)
     finally:
         reopened.db.close()
         oracle.db.close()

@@ -56,7 +56,6 @@ ARGUMENTS: dict[str, dict] = {
     "explain_query": {"query": QUERY},
     "query_mql": {"text": "files order by name"},
     "explain_mql": {"text": "files order by name"},
-    "analyze_attributes": {},
     "bulk_create_files": {"entries": [{"name": "b1", "collection": "dest"}, {"name": "b2"}]},
     "bulk_set_attributes": {
         "items": [{"object_type": "file", "name": "f", "attributes": {"a": "y"}}]

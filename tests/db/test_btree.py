@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.btree import BPlusTree
+from repro.db.btree import BPlusTree, make_key
 from repro.db.errors import IntegrityError
 
 
@@ -140,6 +140,43 @@ def test_property_matches_dict_model(ops):
     assert list(tree.scan_all()) == [
         rid for key in sorted(model) for rid in sorted(model[key])
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete"]),
+            st.integers(min_value=0, max_value=3),  # leading column
+            st.none() | st.integers(min_value=0, max_value=4),  # last column
+            st.integers(min_value=0, max_value=6),  # rowid
+        ),
+        max_size=300,
+    ),
+    start=st.integers(min_value=0, max_value=300),
+)
+def test_property_leading_counts_match_a_recount(ops, start):
+    """Counts started at any point equal postings and non-NULL distinct keys."""
+    tree = BPlusTree(order=4)
+    model: dict[tuple, set[int]] = {}
+    for step, (op, lead, last, rid) in enumerate(ops):
+        if step == start:
+            tree.count_leading()
+        if op == "insert":
+            tree.insert((lead, last), rid)
+            model.setdefault((lead, last), set()).add(rid)
+        elif tree.delete((lead, last), rid):
+            model[(lead, last)].discard(rid)
+            if not model[(lead, last)]:
+                del model[(lead, last)]
+    counts = tree.count_leading()
+    tree.check_invariants()
+    expected: dict[tuple, list[int]] = {}
+    for (lead, last), rids in model.items():
+        entry = expected.setdefault(make_key((lead,))[0], [0, 0])
+        entry[0] += len(rids)
+        entry[1] += last is not None
+    assert counts == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -155,6 +155,39 @@ class TestRecovery:
         db2 = Database(directory=str(tmp_path))
         assert db2.connect().execute("SELECT COUNT(*) FROM t").scalar() == 1
 
+    def test_a_log_appended_by_several_sessions_replays_whole(self, tmp_path):
+        # Every session numbers its commits from 1 again; replay must not
+        # fold one session's commit 1 into another's.
+        for value in (1, 2, 3):
+            db = Database(directory=str(tmp_path))
+            c = db.connect()
+            c.execute("CREATE TABLE IF NOT EXISTS t (id INTEGER PRIMARY KEY)")
+            c.execute("INSERT INTO t (id) VALUES (?)", (value,))
+            db.close()
+        db = Database(directory=str(tmp_path))
+        rows = db.connect().execute("SELECT id FROM t ORDER BY id").fetchall()
+        db.close()
+        assert rows == [(1,), (2,), (3,)]
+
+    def test_a_commit_cut_before_its_marker_is_dropped(self, tmp_path):
+        db = Database(directory=str(tmp_path))
+        c = db.connect()
+        c.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        db.close()
+        # A crash left whole record lines but no commit marker; the next
+        # session's commit reuses the txn id.
+        wal_path = os.path.join(str(tmp_path), WAL_NAME)
+        torn = {"txn": 1, "op": "insert", "table": "t", "rowid": 7, "row": [7]}
+        with open(wal_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(torn) + "\n")
+        db = Database(directory=str(tmp_path))
+        db.connect().execute("INSERT INTO t (id) VALUES (1)")
+        db.close()
+        db = Database(directory=str(tmp_path))
+        rows = db.connect().execute("SELECT id FROM t").fetchall()
+        db.close()
+        assert rows == [(1,)]
+
     def test_checkpoint_truncates_wal(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()

@@ -31,6 +31,7 @@ from repro import mql
 from repro.core import MetadataCatalog, ObjectType
 from repro.core.query import ObjectQuery
 from repro.db import Database
+from tests.recount import assert_counts_exact
 
 pytestmark = pytest.mark.mql
 
@@ -273,11 +274,6 @@ class MQLEquivalenceMachine(RuleBasedStateMachine):
                 f"bulk outcomes diverge under {strategy}: {got} != {base}"
             )
 
-    @rule()
-    def analyze(self):
-        """Exact statistics recompute; never changes any answer."""
-        self._all_agree("analyze", lambda c: bool(c.analyze_attributes()))
-
     # -- query rules --------------------------------------------------------
 
     @rule(statement=st.sampled_from(STATEMENTS))
@@ -301,6 +297,11 @@ class MQLEquivalenceMachine(RuleBasedStateMachine):
             )
 
     # -- invariants ---------------------------------------------------------
+
+    @invariant()
+    def counts_equal_a_recount(self):
+        for strategy, catalog in zip(STRATEGIES, self.catalogs):
+            assert_counts_exact(catalog, f" under {strategy}")
 
     @invariant()
     def full_listing_agrees(self):
@@ -368,12 +369,12 @@ def test_strategies_agree_after_crash_and_wal_replay(tmp_path, seed):
     _apply_random_ops(random.Random(seed), durable, oracle)
     expected = {s: oracle.query_mql(s) for s in STATEMENTS}
     # Crash: abandon the durable catalog without checkpoint or close —
-    # recovery below rebuilds every table (attribute_stats included)
-    # from the WAL alone.
+    # recovery below rebuilds every table and index from the WAL alone.
     del durable
 
     reopened = MetadataCatalog(Database(directory=str(tmp_path)))
     try:
+        assert_counts_exact(reopened, " after replay")
         for statement in STATEMENTS:
             for strategy in STRATEGIES:
                 reopened.mql_strategy = strategy

@@ -4,8 +4,8 @@ Two layers:
 
 * ``repro.db.planner.choose_access_path`` and the engine's EXPLAIN: the
   rule-based choice between a single fully-covered index and a scan;
-* the leaf planner: strategy choice under controlled
-  ``attribute_stats``, forced-strategy overrides, the compiled-text LRU
+* the leaf planner: strategy choice under the counts a fixed catalog's
+  indexes keep, forced-strategy overrides, the compiled-text LRU
   (parse + compile once, plan every run), the planner's statement
   budget, and the ``explain_mql`` / ``explain_query`` golden text.
 """
@@ -19,6 +19,7 @@ from repro.db import Database
 from repro.db.expr import conjuncts
 from repro.db.planner import choose_access_path
 from repro.db.sql.parser import parse_statement
+from tests.recount import assert_counts_exact, planner_counts
 
 pytestmark = pytest.mark.mql
 
@@ -96,8 +97,16 @@ def catalog():
     cat.define_attribute("site", "string")
     for i in range(10):
         cat.create_file(f"f{i}", attributes={"run": i % 5, "site": f"s{i % 2}"})
-    cat.analyze_attributes()
     return cat
+
+
+def test_the_fixture_counts_equal_a_recount(catalog):
+    # The estimates below are these exact counts; nothing needs ANALYZE.
+    assert_counts_exact(catalog)
+    assert planner_counts(catalog)["attributes"] == {
+        "run": (10.0, 5.0),
+        "site": (10.0, 2.0),
+    }
 
 
 def _leaf_plans(cat, text):
@@ -177,7 +186,7 @@ _GOLDEN_PLAN = [
     "    INDEX NESTED LOOP JOIN -> INDEX LOOKUP logical_file AS obj "
     "USING __pk_logical_file ON () KEYS (a0.object_id)",
     "    INDEX NESTED LOOP JOIN -> INDEX LOOKUP attribute_value AS a1 "
-    "USING __uq_attribute_value_0 ON () KEYS (2, 'file', obj.id) "
+    "USING __pk_attribute_value ON () KEYS ('file', obj.id, 2) "
     "ON (a1.value_string LIKE 's%')",
     "    PROJECT name, name",
     "  run = ? (est 2.0 rows)",

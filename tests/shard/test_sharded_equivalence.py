@@ -26,6 +26,7 @@ import pytest
 from repro.core import MetadataCatalog, ObjectType
 from repro.core.query import ObjectQuery
 from repro.shard import build_sharded_catalog
+from tests.recount import assert_counts_exact
 
 pytestmark = pytest.mark.shard
 
@@ -251,12 +252,14 @@ class ShardedEquivalenceMachine(RuleBasedStateMachine):
             f"mql {statement!r}", lambda c: c.query_mql(statement)
         )
 
-    @rule()
-    def analyze(self):
-        """Exact per-shard statistics recompute; answers must not move."""
-        self._all_agree("analyze", lambda c: bool(c.analyze_attributes()))
-
     # -- invariants ----------------------------------------------------------
+
+    @invariant()
+    def counts_equal_a_recount_on_every_shard(self):
+        assert_counts_exact(self.single)
+        for catalog in self.sharded:
+            for idx, shard in enumerate(catalog.shards):
+                assert_counts_exact(shard, f" on shard {idx} of {len(catalog.shards)}")
 
     @invariant()
     def same_file_count(self):
