@@ -177,7 +177,10 @@ class CacheConnThreadingRule(Rule):
     )
     exempt_modules = ("repro.cache",)
 
-    _LOOKUPS = ("lookup_attr_def", "lookup_object_id", "lookup_query")
+    _LOOKUPS = (
+        "lookup_attr_def", "lookup_object_id", "lookup_query",
+        "lookup_collection_parent", "lookup_acl",
+    )
 
     def check(self, module: Module) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

@@ -1,12 +1,16 @@
 """Catalog-facing cache facade: generation-stamped lookups.
 
-Three caches ride the catalog hot path:
+Four caches ride the catalog hot path:
 
 * **attr_def** — attribute-definition lookups (every ``set_attributes``
   and every user-attribute query touches ``attribute_def``);
-* **object** — logical name → database id resolution;
+* **object** — logical name → database id resolution (a file's entry
+  also carries its collection id, the first step up for authorization);
 * **query** — the rows of one query-pipeline leaf, keyed by
-  :func:`repro.mql.executor._leaf_key` in a bounded LRU.
+  :func:`repro.mql.executor._leaf_key` in a bounded LRU;
+* **authz** — the steps of an authorization walk by id: a collection's
+  parent id and an object's ACL rows (an immutable
+  :class:`repro.security.acl.FrozenACL`).
 
 Every entry is stamped with a snapshot of the generations of the tables
 the result depends on, taken *before* the underlying read executes.  A
@@ -163,10 +167,12 @@ class CatalogCache:
         self._attr_defs: LRUCache[Any, _Entry] = LRUCache(attr_capacity)
         self._objects: LRUCache[Any, _Entry] = LRUCache(object_capacity)
         self._queries: LRUCache[Any, _Entry] = LRUCache(query_capacity)
+        self._authz: LRUCache[Any, _Entry] = LRUCache(object_capacity)
         self._stats = {
             "attr_def": _CacheStats("attr_def"),
             "object": _CacheStats("object"),
             "query": _CacheStats("query"),
+            "authz": _CacheStats("authz"),
         }
         self._stats_guard = threading.Lock()
 
@@ -222,7 +228,7 @@ class CatalogCache:
             return False
         return any(t in written for t in tables)
 
-    # -- the three caches ----------------------------------------------------
+    # -- the four caches -----------------------------------------------------
 
     def lookup_attr_def(self, conn: Optional["Connection"], name: str) -> LookupToken:
         return self._lookup("attr_def", self._attr_defs, conn, name, ("attribute_def",))
@@ -257,12 +263,29 @@ class CatalogCache:
             "query", self._queries, conn, key, tables, generations=generations
         )
 
+    def lookup_collection_parent(
+        self, conn: Optional["Connection"], collection_id: int
+    ) -> LookupToken:
+        """A collection's parent id (``None`` at a root), by collection id."""
+        return self._lookup(
+            "authz", self._authz, conn, collection_id, ("logical_collection",)
+        )
+
+    def lookup_acl(
+        self, conn: Optional["Connection"], object_type: str, object_id: int
+    ) -> LookupToken:
+        """An object's ACL rows, by ``(object_type, object id)``."""
+        return self._lookup(
+            "authz", self._authz, conn, (object_type, object_id), ("acl_entry",)
+        )
+
     # -- management ----------------------------------------------------------
 
     def clear(self) -> None:
         self._attr_defs.clear()
         self._objects.clear()
         self._queries.clear()
+        self._authz.clear()
 
     def stats(self) -> dict[str, Any]:
         """Per-cache counters for ``mcs stats`` and ``op_stats``."""
@@ -271,6 +294,7 @@ class CatalogCache:
             "attr_def": self._attr_defs,
             "object": self._objects,
             "query": self._queries,
+            "authz": self._authz,
         }
         for name, stats in self._stats.items():
             stats.refresh_gauge()

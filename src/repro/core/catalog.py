@@ -51,7 +51,7 @@ from repro.mql import planner as mql_planner
 from repro.mql.compiler import CompiledStatement, Leaf
 from repro.mql.planner import StatementPlan
 from repro.obs.metrics import counter as _obs_counter, histogram as _obs_histogram
-from repro.security.acl import AccessControlList, Permission
+from repro.security.acl import EMPTY_ACL, AccessControlList, FrozenACL, Permission
 
 _MQL_QUERIES = _obs_counter(
     "mcs_mql_queries_total",
@@ -258,13 +258,13 @@ class MetadataCatalog:
             raise InvalidAttributeError(f"cannot update fields {sorted(bad)}")
         if not changes:
             return
-        file = self.get_file(name, version)
         conn = self._conn
+        file_id = self._object_id(conn, ObjectType.FILE, name, version)
         sets = ", ".join(f"{col} = ?" for col in changes)
         conn.execute(
             f"UPDATE logical_file SET {sets}, last_modifier = ?, modified = ? "
             "WHERE id = ?",
-            (*changes.values(), modifier, _now(), file.id),
+            (*changes.values(), modifier, _now(), file_id),
         )
 
     def invalidate_file(self, name: str, version: Optional[int] = None,
@@ -277,15 +277,15 @@ class MetadataCatalog:
         version: Optional[int] = None, modifier: Optional[str] = None
     ) -> None:
         """Reassign the file's (single) enclosing collection."""
-        file = self.get_file(name, version)
         conn = self._conn
+        file_id = self._object_id(conn, ObjectType.FILE, name, version)
         collection_id = (
             None if collection is None else self._collection_id(conn, collection)
         )
         conn.execute(
             "UPDATE logical_file SET collection_id = ?, last_modifier = ?, "
             "modified = ? WHERE id = ?",
-            (collection_id, modifier, _now(), file.id),
+            (collection_id, modifier, _now(), file_id),
         )
 
     def export_file_state(
@@ -435,27 +435,27 @@ class MetadataCatalog:
                 "acl_entry",
             ),
         ):
-            file = self.get_file(name, version)
+            file_id = self._object_id(conn, ObjectType.FILE, name, version)
             conn.execute(
                 "DELETE FROM attribute_value WHERE object_type = 'file' "
                 "AND object_id = ?",
-                (file.id,),
+                (file_id,),
             )
             conn.execute(
                 "DELETE FROM annotation WHERE object_type = 'file' AND object_id = ?",
-                (file.id,),
+                (file_id,),
             )
-            conn.execute("DELETE FROM transformation WHERE file_id = ?", (file.id,))
+            conn.execute("DELETE FROM transformation WHERE file_id = ?", (file_id,))
             conn.execute(
                 "DELETE FROM view_member WHERE member_type = 'file' "
                 "AND member_id = ?",
-                (file.id,),
+                (file_id,),
             )
             conn.execute(
                 "DELETE FROM acl_entry WHERE object_type = 'file' AND object_id = ?",
-                (file.id,),
+                (file_id,),
             )
-            conn.execute("DELETE FROM logical_file WHERE id = ?", (file.id,))
+            conn.execute("DELETE FROM logical_file WHERE id = ?", (file_id,))
 
     # ======================================================================
     # Logical collections
@@ -520,9 +520,7 @@ class MetadataCatalog:
                     raise CycleError(
                         f"making {parent!r} the parent of {name!r} creates a cycle"
                     )
-                cursor = conn.execute(
-                    "SELECT parent_id FROM logical_collection WHERE id = ?", (cursor,)
-                ).scalar()
+                cursor = self._collection_parent(conn, cursor)
             conn.execute(
                 "UPDATE logical_collection SET parent_id = ? WHERE id = ?",
                 (parent_id, collection.id),
@@ -1461,18 +1459,42 @@ class MetadataCatalog:
             if object_type is ObjectType.SERVICE
             else self._object_id(conn, object_type, name or "", version)
         )
-        rows = conn.execute(
-            "SELECT principal, permissions FROM acl_entry WHERE object_type = ? "
-            "AND object_id = ?",
-            (object_type.value, object_id),
-        ).fetchall()
-        acl = AccessControlList()
-        for principal, bits in rows:
-            if principal == "*":
-                acl.grant_public(Permission(bits))
-            else:
-                acl.entries[principal] = Permission(bits)
-        return acl
+        return self._acl(conn, object_type, object_id).thaw()
+
+    def acl_chain(
+        self,
+        object_type: ObjectType,
+        name: Optional[str],
+        version: Optional[int] = None,
+    ) -> tuple[FrozenACL, ...]:
+        """The object's ACL, then each enclosing collection's, nearest first.
+
+        Everything one authorization decision reads (§5: the union up the
+        collection hierarchy), walked by id: a file's ``(id, collection
+        id)``, each collection's parent and each ACL is a generation-stamped
+        cache entry, so a warm walk issues no statement and a committed
+        grant, revoke, move or re-parent misses on the next.  The service's
+        own ACL is ``acl_chain(ObjectType.SERVICE, None)``.
+        """
+        conn = self._conn
+        parent: Optional[int] = None
+        if object_type is ObjectType.SERVICE:
+            object_id = 0
+        elif object_type is ObjectType.FILE:
+            object_id, parent = self._file_ids(conn, name or "", version)
+        else:
+            object_id = self._object_id(conn, object_type, name or "", version)
+            if object_type is ObjectType.COLLECTION:
+                parent = self._collection_parent(conn, object_id)
+        chain = [self._acl(conn, object_type, object_id)]
+        # A cycle cannot be committed, but entries stamped on either side
+        # of a concurrent re-parent could still close one.
+        walked: set[int] = set()
+        while parent is not None and parent not in walked:
+            walked.add(parent)
+            chain.append(self._acl(conn, ObjectType.COLLECTION, parent))
+            parent = self._collection_parent(conn, parent)
+        return tuple(chain)
 
     # ======================================================================
     # Statistics
@@ -1518,20 +1540,51 @@ class MetadataCatalog:
         if object_type is ObjectType.COLLECTION:
             return self._collection_id(conn, name)
         if object_type is ObjectType.FILE:
-            table = "logical_file"
-        elif object_type is ObjectType.VIEW:
-            table = "logical_view"
-        else:
+            return self._file_ids(conn, name, version)[0]
+        if object_type is not ObjectType.VIEW:
             raise InvalidAttributeError(f"no object id for {object_type}")
-        token = self.cache.lookup_object_id(conn, table, name, version)
+        token = self.cache.lookup_object_id(conn, "logical_view", name, version)
         if token.hit:
             return token.value
-        if object_type is ObjectType.FILE:
-            object_id = self.get_file(name, version).id
-        else:
-            object_id = self.get_view(name).id
+        object_id = self.get_view(name).id
         token.store(object_id)
         return object_id
+
+    def _file_ids(
+        self, conn: Connection, name: str, version: Optional[int]
+    ) -> tuple[int, Optional[int]]:
+        """A file's ``(id, collection id)``: one object-cache entry serves
+        both the operation body and its authorization walk."""
+        token = self.cache.lookup_object_id(conn, "logical_file", name, version)
+        if token.hit:
+            return token.value
+        file = self.get_file(name, version)
+        ids = (file.id, file.collection_id)
+        token.store(ids)
+        return ids
+
+    def _collection_parent(self, conn: Connection, collection_id: int) -> Optional[int]:
+        token = self.cache.lookup_collection_parent(conn, collection_id)
+        if token.hit:
+            return token.value
+        parent_id = conn.execute(
+            "SELECT parent_id FROM logical_collection WHERE id = ?", (collection_id,)
+        ).scalar()
+        token.store(parent_id)
+        return parent_id
+
+    def _acl(self, conn: Connection, object_type: ObjectType, object_id: int) -> FrozenACL:
+        token = self.cache.lookup_acl(conn, object_type.value, object_id)
+        if token.hit:
+            return token.value
+        rows = conn.execute(
+            "SELECT principal, permissions FROM acl_entry WHERE object_type = ? "
+            "AND object_id = ?",
+            (object_type.value, object_id),
+        ).fetchall()
+        acl = FrozenACL(rows) if rows else EMPTY_ACL
+        token.store(acl)
+        return acl
 
 
 def _file_from_row(row: tuple) -> LogicalFile:

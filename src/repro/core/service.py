@@ -41,7 +41,7 @@ from repro.core.model import ExternalCatalog, ObjectType, UserInfo
 from repro.core.operations import BY_NAME, Operation
 from repro.core.query import ObjectQuery
 from repro.db.errors import DatabaseError
-from repro.security.acl import AccessControlList, Permission, effective_permissions
+from repro.security.acl import Permission, effective_permissions
 from repro.security.cas import CapabilityAssertion, PolicyRule, verify_assertion
 from repro.security.errors import (
     AuthenticationError,
@@ -475,20 +475,11 @@ class MCSService:
         version: Optional[int],
         assertion: Optional[CapabilityAssertion],
     ) -> None:
-        granted = Permission.NONE
-        service_acl = self.catalog.get_acl(ObjectType.SERVICE, None)
-        granted |= service_acl.permissions_for(caller)
+        (service_acl,) = self.catalog.acl_chain(ObjectType.SERVICE, None)
+        granted = service_acl.permissions_for(caller)
         if self.granularity == "object" and object_type is not ObjectType.SERVICE and name:
-            own_acl = self.catalog.get_acl(object_type, name, version)
-            chain_acls: list[AccessControlList] = []
-            if object_type is ObjectType.FILE:
-                for coll in self.catalog.file_collection_chain(name, version):
-                    chain_acls.append(self.catalog.get_acl(ObjectType.COLLECTION, coll))
-            elif object_type is ObjectType.COLLECTION:
-                chain = self.catalog.collection_chain(name)
-                for coll in chain:
-                    chain_acls.append(self.catalog.get_acl(ObjectType.COLLECTION, coll))
-            granted |= effective_permissions(caller, own_acl, chain_acls)
+            own_acl, *enclosing = self.catalog.acl_chain(object_type, name, version)
+            granted |= effective_permissions(caller, own_acl, enclosing)
         if assertion is not None and name:
             for perm in (p for p in Permission if p.name and p.value):
                 if assertion.grants(name, perm):

@@ -2,8 +2,11 @@
 
 Keys are tuples of canonical column values wrapped with
 :func:`repro.db.types.sort_key` so NULLs and mixed types compare totally.
-Leaves hold, per key, the set of row ids carrying that key (a single row id
-for unique indexes).  Leaves are chained for range scans.
+Leaves hold, per key, its postings: the row id itself while the key has one
+posting (always, in a unique index), promoted to a sorted list of two or
+more row ids on the second insert and demoted back when a delete leaves
+one.  The bare row id is the very int the table's ``rows`` dict holds, so
+a key with one posting costs no list.  Leaves are chained for range scans.
 
 A tree asked for counts (:meth:`BPlusTree.count_leading`) also keeps, per
 leading-column value, its postings and its distinct whole keys whose last
@@ -55,8 +58,9 @@ class _Leaf(_Node):
 
     def __init__(self) -> None:
         super().__init__()
-        # values[i] is the list of row ids for keys[i]
-        self.values: list[list[int]] = []
+        # values[i] is the row id for keys[i], or the sorted list of its
+        # row ids once it has two or more
+        self.values: list[int | list[int]] = []
         self.next: Optional[_Leaf] = None
         self.prev: Optional[_Leaf] = None
 
@@ -71,7 +75,7 @@ class _Internal(_Node):
 
 
 class BPlusTree:
-    """A B+tree mapping composite keys to row-id postings lists."""
+    """A B+tree mapping composite keys to row-id postings."""
 
     def __init__(self, order: int = DEFAULT_ORDER, unique: bool = False, name: str = "") -> None:
         if order < 4:
@@ -107,16 +111,23 @@ class BPlusTree:
                     f"unique index {self.name or '<anon>'}: duplicate key {raw_key!r}"
                 )
             postings = leaf.values[idx]
-            pos = bisect.bisect_left(postings, rowid)
-            if pos < len(postings) and postings[pos] == rowid:
-                return  # already present; idempotent
-            postings.insert(pos, rowid)
+            if type(postings) is list:
+                pos = bisect.bisect_left(postings, rowid)
+                if pos < len(postings) and postings[pos] == rowid:
+                    return  # already present; idempotent
+                postings.insert(pos, rowid)
+            elif postings == rowid:
+                return
+            else:  # the second posting: promote to a list
+                leaf.values[idx] = (
+                    [postings, rowid] if postings < rowid else [rowid, postings]
+                )
             self._len += 1
             if self.counts is not None:
                 self.counts[key[0]][0] += 1
             return
         leaf.keys.insert(idx, key)
-        leaf.values.insert(idx, [rowid])
+        leaf.values.insert(idx, rowid)
         self._len += 1
         if self.counts is not None:
             entry = self.counts.setdefault(key[0], [0, 0])
@@ -139,18 +150,24 @@ class BPlusTree:
         if idx >= len(leaf.keys) or leaf.keys[idx] != key:
             return False
         postings = leaf.values[idx]
-        pos = bisect.bisect_left(postings, rowid)
-        if pos >= len(postings) or postings[pos] != rowid:
-            return False
-        postings.pop(pos)
-        self._len -= 1
-        if not postings:
+        emptied = type(postings) is not list
+        if emptied:
+            if postings != rowid:
+                return False
             leaf.keys.pop(idx)
             leaf.values.pop(idx)
+        else:
+            pos = bisect.bisect_left(postings, rowid)
+            if pos >= len(postings) or postings[pos] != rowid:
+                return False
+            postings.pop(pos)
+            if len(postings) == 1:  # one posting left: demote to the bare id
+                leaf.values[idx] = postings[0]
+        self._len -= 1
         if self.counts is not None:
             entry = self.counts[key[0]]
             entry[0] -= 1
-            if not postings and key[-1] != _NULL:
+            if emptied and key[-1] != _NULL:
                 entry[1] -= 1
             if not entry[0]:
                 del self.counts[key[0]]
@@ -175,7 +192,7 @@ class BPlusTree:
             while leaf is not None:
                 for key, postings in zip(leaf.keys, leaf.values):
                     entry = counts.setdefault(key[0], [0, 0])
-                    entry[0] += len(postings)
+                    entry[0] += len(postings) if type(postings) is list else 1
                     if key[-1] != _NULL:
                         entry[1] += 1
                 leaf = leaf.next
@@ -191,7 +208,8 @@ class BPlusTree:
         leaf = self._find_leaf(key)
         idx = bisect.bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            return list(leaf.values[idx])
+            postings = leaf.values[idx]
+            return list(postings) if type(postings) is list else [postings]
         return []
 
     def contains_key(self, raw_key: tuple) -> bool:
@@ -245,7 +263,11 @@ class BPlusTree:
                             return
                     elif key >= high_key:
                         return
-                yield from leaf.values[idx]
+                postings = leaf.values[idx]
+                if type(postings) is list:
+                    yield from postings
+                else:
+                    yield postings
                 idx += 1
             leaf = leaf.next
             idx = 0
@@ -265,7 +287,11 @@ class BPlusTree:
                 key = leaf.keys[idx]
                 if key[:n] != prefix:
                     return
-                yield from leaf.values[idx]
+                postings = leaf.values[idx]
+                if type(postings) is list:
+                    yield from postings
+                else:
+                    yield postings
                 idx += 1
             leaf = leaf.next
             idx = 0
@@ -275,7 +301,7 @@ class BPlusTree:
         leaf = self._first_leaf()
         while leaf is not None:
             for key, postings in zip(leaf.keys, leaf.values):
-                yield key, list(postings)
+                yield key, list(postings) if type(postings) is list else [postings]
             leaf = leaf.next
 
     def scan_all(self) -> Iterator[int]:
@@ -283,7 +309,10 @@ class BPlusTree:
         leaf = self._first_leaf()
         while leaf is not None:
             for postings in leaf.values:
-                yield from postings
+                if type(postings) is list:
+                    yield from postings
+                else:
+                    yield postings
             leaf = leaf.next
 
     # -- internals -------------------------------------------------------------
@@ -354,12 +383,16 @@ class BPlusTree:
         while leaf is not None:
             assert len(leaf.keys) == len(leaf.values)
             for key, postings in zip(leaf.keys, leaf.values):
-                assert postings, "empty postings list left in tree"
-                assert postings == sorted(postings)
+                if type(postings) is list:
+                    assert len(postings) >= 2, "a list of fewer than two postings"
+                    assert postings == sorted(set(postings))
+                    counted += len(postings)
+                else:
+                    assert type(postings) is int, "one posting is not a bare int"
+                    counted += 1
                 if prev_key is not None:
                     assert key > prev_key, "keys out of order across leaves"
                 prev_key = key
-                counted += len(postings)
             if leaf.next is not None:
                 assert leaf.next.prev is leaf
             leaf = leaf.next

@@ -66,10 +66,42 @@ class AccessControlList:
         return permission in self.permissions_for(user)
 
 
+class FrozenACL:
+    """An object's stored ACL rows, immutable: principal → permission bits,
+    the principal ``"*"`` being the public grant.
+
+    The catalog's authorization cache hands one value to every thread, so it
+    cannot be a mutable :class:`AccessControlList`; objects without ACL rows
+    all share :data:`EMPTY_ACL`.
+    """
+
+    __slots__ = ("_bits",)
+
+    def __init__(self, rows: Iterable[tuple[str, int]] = ()) -> None:
+        self._bits = {principal: Permission(value) for principal, value in rows}
+
+    def permissions_for(self, user: DistinguishedName | str) -> Permission:
+        bits = self._bits
+        return bits.get(str(user), Permission.NONE) | bits.get("*", Permission.NONE)
+
+    def thaw(self) -> AccessControlList:
+        """A mutable copy, for callers that edit or list it."""
+        acl = AccessControlList()
+        for principal, bits in self._bits.items():
+            if principal == "*":
+                acl.grant_public(bits)
+            else:
+                acl.entries[principal] = bits
+        return acl
+
+
+EMPTY_ACL = FrozenACL()
+
+
 def effective_permissions(
     user: DistinguishedName | str,
-    own_acl: Optional[AccessControlList],
-    collection_chain: Iterable[Optional[AccessControlList]] = (),
+    own_acl: Optional[AccessControlList | FrozenACL],
+    collection_chain: Iterable[Optional[AccessControlList | FrozenACL]] = (),
 ) -> Permission:
     """Union of the object's own grants and its collection chain's grants."""
     granted = Permission.NONE

@@ -13,7 +13,7 @@ implemented by routing:
   to every shard, so any shard can answer structural reads and each
   shard can run collection joins and cycle checks locally.
 
-The 30 methods that only need a destination are not written out: the
+The 31 methods that only need a destination are not written out: the
 ``_FORWARDED`` table assigns each a routing class (``_route_*``, one
 method per class) and generates it with ``MetadataCatalog``'s signature.
 What has logic of its own is hand-written: scatter queries
@@ -121,7 +121,7 @@ class _ShardedCacheView:
     def stats(self) -> dict[str, Any]:
         out: dict[str, Any] = {"enabled": self.enabled, "shards": len(self._shards)}
         per_shard = [s.cache.stats() for s in self._shards]
-        for cache_name in ("attr_def", "object", "query"):
+        for cache_name in ("attr_def", "object", "query", "authz"):
             totals: dict[str, float] = {}
             for stats in per_shard:
                 for key, value in stats.get(cache_name, {}).items():
@@ -1096,6 +1096,7 @@ _FORWARDED: dict[str, tuple[Callable[..., Any], bool]] = {
     "audit_log": (ShardedCatalog._route_by_object_type, False),
     "set_permissions": (ShardedCatalog._route_by_object_type, True),
     "get_acl": (ShardedCatalog._route_by_object_type, False),
+    "acl_chain": (ShardedCatalog._route_by_object_type, False),
 }
 for _method, (_route, _write) in _FORWARDED.items():
     setattr(ShardedCatalog, _method, _forwarder(_method, _route, _write))

@@ -10,6 +10,12 @@ may only ever change performance, never results.
 Queries are issued inside the rules as well as the invariants so cache
 entries are hot (and therefore *could* serve stale data) at the moment
 each write lands.
+
+Authorization rides the same machine: grants and revokes, file moves and
+collection re-parents change what the §5 union up the collection
+hierarchy decides, and every decision must be the same from the cached
+catalog, from the same catalog with its cache switched off, and from the
+uncached one.
 """
 
 import pytest
@@ -18,18 +24,38 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import MetadataCatalog, ObjectQuery, ObjectType
+from repro.security import Permission
+from repro.security.acl import effective_permissions
 
 pytestmark = pytest.mark.cache
 
 STR_VALUES = ("x", "y", "z")
 INT_VALUES = (1, 2, 3)
+COLLECTIONS = ("c0", "c1", "c2")
+PRINCIPALS = ("/CN=p0", "/CN=p1")
+GRANTS = (Permission.NONE, Permission.READ, Permission.READ | Permission.WRITE)
 
 
 def _make_catalog(cache: bool) -> MetadataCatalog:
     catalog = MetadataCatalog(cache=cache)
     catalog.define_attribute("a_str", "string")
     catalog.define_attribute("a_int", "int")
+    for name in COLLECTIONS:
+        catalog.create_collection(name)
     return catalog
+
+
+def _decision(catalog: MetadataCatalog, principal: str, kind: ObjectType, name: str):
+    """What the service grants *principal* on an object: its service-level
+    grant plus the union over the object's ACL chain."""
+    try:
+        (service_acl,) = catalog.acl_chain(ObjectType.SERVICE, None)
+        own, *enclosing = catalog.acl_chain(kind, name)
+    except Exception as exc:  # noqa: BLE001 - equivalence oracle
+        return type(exc)
+    return service_acl.permissions_for(principal) | effective_permissions(
+        principal, own, enclosing
+    )
 
 
 def _queries():
@@ -69,11 +95,17 @@ class CachedEquivalenceMachine(RuleBasedStateMachine):
 
     # -- rules ----------------------------------------------------------------
 
-    @rule(s=st.sampled_from(STR_VALUES), i=st.sampled_from(INT_VALUES))
-    def create_one(self, s, i):
+    @rule(
+        s=st.sampled_from(STR_VALUES),
+        i=st.sampled_from(INT_VALUES),
+        collection=st.sampled_from((None, *COLLECTIONS)),
+    )
+    def create_one(self, s, i, collection):
         name = self._fresh_name()
         ok, _ = self._both(
-            lambda c: c.create_file(name, attributes={"a_str": s, "a_int": i})
+            lambda c: c.create_file(
+                name, collection=collection, attributes={"a_str": s, "a_int": i}
+            )
         )
         if ok:
             self.names.append(name)
@@ -134,6 +166,45 @@ class CachedEquivalenceMachine(RuleBasedStateMachine):
             items.insert(1, {"name": "no-such-file", "attributes": {"a_int": i}})
         self._both(lambda c: c.bulk_set_attributes(items, atomic=atomic))
 
+    @rule(
+        kind=st.sampled_from((ObjectType.SERVICE, ObjectType.COLLECTION, ObjectType.FILE)),
+        index=st.integers(min_value=0, max_value=5),
+        principal=st.sampled_from(PRINCIPALS),
+        grant=st.sampled_from(GRANTS),
+    )
+    def set_permissions(self, kind, index, principal, grant):
+        if kind is ObjectType.SERVICE:
+            name = None
+        elif kind is ObjectType.COLLECTION:
+            name = COLLECTIONS[index % len(COLLECTIONS)]
+        elif self.names:
+            name = self.names[index % len(self.names)]
+        else:
+            return
+        self._both(lambda c: c.set_permissions(kind, name, principal, grant))
+
+    @rule(index=st.integers(min_value=0, max_value=5),
+          collection=st.sampled_from((None, *COLLECTIONS)))
+    def move(self, index, collection):
+        if not self.names:
+            return
+        name = self.names[index % len(self.names)]
+        self._both(lambda c: c.move_file_to_collection(name, collection))
+
+    @rule(child=st.sampled_from(COLLECTIONS),
+          parent=st.sampled_from((None, *COLLECTIONS)))
+    def reparent(self, child, parent):
+        # A cycle is refused by both catalogs alike.
+        self._both(lambda c: c.set_collection_parent(child, parent))
+
+    @rule()
+    def warm_decisions(self):
+        for principal in PRINCIPALS:
+            for name in COLLECTIONS:
+                _decision(self.cached, principal, ObjectType.COLLECTION, name)
+            for name in self.names[:3]:
+                _decision(self.cached, principal, ObjectType.FILE, name)
+
     @rule()
     def warm_queries(self):
         # Populate cache entries so later writes have something to
@@ -156,6 +227,21 @@ class CachedEquivalenceMachine(RuleBasedStateMachine):
             assert self.cached.get_attributes(
                 ObjectType.FILE, name
             ) == self.plain.get_attributes(ObjectType.FILE, name)
+
+    @invariant()
+    def permission_decisions_match(self):
+        targets = [(ObjectType.COLLECTION, name) for name in COLLECTIONS]
+        targets += [(ObjectType.FILE, name) for name in self.names[:2] + self.names[-2:]]
+        for principal in PRINCIPALS:
+            for kind, name in targets:
+                cached = _decision(self.cached, principal, kind, name)
+                self.cached.cache.enabled = False
+                try:
+                    bypassed = _decision(self.cached, principal, kind, name)
+                finally:
+                    self.cached.cache.enabled = True
+                plain = _decision(self.plain, principal, kind, name)
+                assert cached == bypassed == plain, (principal, kind, name)
 
 
 TestCachedEquivalence = CachedEquivalenceMachine.TestCase

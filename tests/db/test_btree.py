@@ -52,6 +52,43 @@ class TestBasics:
         assert tree.delete(("k",), 1) is False
         assert tree.delete(("missing",), 9) is False
 
+    def test_one_posting_is_a_bare_int_and_two_a_list(self):
+        """Promote on the second posting, demote when a delete leaves one:
+        1 → 2 → 1 → 0 postings on one key, counts exact after each step."""
+        tree = BPlusTree(order=4)
+        tree.insert(("other",), 9)
+        counts = tree.count_leading()
+        k = make_key(("k",))[0]
+
+        def postings():
+            key = make_key(("k",))
+            leaf = tree._find_leaf(key)
+            return leaf.values[leaf.keys.index(key)] if key in leaf.keys else None
+
+        tree.insert(("k",), 5)
+        assert postings() == 5 and type(postings()) is int
+        assert counts[k] == [1, 1] and tree.get(("k",)) == [5]
+        tree.insert(("k",), 2)
+        assert postings() == [2, 5]
+        assert counts[k] == [2, 1] and tree.get(("k",)) == [2, 5]
+        tree.check_invariants()
+        assert tree.delete(("k",), 5) is True
+        assert postings() == 2 and type(postings()) is int
+        assert counts[k] == [1, 1] and list(tree.prefix(("k",))) == [2]
+        tree.check_invariants()
+        assert tree.delete(("k",), 5) is False
+        assert tree.delete(("k",), 2) is True
+        assert postings() is None and k not in counts
+        assert tree.get(("k",)) == [] and len(tree) == 1
+        tree.check_invariants()
+
+    def test_invariants_reject_a_one_item_list(self):
+        tree = BPlusTree()
+        tree.insert(("k",), 1)
+        tree._first_leaf().values[0] = [1]
+        with pytest.raises(AssertionError):
+            tree.check_invariants()
+
     def test_clear(self):
         tree = BPlusTree()
         tree.insert(("a",), 1)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import MetadataCatalog, ObjectType
+from repro.security import Permission
 from repro.shard import router
 from repro.shard.router import _FORWARDED, ShardedCatalog
 
@@ -62,6 +63,30 @@ def test_a_forwarder_finds_its_deciding_arguments_by_position_or_keyword():
     assert catalog.get_attributes(name="f", object_type=ObjectType.FILE, version=3) == {}
     assert catalog.transformations(file_name="f") == []
     assert catalog.get_attributes(ObjectType.COLLECTION, name="c") == {}
+
+
+def test_the_acl_chain_is_forwarded_by_object_type():
+    """A file's chain is read on its owning shard, a collection's and the
+    service's on any replica; each answers as one engine does."""
+    plain, sharded = MetadataCatalog(), router.build_sharded_catalog(2)
+    for catalog in (plain, sharded):
+        catalog.create_collection("top")
+        catalog.create_collection("sub", "top")
+        catalog.create_file("f", collection="sub")
+        catalog.set_permissions(ObjectType.COLLECTION, "top", "u", Permission.READ)
+        catalog.set_permissions(ObjectType.FILE, "f", "u", Permission.WRITE)
+        catalog.set_permissions(ObjectType.SERVICE, None, "u", Permission.ANNOTATE)
+
+    def bits(chain):
+        return [acl.permissions_for("u") for acl in chain]
+
+    assert bits(plain.acl_chain(ObjectType.FILE, "f")) == [
+        Permission.WRITE, Permission.NONE, Permission.READ,
+    ]
+    for kind, name in (
+        (ObjectType.FILE, "f"), (ObjectType.COLLECTION, "sub"), (ObjectType.SERVICE, None),
+    ):
+        assert bits(sharded.acl_chain(kind, name)) == bits(plain.acl_chain(kind, name))
 
 
 def test_a_one_shot_iterable_reaches_every_replica():

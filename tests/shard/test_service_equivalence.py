@@ -2,10 +2,11 @@
 
 The catalog-level machine (``test_sharded_equivalence``) never drives the
 service, so it never sees what the service adds on top of a catalog call:
-the authorization reads (``get_acl``, both collection chains) and the
-audit records, whose placement depends on shard-local ids.  Here the
-same requests go through ``MCSService.handle`` over a plain catalog and
-over 1-, 2- and 4-shard catalogs, with auditing on, and every answer
+the authorization reads (``acl_chain``: the object's ACL and its
+collection chain's, walked by id) and the audit records, whose placement
+depends on shard-local ids.  Here the same requests go through
+``MCSService.handle`` over a plain catalog and over 1-, 2- and 4-shard
+catalogs, with auditing on, and every answer
 and every object's audit trail, annotations, transformations, ACL,
 attributes and view listing must come out the same.  Ids and timestamps
 are shard-local and are not compared.
@@ -26,6 +27,7 @@ pytestmark = pytest.mark.shard
 
 ADMIN = "/O=Grid/CN=Admin"
 READER = "/O=Grid/CN=Reader"
+GUEST = "/O=Grid/CN=Guest"
 LOCAL = {"id", "created", "modified", "collection_id"}
 KINDS = {"file": "f0", "collection": "c1", "view": "v0"}
 
@@ -96,6 +98,17 @@ def steps() -> list[tuple[str, dict]]:
                          "collections": ["c1"], "views": ["v1"]}),
         ("remove_from_view", {"view": "v0", "files": ["f3"]}),
         ("list_view", {"name": "v0"}),
+    ]
+    # a collection grant revoked between two identical requests: f1 lives
+    # in c2, re-parented under c0 above, and the second request is denied
+    guest_reads_f1 = ("get_attributes", {"caller": GUEST, "object_type": "file", "name": "f1"})
+    script += [
+        ("set_permissions", {"object_type": "collection", "name": "c0",
+                             "principal": GUEST, "permissions": ["READ"]}),
+        guest_reads_f1,
+        ("set_permissions", {"object_type": "collection", "name": "c0",
+                             "principal": GUEST, "permissions": []}),
+        guest_reads_f1,
     ]
     # chosen by object_type: a file's rows on its shard, the others' replicated
     for kind, name in KINDS.items():
@@ -194,6 +207,20 @@ def test_the_service_behaves_the_same_over_shards(reference, n_shards):
     assert seen.keys() == expected_seen.keys()
     for key in expected_seen:
         assert seen[key] == expected_seen[key], key
+
+
+def test_a_revoked_collection_grant_denies_the_very_next_request(reference):
+    """The shapes above answer as the plain catalog does; this is what the
+    plain catalog answers."""
+    answers, _seen = reference
+    guest = [
+        answer for (_method, args), answer in zip(steps(), answers)
+        if args.get("caller") == GUEST
+    ]
+    assert guest == [
+        ("get_attributes", {}),
+        ("get_attributes", ("fault", "MCS.PermissionDenied")),
+    ]
 
 
 def test_the_script_reaches_every_routing_class_and_object_type(monkeypatch):
