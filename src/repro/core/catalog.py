@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import threading
-import time as _time
 from contextlib import contextmanager
 from typing import Any, Iterable, Optional, Sequence
 
-from repro import mql
 from repro.cache import CatalogCache
-from repro.cache.lru import LRUCache
 from repro.core.errors import (
     CycleError,
     DuplicateObjectError,
@@ -48,19 +45,15 @@ from repro.db.engine import Connection
 from repro.mql import compiler as mql_compiler
 from repro.mql import executor as mql_executor
 from repro.mql import planner as mql_planner
-from repro.mql.compiler import CompiledStatement, Leaf
+from repro.mql.compiler import Leaf
 from repro.mql.planner import StatementPlan
-from repro.obs.metrics import counter as _obs_counter, histogram as _obs_histogram
+from repro.obs.metrics import counter as _obs_counter
 from repro.security.acl import EMPTY_ACL, AccessControlList, FrozenACL, Permission
 
 _MQL_QUERIES = _obs_counter(
     "mcs_mql_queries_total",
     "MQL statements processed, by operation (query / explain)",
     labels=("op",),
-)
-_MQL_PARSE = _obs_histogram(
-    "mcs_mql_parse_seconds",
-    "Wall time to parse + compile one MQL statement (cache misses)",
 )
 
 
@@ -95,10 +88,11 @@ class MetadataCatalog:
         self.cache = CatalogCache(self.db, enabled=cache)
         # Query pipeline: optional strategy override (None = cost-based,
         # or one of "index" / "join" / "scan" — the equivalence lane's axis),
-        # the parsed-and-compiled form of recent MQL texts (compilation
-        # is purely syntactic, so nothing invalidates it).
+        # the compiled templates of recent MQL statement shapes
+        # (compilation is purely syntactic, so nothing invalidates them;
+        # the shard router compiles through shard 0's).
         self.mql_strategy: Optional[str] = None
-        self._mql_compiled: LRUCache[str, CompiledStatement] = LRUCache(128)
+        self._mql_shapes = mql_compiler.ShapeCache(128)
 
     # -- connection pooling ------------------------------------------------
 
@@ -983,7 +977,8 @@ class MetadataCatalog:
     def query_mql(self, text: str) -> list[str]:
         """Run one MQL statement; returns the ordered name list.
 
-        Parsing and compilation are cached per text; every run plans
+        Parsing and compilation are cached per statement shape (the
+        text with its literals left out); every run plans
         each conjunctive leaf against the current statistics and routes
         it through the chosen strategy (see :mod:`repro.mql.executor`).
         """
@@ -1021,14 +1016,9 @@ class MetadataCatalog:
         return mql_planner.StatementPlan(compiled, [leaf_plan])
 
     def _plan_mql(self, text: str) -> StatementPlan:
-        compiled = self._mql_compiled.get(text)
-        mql_planner.record_plan_cache(compiled is not None)
-        if compiled is None:
-            started = _time.perf_counter()
-            compiled = mql_compiler.compile_statement(mql.parse(text))
-            _MQL_PARSE.observe(_time.perf_counter() - started)
-            self._mql_compiled.put(text, compiled)
-        return mql_planner.plan_statement(self, compiled, strategy=self.mql_strategy)
+        return mql_planner.plan_statement(
+            self, self._mql_shapes.compile(text), strategy=self.mql_strategy
+        )
 
     def _run_plan(self, plan: StatementPlan) -> list[str]:
         return mql_executor.execute_compiled(

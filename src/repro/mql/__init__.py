@@ -4,10 +4,15 @@ The paper exposes attribute discovery through a programmatic API; the
 ROADMAP's first open item grows that into a real query language the way
 AMGA did for grid metadata catalogs.  ``repro.mql`` is that layer:
 
-* a hand-written lexer + recursive-descent parser for statements like
+* a one-regex lexer (offset tokens; line and column computed only for
+  an error) and a recursive-descent parser for statements like
   ``files where run = 7 and (site like "ligo-%" or valid) order by name
   limit 50``, plus dataset algebra (``union`` / ``intersect`` /
   ``minus``) over parenthesized subqueries;
+* a shape cache (:class:`repro.mql.compiler.ShapeCache`): a statement
+  is parsed and compiled once per shape — its tokens with each literal
+  replaced by its kind — and every text of that shape binds its own
+  literals into a fresh compiled copy;
 * a compiler that lowers the predicate tree (through negation push-down
   and DNF expansion) onto the existing conjunctive
   :class:`repro.core.query.ObjectQuery` leaves;

@@ -9,6 +9,8 @@ needs parentheses to reparse into the identical tree (nested boolean
 combinators, set-operation operands, negated compound predicates), and
 renders every value in a form the lexer maps back to the same Python
 value (typed ``date``/``time``/``datetime`` literals, escaped strings).
+A :class:`Slot` prints as a marker, so a statement template's text is
+split once and re-joined around each run's values.
 """
 
 from __future__ import annotations
@@ -22,6 +24,23 @@ from typing import Any, Optional, Union
 OPS = ("=", "!=", "<", "<=", ">", ">=", "like", "between")
 
 _OBJECT_WORDS = {"file": "files", "collection": "collections", "view": "views"}
+
+#: Brackets a slot's index in printed text; no MQL token contains it.
+SLOT_MARK = "\x00"
+
+
+@dataclass(frozen=True)
+class Slot:
+    """The place of a statement's *index*-th literal in a template.
+
+    :func:`repro.mql.parser.parse` puts slots where values go when it
+    builds a template (see :class:`repro.mql.compiler.ShapeCache`).
+    """
+
+    index: int
+
+    def __str__(self) -> str:
+        return f"{SLOT_MARK}{self.index}{SLOT_MARK}"
 
 
 @dataclass(frozen=True)
@@ -98,6 +117,8 @@ class Statement:
 
 def format_value(value: Any) -> str:
     """Render a literal so the lexer parses it back to the same value."""
+    if isinstance(value, Slot):
+        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -199,7 +220,9 @@ __all__ = [
     "Or",
     "Predicate",
     "Query",
+    "SLOT_MARK",
     "SetOp",
+    "Slot",
     "Statement",
     "format_value",
     "to_mql",

@@ -28,17 +28,44 @@ but no limit/offset — those apply once, after set algebra, in the
 executor.  Nested parenthesized statements with their own ``order by``/
 ``limit``/``offset`` parse fine but are rejected here: modifiers are
 only meaningful at the top level.
+
+MQL text reaches the compiler through :class:`ShapeCache`: a statement
+is parsed and compiled once per *shape* (its token stream with each
+literal replaced by its kind), with slots for the literals, and every
+text of that shape binds its own values into a fresh copy.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
+from repro import mql
+from repro.cache.lru import LRUCache
 from repro.core.errors import QueryError
 from repro.core.model import ObjectType
-from repro.core.query import _PREDEFINED_FILE_FIELDS, ObjectQuery
+from repro.core.query import _PREDEFINED_FILE_FIELDS, AttributeCondition, ObjectQuery
 from repro.mql import ast
+from repro.obs.metrics import counter as _obs_counter, histogram as _obs_histogram
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mql.lexer import Token
+    from repro.mql.parser import Conversion
+
+# The lexer and parser are reached through the package at call time:
+# importing them here would close the cycle repro.mql.errors ->
+# repro.core -> catalog -> compiler -> lexer -> repro.mql.errors.
+
+_SHAPE_CACHE = _obs_counter(
+    "mcs_mql_plan_cache_total",
+    "MQL shape-cache lookups by result",
+    labels=("result",),
+)
+_MQL_PARSE = _obs_histogram(
+    "mcs_mql_parse_seconds",
+    "Wall time to parse + compile one MQL statement (cache misses)",
+)
 
 #: Upper bound on DNF disjuncts; past this the predicate is rejected.
 MAX_DNF_CONJUNCTS = 64
@@ -136,6 +163,112 @@ def compile_object_query(query: ObjectQuery) -> CompiledStatement:
         limit=query.max_results,
         offset=query.skip_results,
     )
+
+
+class ShapeCache:
+    """Compiled MQL statements, one template per statement shape.
+
+    The key is :func:`repro.mql.lexer.shape_key`.  A miss parses and
+    compiles the text once, with a slot per literal; a hit does neither.
+    Either way this text's literals go through the template's
+    conversions (an invalid ISO literal fails at its own token, as in
+    a cold parse) into a fresh :class:`CompiledStatement` with this
+    text's canonical MQL; the template itself is never modified.
+    """
+
+    def __init__(self, capacity: int = 128) -> None:
+        self._templates: LRUCache[str, _Template] = LRUCache(capacity)
+
+    def compile(self, text: str) -> CompiledStatement:
+        tokens = mql.lexer.tokenize(text)
+        key = mql.lexer.shape_key(tokens)
+        template = self._templates.get(key)
+        _SHAPE_CACHE.labels("miss" if template is None else "hit").inc()
+        if template is None:
+            started = time.perf_counter()
+            conversions: list["Conversion"] = []
+            compiled = compile_statement(mql.parse(text, tokens, conversions))
+            template = _Template(compiled, conversions, tokens)
+            _MQL_PARSE.observe(time.perf_counter() - started)
+            self._templates.put(key, template)
+        return template.bind(text, tokens)
+
+    def clear(self) -> None:
+        self._templates.clear()
+
+
+class _Template:
+    """One shape's compiled statement, a :class:`~repro.mql.ast.Slot`
+    wherever a literal's value goes."""
+
+    def __init__(
+        self,
+        compiled: CompiledStatement,
+        conversions: list["Conversion"],
+        tokens: list["Token"],
+    ) -> None:
+        self.compiled = compiled
+        # Every text of the shape has its literals at the same positions.
+        positions = [
+            i for i, token in enumerate(tokens) if token[0] in mql.lexer.LITERAL_KINDS
+        ]
+        #: (token position, conversion) per slot, in slot order.
+        self.literals = list(zip(positions, conversions))
+        parts = compiled.text.split(ast.SLOT_MARK)
+        self.text_parts = parts[0::2]
+        self.text_slots = [int(index) for index in parts[1::2]]
+
+    def bind(self, source: str, tokens: list["Token"]) -> CompiledStatement:
+        values = [convert(source, tokens[i]) for i, convert in self.literals]
+        text = [self.text_parts[0]]
+        for index, part in zip(self.text_slots, self.text_parts[1:]):
+            text += (ast.format_value(values[index]), part)
+        template = self.compiled
+        leaves = [_bind_leaf(leaf, values) for leaf in template.leaves]
+        return CompiledStatement(
+            text="".join(text),
+            root=_bind_node(template.root, leaves),
+            leaves=leaves,
+            order_field=template.order_field,
+            descending=template.descending,
+            limit=_bound(template.limit, values),
+            offset=_bound(template.offset, values),
+        )
+
+
+def _bound(value: Any, values: list[Any]) -> Any:
+    if isinstance(value, ast.Slot):
+        return values[value.index]
+    if isinstance(value, tuple):  # between's (low, high)
+        return tuple(_bound(part, values) for part in value)
+    return value
+
+
+def _bind_condition(
+    condition: AttributeCondition, values: list[Any]
+) -> AttributeCondition:
+    return AttributeCondition(
+        condition.attribute, condition.op, _bound(condition.value, values)
+    )
+
+
+def _bind_leaf(leaf: Leaf, values: list[Any]) -> Leaf:
+    query = leaf.query
+    return Leaf(
+        leaf.index,
+        ObjectQuery(
+            query.object_type,
+            [_bind_condition(c, values) for c in query.conditions],
+            [_bind_condition(c, values) for c in query.predefined],
+            order=query.order,
+        ),
+    )
+
+
+def _bind_node(node: Union[Algebra, Leaf], leaves: list[Leaf]) -> Union[Algebra, Leaf]:
+    if isinstance(node, Leaf):
+        return leaves[node.index]
+    return Algebra(node.op, _bind_node(node.left, leaves), _bind_node(node.right, leaves))
 
 
 def _compile_node(

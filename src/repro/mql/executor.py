@@ -32,7 +32,7 @@ from repro.core.query import _OBJECT_TABLE, AttributeCondition, _predefined_colu
 from repro.db.expr import Between, Comparison, ColumnRef, Expr, Like, Literal
 from repro.db.types import sort_key
 from repro.mql.compiler import DEFAULT_ORDER_FIELD, Algebra, CompiledStatement, Leaf
-from repro.mql.planner import LeafPlan, resolve_definitions
+from repro.mql.planner import LeafPlan
 from repro.obs.metrics import counter as _obs_counter
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,14 +128,12 @@ def _reduce_pairs(pairs: LeafRows) -> dict[str, Any]:
 def run_leaf(catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan) -> LeafRows:
     """Answer one conjunctive leaf as *plan* says, through the result cache."""
     _LEAVES.labels(plan.strategy).inc()
-    tables = leaf.query.touched_tables()
-    # Snapshot before lowering: that reads the catalog (attribute defs,
-    # the collection id), so a later snapshot could stamp a pre-commit
-    # result with post-commit generations.
-    generations = catalog.cache.generations.snapshot(tables)
     key = ("leaf", plan.strategy, _leaf_key(leaf, plan))
+    # The plan's snapshot precedes every catalog read the rows depend
+    # on: the definitions (read by the planner) and the collection id
+    # (read by lowering).
     token = catalog.cache.lookup_query(
-        catalog._conn, key, tables, generations=generations
+        catalog._conn, key, leaf.query.touched_tables(), generations=plan.generations
     )
     if token.hit:
         return token.value
@@ -188,14 +186,14 @@ class _Lowered(NamedTuple):
 
 
 def _lower(catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan) -> _Lowered:
-    """Resolve names to ids and columns.
+    """Pair conditions with the plan's definitions; resolve the collection id.
 
-    Runs before a strategy opens its read transaction: the lookups are
+    Runs before a strategy opens its read transaction: the lookup is
     cached and must not race the lock acquisition there.
     """
     query = leaf.query
     object_type = query.object_type
-    definitions = resolve_definitions(catalog, leaf)
+    definitions = plan.definitions
     filters = [
         (_predefined_column(object_type, c.attribute), c) for c in query.predefined
     ]

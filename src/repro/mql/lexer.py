@@ -1,13 +1,24 @@
-"""MQL lexer: source text → located tokens.
+"""MQL lexer: source text → offset tokens.
 
-Hand-written single-pass scanner.  Every token carries its 1-based line
-and column so the parser (and :class:`repro.mql.errors.MQLSyntaxError`)
-can point a caret at the exact offending character.
+One compiled regular expression, matched lexeme by lexeme.  A token is
+a plain tuple ``(kind, value, offset, text)``: ``kind`` is ``ident``,
+``keyword``, ``string``, ``int``, ``float``, ``symbol`` or ``eof``;
+``value`` the decoded payload (lower-cased for keywords, the parsed
+value for literals); ``offset`` where the lexeme starts in the source.
+Line and column are computed from the offset only when an error is
+built (:func:`syntax_error`), with ``str.splitlines`` semantics, so the
+caret, the line number and the snippet always agree (``\\r\\n`` is one
+break; ``\\r``, ``\\v``, ``\\f`` and ``\\u2028`` are breaks too).
+Numbers are ASCII digits only.
+
+:func:`shape_key` is the token stream with every literal replaced by
+its kind: texts that differ only in their literal values share it, and
+with it one compiled template (:class:`repro.mql.compiler.ShapeCache`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Any, Optional
 
 from repro.mql.errors import MQLSyntaxError
@@ -41,156 +52,102 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi- and single-character operator/punctuation tokens.
-_SYMBOLS = ("!=", "<=", ">=", "=", "<", ">", "(", ")", "-")
+#: ``(kind, value, offset, text)``.
+Token = tuple[str, Any, int, str]
 
+#: A literal's part of a shape key: its kind, spelled as no identifier,
+#: keyword or symbol can be.
+_KEY_OF_KIND = {"string": '"', "int": "0", "float": "0.0"}
+
+#: Kinds whose value is a literal: one slot each in a statement template.
+LITERAL_KINDS = frozenset(_KEY_OF_KIND)
+
+# Alternatives in priority order; ``bad`` catches whatever starts no
+# lexeme (a stray character, or a quote whose string does not close).
+_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+      | (?P<int>[0-9]+)
+      | (?P<word>\w+)
+      | (?P<string>"[^"\\\n]*(?:\\[\\"'ntr][^"\\\n]*)*"
+                  |'[^'\\\n]*(?:\\[\\"'ntr][^'\\\n]*)*')
+      | (?P<symbol>[!<>]=|[=<>()-])
+      | (?P<eof>\Z)
+      | (?P<bad>.|\n)
+    )""",
+    re.VERBOSE,
+)
+
+#: A string literal up to its first problem: end of line, end of input
+#: or an invalid escape.
+_STRING_HEAD = {
+    quote: re.compile(rf"{quote}[^{quote}\\\n]*(?:\\[\\\"'ntr][^{quote}\\\n]*)*")
+    for quote in "\"'"
+}
+
+_ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexeme: ``kind`` is ``ident``, ``keyword``, ``string``,
-    ``int``, ``float``, ``symbol`` or ``eof``; ``value`` is the decoded
-    payload (text for idents/keywords/symbols, the parsed value for
-    literals)."""
-
-    kind: str
-    value: Any
-    line: int
-    column: int
-    text: str = ""
-
-
-class Lexer:
-    """Scan an MQL string into a token list (ending with ``eof``)."""
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    # -- helpers -----------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self._pos < len(self.source) and self.source[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _source_line(self, line: int) -> Optional[str]:
-        lines = self.source.splitlines()
-        if 1 <= line <= len(lines):
-            return lines[line - 1]
-        return None
-
-    def _error(self, message: str, line: int, column: int) -> MQLSyntaxError:
-        return MQLSyntaxError(message, line, column, self._source_line(line))
-
-    # -- scanning ----------------------------------------------------------
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        while True:
-            token = self._next_token()
-            out.append(token)
-            if token.kind == "eof":
-                return out
-
-    def _next_token(self) -> Token:
-        while self._peek().isspace():
-            self._advance()
-        line, col = self._line, self._col
-        ch = self._peek()
-        if ch == "":
-            return Token("eof", None, line, col, "")
-        if ch.isalpha() or ch == "_":
-            return self._scan_word(line, col)
-        if ch.isdigit():
-            return self._scan_number(line, col)
-        if ch in ('"', "'"):
-            return self._scan_string(line, col)
-        for symbol in _SYMBOLS:
-            if self.source.startswith(symbol, self._pos):
-                self._advance(len(symbol))
-                return Token("symbol", symbol, line, col, symbol)
-        raise self._error(f"unexpected character {ch!r}", line, col)
-
-    def _scan_word(self, line: int, col: int) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self._pos]
-        lowered = text.lower()
-        if lowered in KEYWORDS:
-            return Token("keyword", lowered, line, col, text)
-        return Token("ident", text, line, col, text)
-
-    def _scan_number(self, line: int, col: int) -> Token:
-        start = self._pos
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in ("+", "-") and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start : self._pos]
-        if self._peek().isalpha() or self._peek() == "_":
-            raise self._error(
-                f"malformed number {text + self._peek()!r}", line, col
-            )
-        value = float(text) if is_float else int(text)
-        return Token("float" if is_float else "int", value, line, col, text)
-
-    def _scan_string(self, line: int, col: int) -> Token:
-        start = self._pos
-        quote = self._peek()
-        self._advance()
-        parts: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "" or ch == "\n":
-                raise self._error("unterminated string literal", line, col)
-            if ch == quote:
-                self._advance()
-                break
-            if ch == "\\":
-                esc_line, esc_col = self._line, self._col
-                self._advance()
-                escaped = self._peek()
-                if escaped not in _ESCAPES:
-                    bad = "\\" + escaped
-                    raise self._error(
-                        f"invalid string escape {bad!r}", esc_line, esc_col
-                    )
-                parts.append(_ESCAPES[escaped])
-                self._advance()
-                continue
-            parts.append(ch)
-            self._advance()
-        text = self.source[start : self._pos]
-        return Token("string", "".join(parts), line, col, text)
+def syntax_error(source: str, offset: int, message: str) -> MQLSyntaxError:
+    """An :class:`MQLSyntaxError` located at *offset* of *source*."""
+    # The sentinel keeps a break just before *offset* from being dropped.
+    before = (source[:offset] + "^").splitlines()
+    line, column = len(before), len(before[-1])
+    lines = source.splitlines()
+    source_line: Optional[str] = lines[line - 1] if line <= len(lines) else None
+    return MQLSyntaxError(message, line, column, source_line)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Lex *source*; raises :class:`MQLSyntaxError` on bad input."""
-    return Lexer(source).tokens()
+    """Lex *source*, ending with an ``eof`` token; raises :class:`MQLSyntaxError`."""
+    tokens: list[Token] = []
+    append = tokens.append
+    # Every character starts some alternative, so the matches tile the
+    # source and the last one is ``eof``.
+    for found in _TOKEN.finditer(source):
+        kind = found.lastgroup
+        text = found[kind]
+        start = found.start(kind)
+        if kind == "word":
+            lowered = text.lower()
+            if lowered in KEYWORDS:
+                append(("keyword", lowered, start, text))
+            elif text[0].isalpha() or text[0] == "_":
+                append(("ident", text, start, text))
+            else:
+                raise syntax_error(source, start, f"unexpected character {text[0]!r}")
+        elif kind == "symbol":
+            append(("symbol", text, start, text))
+        elif kind == "string":
+            value = text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda m: _ESCAPES[m[1]], value)
+            append(("string", value, start, text))
+        elif kind == "int" or kind == "float":
+            after = source[found.end() : found.end() + 1]
+            if after.isalpha() or after == "_":
+                raise syntax_error(source, start, f"malformed number {text + after!r}")
+            try:
+                append((kind, int(text) if kind == "int" else float(text), start, text))
+            except ValueError:  # more digits than int() converts
+                raise syntax_error(source, start, "integer literal too long") from None
+        elif kind == "eof":
+            append(("eof", None, start, ""))
+            break
+        elif text in _STRING_HEAD:
+            end = _STRING_HEAD[text].match(source, start).end()
+            if source[end : end + 1] == "\\":
+                bad = source[end : end + 2]
+                raise syntax_error(source, end, f"invalid string escape {bad!r}")
+            raise syntax_error(source, start, "unterminated string literal")
+        else:
+            raise syntax_error(source, start, f"unexpected character {text!r}")
+    return tokens
+
+
+def shape_key(tokens: list[Token]) -> str:
+    """The statement's shape: every literal replaced by its kind."""
+    return " ".join(
+        [_KEY_OF_KIND.get(kind) or value for kind, value, _offset, _text in tokens[:-1]]
+    )

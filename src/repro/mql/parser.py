@@ -27,12 +27,20 @@ them to the top level.
 
 Every failure raises :class:`repro.mql.errors.MQLSyntaxError` with the
 offending line/column and a caret snippet — never a bare ``ValueError``.
+
+A literal becomes a value through a *conversion* (the token's value,
+its negation after ``-``, or an ISO ``date``/``time``/``datetime``),
+run where the parser meets it.  Asked for a template, :func:`parse`
+runs the same conversions (so a bad value fails where it always does)
+but puts a :class:`~repro.mql.ast.Slot` in the tree and hands back the
+conversion, for :class:`repro.mql.compiler.ShapeCache` to rerun on
+every text of the shape.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.mql.ast import (
     And,
@@ -42,20 +50,60 @@ from repro.mql.ast import (
     Predicate,
     Query,
     SetOp,
+    Slot,
     Statement,
 )
 from repro.mql.errors import MQLSyntaxError
-from repro.mql.lexer import Token, tokenize
+from repro.mql.lexer import Token, syntax_error, tokenize
 
 _OBJECT_TYPES = {"files": "file", "collections": "collection", "views": "view"}
 _COMPARATORS = ("=", "!=", "<", "<=", ">", ">=")
 
+#: ``(source, literal token) -> value``; raises :class:`MQLSyntaxError`.
+Conversion = Callable[[str, Token], Any]
+
+
+def _token_error(source: str, message: str, token: Token) -> MQLSyntaxError:
+    """*message* at *token*, naming what was found there."""
+    shown = token[3] or "end of input"
+    return syntax_error(source, token[2], f"{message} (found {shown!r})")
+
+
+def _literal(_source: str, token: Token) -> Any:
+    return token[1]
+
+
+def _negated(_source: str, token: Token) -> Any:
+    return -token[1]
+
+
+def _iso(kind: str, from_iso: Callable[[str], Any]) -> Conversion:
+    def convert(source: str, token: Token) -> Any:
+        try:
+            return from_iso(token[1])
+        except ValueError:
+            raise _token_error(
+                source, f"invalid ISO {kind} literal {token[1]!r}", token
+            ) from None
+
+    return convert
+
+
+_TEMPORAL = {
+    "date": _iso("date", _dt.date.fromisoformat),
+    "time": _iso("time", _dt.time.fromisoformat),
+    "datetime": _iso("datetime", _dt.datetime.fromisoformat),
+}
+
 
 class _Parser:
-    def __init__(self, source: str) -> None:
+    def __init__(
+        self, source: str, tokens: list[Token], slots: Optional[list[Conversion]]
+    ) -> None:
         self.source = source
-        self.tokens = tokenize(source)
+        self.tokens = tokens
         self._pos = 0
+        self._slots = slots
 
     # -- token plumbing ----------------------------------------------------
 
@@ -64,16 +112,21 @@ class _Parser:
         return self.tokens[self._pos]
 
     def _advance(self) -> Token:
-        token = self.current
-        if token.kind != "eof":
+        token = self.tokens[self._pos]
+        if token[0] != "eof":
             self._pos += 1
         return token
 
     def _at_keyword(self, *words: str) -> bool:
-        return self.current.kind == "keyword" and self.current.value in words
+        kind, value, _offset, _text = self.tokens[self._pos]
+        return kind == "keyword" and value in words
 
     def _at_symbol(self, *symbols: str) -> bool:
-        return self.current.kind == "symbol" and self.current.value in symbols
+        kind, value, _offset, _text = self.tokens[self._pos]
+        return kind == "symbol" and value in symbols
+
+    def _at_kind(self, *kinds: str) -> bool:
+        return self.tokens[self._pos][0] in kinds
 
     def _take_keyword(self, word: str) -> Token:
         if not self._at_keyword(word):
@@ -85,16 +138,16 @@ class _Parser:
             raise self._error(f"expected {symbol!r}")
         return self._advance()
 
-    def _error(self, message: str, token: Optional[Token] = None) -> MQLSyntaxError:
-        token = token if token is not None else self.current
-        shown = token.text or "end of input"
-        lines = self.source.splitlines()
-        source_line = (
-            lines[token.line - 1] if 1 <= token.line <= len(lines) else None
-        )
-        return MQLSyntaxError(
-            f"{message} (found {shown!r})", token.line, token.column, source_line
-        )
+    def _error(self, message: str) -> MQLSyntaxError:
+        return _token_error(self.source, message, self.current)
+
+    def _value(self, convert: Conversion) -> Any:
+        """Convert the literal at the cursor (a slot for it, in a template)."""
+        value = convert(self.source, self._advance())
+        if self._slots is None:
+            return value
+        self._slots.append(convert)
+        return Slot(len(self._slots) - 1)
 
     # -- grammar -----------------------------------------------------------
 
@@ -107,18 +160,18 @@ class _Parser:
         if self._at_keyword("order"):
             self._advance()
             self._take_keyword("by")
-            if self.current.kind != "ident":
+            if not self._at_kind("ident"):
                 raise self._error("expected a field name after 'order by'")
-            order_by = str(self._advance().value)
+            order_by = str(self._advance()[1])
             if self._at_keyword("asc", "desc"):
-                descending = self._advance().value == "desc"
+                descending = self._advance()[1] == "desc"
         if self._at_keyword("limit"):
             self._advance()
             limit = self._parse_count("limit")
         if self._at_keyword("offset"):
             self._advance()
             offset = self._parse_count("offset")
-        if top_level and self.current.kind != "eof":
+        if top_level and not self._at_kind("eof"):
             raise self._error("unexpected trailing input")
         return Statement(
             source=source,
@@ -129,14 +182,14 @@ class _Parser:
         )
 
     def _parse_count(self, keyword: str) -> int:
-        if self.current.kind != "int":
+        if not self._at_kind("int"):
             raise self._error(f"expected a non-negative integer after {keyword!r}")
-        return int(self._advance().value)
+        return self._value(_literal)
 
     def _parse_expr(self) -> Any:
         node = self._parse_term()
         while self._at_keyword("union", "minus"):
-            op = str(self._advance().value)
+            op = str(self._advance()[1])
             node = SetOp(op=op, left=node, right=self._parse_term())
         return node
 
@@ -155,8 +208,8 @@ class _Parser:
             if inner.has_modifiers():
                 return inner
             return inner.source
-        if self.current.kind == "keyword" and self.current.value in _OBJECT_TYPES:
-            object_type = _OBJECT_TYPES[str(self._advance().value)]
+        if self._at_keyword(*_OBJECT_TYPES):
+            object_type = _OBJECT_TYPES[str(self._advance()[1])]
             where: Optional[Predicate] = None
             if self._at_keyword("where"):
                 self._advance()
@@ -190,17 +243,17 @@ class _Parser:
         return self._parse_condition()
 
     def _parse_condition(self) -> Condition:
-        if self.current.kind != "ident":
+        if not self._at_kind("ident"):
             raise self._error("expected a field name")
-        fieldname = str(self._advance().value)
+        fieldname = str(self._advance()[1])
         if self._at_symbol(*_COMPARATORS):
-            op = str(self._advance().value)
+            op = str(self._advance()[1])
             return Condition(fieldname, op, self._parse_value())
         if self._at_keyword("like"):
             self._advance()
-            if self.current.kind != "string":
+            if not self._at_kind("string"):
                 raise self._error("expected a string pattern after 'like'")
-            return Condition(fieldname, "like", self._advance().value)
+            return Condition(fieldname, "like", self._value(_literal))
         if self._at_keyword("between"):
             self._advance()
             low = self._parse_value()
@@ -211,46 +264,34 @@ class _Parser:
         return Condition(fieldname, "=", True)
 
     def _parse_value(self) -> Any:
-        token = self.current
-        if token.kind == "string":
-            self._advance()
-            return token.value
-        if token.kind in ("int", "float"):
-            self._advance()
-            return token.value
+        if self._at_kind("string", "int", "float"):
+            return self._value(_literal)
         if self._at_symbol("-"):
             self._advance()
-            number = self.current
-            if number.kind not in ("int", "float"):
+            if not self._at_kind("int", "float"):
                 raise self._error("expected a number after '-'")
-            self._advance()
-            return -number.value  # type: ignore[operator]
-        if self._at_keyword("true"):
-            self._advance()
-            return True
-        if self._at_keyword("false"):
-            self._advance()
-            return False
-        if self._at_keyword("date", "time", "datetime"):
-            kind = str(self._advance().value)
-            literal = self.current
-            if literal.kind != "string":
+            return self._value(_negated)
+        if self._at_keyword("true", "false"):
+            return self._advance()[1] == "true"
+        if self._at_keyword(*_TEMPORAL):
+            kind = str(self._advance()[1])
+            if not self._at_kind("string"):
                 raise self._error(f"expected a quoted ISO {kind} literal")
-            self._advance()
-            return self._temporal(kind, str(literal.value), literal)
+            return self._value(_TEMPORAL[kind])
         raise self._error("expected a value")
 
-    def _temporal(self, kind: str, text: str, token: Token) -> Any:
-        try:
-            if kind == "date":
-                return _dt.date.fromisoformat(text)
-            if kind == "time":
-                return _dt.time.fromisoformat(text)
-            return _dt.datetime.fromisoformat(text)
-        except ValueError:
-            raise self._error(f"invalid ISO {kind} literal {text!r}", token) from None
 
+def parse(
+    source: str,
+    tokens: Optional[list[Token]] = None,
+    slots: Optional[list[Conversion]] = None,
+) -> Statement:
+    """Parse one MQL statement; raises :class:`MQLSyntaxError` on failure.
 
-def parse(source: str) -> Statement:
-    """Parse one MQL statement; raises :class:`MQLSyntaxError` on failure."""
-    return _Parser(source).parse_statement(top_level=True)
+    *tokens* is ``tokenize(source)``, if the caller has lexed it already.
+    Given a list as *slots*, the tree is a template: the *i*-th literal
+    is ``Slot(i)`` and its conversion is appended to *slots*.
+    """
+    if tokens is None:
+        tokens = tokenize(source)
+    return _Parser(source, tokens, slots).parse_statement(top_level=True)

@@ -53,18 +53,11 @@ from repro.core.model import AttributeDef, ObjectType
 from repro.core.query import AttributeCondition
 from repro.db.types import sort_key
 from repro.mql.compiler import CompiledStatement, Leaf
-from repro.obs.metrics import counter as _obs_counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.catalog import MetadataCatalog
 
 STRATEGIES = ("index", "join", "scan")
-
-_PLAN_CACHE = _obs_counter(
-    "mcs_mql_plan_cache_total",
-    "Compiled-MQL statement cache lookups by result",
-    labels=("result",),
-)
 
 _NO_STATS = (0.0, 0.0)
 
@@ -88,6 +81,11 @@ class LeafPlan(NamedTuple):
     #: Positions in ``leaf.query.conditions``, most selective first.
     order: tuple[int, ...]
     estimates: tuple[ConditionEstimate, ...]  # in ``order``
+    #: The attribute definition of each user condition, in leaf order.
+    definitions: tuple[AttributeDef, ...]
+    #: Generations of the leaf's tables, taken before the definitions
+    #: were read: what the leaf's result is stamped with.
+    generations: tuple[int, ...]
 
 
 @dataclass
@@ -120,11 +118,16 @@ def plan_leaf(
         raise QueryError(
             f"unknown MQL strategy {forced!r}; expected one of {STRATEGIES}"
         )
+    # Snapshot before the definitions are read: a later snapshot could
+    # stamp a result built on pre-commit definitions with post-commit
+    # generations.
+    generations = catalog.cache.generations.snapshot(leaf.query.touched_tables())
     eav_total = object_type_rows(catalog, leaf.object_type)
     scan = ("scan", eav_total + max(eav_total, 1.0))
     conditions = leaf.query.conditions
     order: tuple[int, ...] = ()
     estimates: list[ConditionEstimate] = []
+    definitions: tuple[AttributeDef, ...] = ()
     if not conditions:
         # The "join" SQL degenerates to a plain object-table query; there
         # is nothing for probes to intersect, so forcing indexes falls
@@ -133,11 +136,10 @@ def plan_leaf(
         if forced == "index":
             forced = "join"
     else:
+        definitions = resolve_definitions(catalog, leaf)
         estimates = [
             _estimate(condition, attribute_counts(catalog, definition))
-            for condition, definition in zip(
-                conditions, resolve_definitions(catalog, leaf)
-            )
+            for condition, definition in zip(conditions, definitions)
         ]
         # The full condition breaks ties, so the order (and with it the
         # result-cache key and the EXPLAIN) does not depend on the order
@@ -164,7 +166,9 @@ def plan_leaf(
         strategy, cost = min(costs, key=_cheapest_first)
     else:
         strategy, cost = forced, dict(costs)[forced]
-    return LeafPlan(strategy, cost, costs, order, tuple(estimates))
+    return LeafPlan(
+        strategy, cost, costs, order, tuple(estimates), definitions, generations
+    )
 
 
 def _cheapest_first(item: tuple[str, float]) -> tuple[float, int]:
@@ -173,7 +177,7 @@ def _cheapest_first(item: tuple[str, float]) -> tuple[float, int]:
 
 def resolve_definitions(
     catalog: "MetadataCatalog", leaf: Leaf
-) -> list[AttributeDef]:
+) -> tuple[AttributeDef, ...]:
     """The definition of each user condition's attribute, in leaf order."""
     definitions = []
     for condition in leaf.query.conditions:
@@ -184,7 +188,7 @@ def resolve_definitions(
                 f"{leaf.object_type.value}s"
             )
         definitions.append(definition)
-    return definitions
+    return tuple(definitions)
 
 
 def attribute_counts(
@@ -274,7 +278,3 @@ def _algebra_text(node) -> str:
     if isinstance(node, Leaf):
         return f"leaf{node.index}"
     return f"{node.op}({_algebra_text(node.left)}, {_algebra_text(node.right)})"
-
-
-def record_plan_cache(hit: bool) -> None:
-    _PLAN_CACHE.labels("hit" if hit else "miss").inc()

@@ -46,7 +46,6 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 from typing import Sequence, TypeVar
 
 from repro import faults as _faults
-from repro import mql
 from repro.cache.lru import LRUCache
 from repro.core.catalog import MetadataCatalog
 from repro.core.errors import (
@@ -167,9 +166,6 @@ class ShardedCatalog:
         # Owning-shard hints (name → shard index) to short-circuit the
         # scatter locate; purely advisory, verified before use.
         self._hints: LRUCache[str, int] = LRUCache(capacity=4096)
-        # Router-side compiled MQL statements (parse + compile only; leaf
-        # planning is per shard, against each shard's own statistics).
-        self._mql_compiled: LRUCache[str, CompiledStatement] = LRUCache(capacity=128)
         self.cache = _ShardedCacheView(self.shards)
 
     # -- lifecycle ---------------------------------------------------------
@@ -676,19 +672,14 @@ class ShardedCatalog:
             shard.mql_strategy = value
 
     def _compile_mql(self, text: str) -> CompiledStatement:
-        """Parse + compile once on the router.
-
-        Compilation is purely syntactic (predefined-vs-user attribute
-        split is by static name sets), so nothing invalidates the cache;
-        each shard plans each leaf against its own statistics.  Mixed
-        object types cannot scatter coherently (files are partitioned,
-        collections/views replicated) and are rejected the way a single
-        engine rejects unknown fields: as a QueryError.
+        """Compile through shard 0's shape cache (compilation is purely
+        syntactic, so any shard's serves the fleet); each shard plans
+        each leaf against its own statistics.  Mixed object types cannot
+        scatter coherently (files are partitioned, collections/views
+        replicated) and are rejected the way a single engine rejects
+        unknown fields: as a QueryError.
         """
-        compiled = self._mql_compiled.get(text)
-        if compiled is None:
-            compiled = mql_compiler.compile_statement(mql.parse(text))
-            self._mql_compiled.put(text, compiled)
+        compiled = self.shards[0]._mql_shapes.compile(text)
         if len(compiled.object_types) > 1:
             names = ", ".join(sorted(t.value for t in compiled.object_types))
             raise QueryError(

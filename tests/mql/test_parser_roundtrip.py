@@ -167,6 +167,24 @@ ERROR_CORPUS = [
     ("files where run = 3nope", (1, 19), "malformed number"),
     ('files where s = "unterminated', (1, 17), "unterminated string"),
     ("files\n  where run ~ 7", (2, 13), "unexpected character"),
+    # Numbers are ASCII digits: other digits are not numbers.
+    ("files where a = \u00b2", (1, 17), "unexpected character"),
+    ("files where a = \u0661\u0662", (1, 17), "unexpected character"),
+    # Line and column follow str.splitlines, the snippet's own rule.
+    ("files where a = 1\rand = 2", (2, 5), "expected a field name"),
+    ("files where a = 1\u2028and = 2", (2, 5), "expected a field name"),
+    ("files where a = 1\r\nand = 2", (2, 5), "expected a field name"),
+    # A bad value is reported at its own literal, after good ones.
+    (
+        'files where t between time "10:00" and time "25:00"',
+        (1, 45),
+        "invalid ISO time",
+    ),
+    (
+        'files where d = date "2003-11-15" or\n  s = datetime "2003-11-15T12:61"',
+        (2, 16),
+        "invalid ISO datetime",
+    ),
 ]
 
 

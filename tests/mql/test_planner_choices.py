@@ -5,13 +5,15 @@ Two layers:
 * ``repro.db.planner.choose_access_path`` and the engine's EXPLAIN: the
   rule-based choice between a single fully-covered index and a scan;
 * the leaf planner: strategy choice under the counts a fixed catalog's
-  indexes keep, forced-strategy overrides, the compiled-text LRU
-  (parse + compile once, plan every run), the planner's statement
-  budget, and the ``explain_mql`` / ``explain_query`` golden text.
+  indexes keep, forced-strategy overrides, the shape cache (parse +
+  compile once per statement shape, plan every run), the planner's
+  statement and attribute-definition budgets, and the ``explain_mql`` /
+  ``explain_query`` golden text.
 """
 
 import pytest
 
+import repro.mql
 from repro.core import MetadataCatalog
 from repro.core.errors import QueryError
 from repro.core.query import ObjectQuery
@@ -145,12 +147,19 @@ def test_unknown_strategy_is_a_query_error(catalog):
     catalog.mql_strategy = None
 
 
-def test_compiled_text_is_cached_and_every_run_is_planned_afresh(catalog):
+def test_compiled_text_is_cached_and_every_run_is_planned_afresh(catalog, monkeypatch):
     text = "files where run = 2 and site = \"s0\""
     first = catalog._plan_mql(text)
+    parsed = []
+    parse = repro.mql.parse
+    monkeypatch.setattr(
+        repro.mql, "parse", lambda *args: parsed.append(args[0]) or parse(*args)
+    )
     again = catalog._plan_mql(text)
-    # Parse + compile happen once per text ...
-    assert again.compiled is first.compiled
+    # Parse + compile happen once per shape; each run binds a fresh copy ...
+    assert parsed == []
+    assert again.compiled == first.compiled
+    assert again.compiled is not first.compiled
     assert again.leaf_plans == first.leaf_plans
     assert [e.attribute for e in first.leaf_plans[0].estimates] == ["run", "site"]
     # ... planning on every run, against the statistics as they are now:
@@ -158,12 +167,43 @@ def test_compiled_text_is_cached_and_every_run_is_planned_afresh(catalog):
     for i in range(40):
         catalog.create_file(f"g{i}", attributes={"run": 2, "site": f"t{i}"})
     moved = catalog._plan_mql(text)
-    assert moved.compiled is first.compiled
+    assert moved.compiled == first.compiled
     assert [e.attribute for e in moved.leaf_plans[0].estimates] == ["site", "run"]
     # A strategy override needs no invalidation either.
     catalog.mql_strategy = "scan"
     assert catalog._plan_mql(text).leaf_plans[0].strategy == "scan"
     catalog.mql_strategy = None
+    assert parsed == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_a_warm_leaf_reads_each_attribute_definition_once(k, monkeypatch):
+    """Planning resolves a leaf's definitions and execution reuses them."""
+    cat = MetadataCatalog()
+    try:
+        for j in range(4):
+            cat.define_attribute(f"a{j}", "int")
+        for i in range(8):
+            cat.create_file(f"f{i}", attributes={f"a{j}": i for j in range(4)})
+
+        def text(value):
+            return "files where " + " and ".join(f"a{j} = {value}" for j in range(k))
+
+        assert cat.query_mql(text(0)) == ["f0"]  # warms the shape
+        calls = []
+        get_attribute_def = MetadataCatalog.get_attribute_def
+
+        def counting(self, name):
+            calls.append(name)
+            return get_attribute_def(self, name)
+
+        monkeypatch.setattr(MetadataCatalog, "get_attribute_def", counting)
+        # Another value of the same shape: the result cache misses, so the
+        # leaf is planned and lowered.
+        assert cat.query_mql(text(1)) == ["f1"]
+        assert sorted(calls) == [f"a{j}" for j in range(k)]
+    finally:
+        cat.db.close()
 
 
 def test_planning_never_reorders_the_callers_conditions(catalog):
