@@ -3,8 +3,10 @@
 One event loop multiplexes thousands of keep-alive connections; decoded
 envelopes run on a bounded thread pool through the same
 :class:`~repro.soap.server.SoapDispatcher` pipeline as the threaded
-server, so chaos and observability semantics are identical under either
-front end.  See :mod:`repro.aserve.server` for the architecture notes.
+server, so chaos and observability semantics — and the envelope bytes,
+read and written by :mod:`repro.soap.envelope` — are identical under
+either front end.  See :mod:`repro.aserve.server` for the architecture
+notes.
 """
 
 from repro.aserve.httpproto import (
@@ -15,7 +17,6 @@ from repro.aserve.httpproto import (
     RequestParser,
     render_response,
 )
-from repro.aserve.scan import fast_response, scan_request
 from repro.aserve.server import AsyncSoapServer
 
 __all__ = [
@@ -25,7 +26,5 @@ __all__ = [
     "HttpProtocolError",
     "HttpRequest",
     "RequestParser",
-    "fast_response",
     "render_response",
-    "scan_request",
 ]

@@ -3,7 +3,8 @@
 ``AsyncSoapServer`` terminates sockets on a selector event loop and runs
 the *same* dispatch pipeline as the threaded :class:`~repro.soap.server.
 SoapServer` — one :class:`~repro.soap.server.SoapDispatcher` carries the
-envelope codec, trace/deadline adoption, idempotency replay, fault
+envelope codec (:mod:`repro.soap.envelope`, the one encoder and decoder
+of the wire format), trace/deadline adoption, idempotency replay, fault
 mapping and SLO accounting for both front ends, so swapping servers
 changes connection mechanics and nothing else.
 
@@ -60,7 +61,6 @@ from repro.aserve.httpproto import (
     reason_for,
     render_response,
 )
-from repro.aserve.scan import fast_response, scan_request
 
 _log = get_logger("repro.aserve")
 
@@ -125,10 +125,6 @@ class AsyncSoapServer:
             fault_mapper=fault_mapper,
             max_bulk_items=max_bulk_items,
             idempotency_cache_size=idempotency_cache_size,
-            # The hot-path accelerators; either may decline per request
-            # and the generic codec runs instead.
-            scanner=scan_request,
-            responder=fast_response,
         )
         self._max_workers = max_workers
         self.max_pipeline = max(1, max_pipeline)

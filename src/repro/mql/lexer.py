@@ -18,6 +18,7 @@ with it one compiled template (:class:`repro.mql.compiler.ShapeCache`).
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Any, Optional
 
@@ -128,10 +129,16 @@ def tokenize(source: str) -> list[Token]:
             after = source[found.end() : found.end() + 1]
             if after.isalpha() or after == "_":
                 raise syntax_error(source, start, f"malformed number {text + after!r}")
-            try:
-                append((kind, int(text) if kind == "int" else float(text), start, text))
-            except ValueError:  # more digits than int() converts
-                raise syntax_error(source, start, "integer literal too long") from None
+            if kind == "float":
+                number = float(text)
+                if math.isinf(number):  # overflowed; inf has no literal to print
+                    raise syntax_error(source, start, "float literal out of range")
+            else:
+                try:
+                    number = int(text)
+                except ValueError:  # more digits than int() converts
+                    raise syntax_error(source, start, "integer literal too long") from None
+            append((kind, number, start, text))
         elif kind == "eof":
             append(("eof", None, start, ""))
             break

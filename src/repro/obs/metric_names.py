@@ -28,8 +28,6 @@ DECLARED_METRICS: frozenset[str] = frozenset(
         "mcs_aserve_inflight_requests",
         "mcs_aserve_parse_errors_total",
         "mcs_aserve_pipeline_depth",
-        "mcs_aserve_scan_total",
-        "mcs_aserve_template_responses_total",
         # -- cache (repro.cache) ------------------------------------------
         "mcs_cache_hit_ratio",
         "mcs_cache_invalidations_total",
@@ -87,6 +85,7 @@ DECLARED_METRICS: frozenset[str] = frozenset(
         # -- SOAP stack (repro.soap) --------------------------------------
         "mcs_soap_bulk_batch_size",
         "mcs_soap_bulk_items_total",
+        "mcs_soap_client_disconnects_total",
         "mcs_soap_client_keepalive_reuse_total",
         "mcs_soap_client_reconnects_total",
         "mcs_soap_client_requests_total",

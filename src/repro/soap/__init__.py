@@ -5,7 +5,9 @@ XML serialization of requests and responses, HTTP framing, a TCP round
 trip, and server-side thread dispatch.
 
 * :mod:`repro.soap.xmlcodec` — typed value <-> XML codec
-* :mod:`repro.soap.envelope` — SOAP envelopes and faults
+* :mod:`repro.soap.envelope` — SOAP envelopes and faults: the one
+  encoder (string building) and decoder (ElementTree) of the wire
+  format, used by the client and by both servers
 * :mod:`repro.soap.wsdl` — WSDL document generation
 * :mod:`repro.soap.server` — threaded HTTP SOAP server
 * :mod:`repro.soap.client` — HTTP SOAP client with connection reuse

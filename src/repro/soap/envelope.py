@@ -16,6 +16,13 @@ histogram — the codec share of the paper's "web service overhead" — and
 is measured identically whether reached through a real socket
 (:class:`~repro.soap.transport.HttpTransport`) or the loopback codec
 ablation transport.
+
+This module and :mod:`repro.soap.xmlcodec` are the one place the wire
+format is written down: the client transports, the threaded server and
+the asyncio front end all build envelopes with the ``build_*``
+functions here (string building, byte-identical to ElementTree's
+serialization except for ``\\r`` in text) and read them with the
+``parse_*`` functions (expat's element tree).
 """
 
 from __future__ import annotations
@@ -27,9 +34,15 @@ from typing import Any, Optional, Sequence
 
 from repro.obs.metrics import OBS, histogram as _obs_histogram
 from repro.soap.errors import EncodingError
-from repro.soap.xmlcodec import decode_value, encode_value
+from repro.soap.xmlcodec import (
+    decode_value,
+    encode_value,
+    escape_attr,
+    escape_text,
+)
 
 ENVELOPE_NS = "http://schemas.xmlsoap.org/soap/envelope/"
+_ENVELOPE_OPEN = f'<Envelope xmlns="{ENVELOPE_NS}">'
 
 _CODEC_SECONDS = _obs_histogram(
     "mcs_soap_codec_seconds",
@@ -60,26 +73,66 @@ class SoapFault(Exception):
         return f"SoapFault({self.code!r}, {self.message!r})"
 
 
-def _emit_header(
-    envelope: ET.Element,
+# The pieces below are joined with ``+``, not formatted: a str subclass
+# (an enum) must contribute its characters, never its ``__format__``.
+
+
+def _text_element(out: list[str], tag: str, text: Optional[str]) -> None:
+    if text:
+        out.append("<" + tag + ">" + escape_text(text) + "</" + tag + ">")
+    else:
+        out.append("<" + tag + " />")
+
+
+def _open_envelope(
     request_id: Optional[str],
     header_fields: Optional[dict[str, str]],
-) -> None:
-    """Emit a ``<Header>`` when there is anything to carry.
+) -> list[str]:
+    """The envelope's opening pieces, with a ``<Header>`` when there is
+    anything to carry, up to and including ``<Body>``.
 
     ``header_fields`` carries out-of-band per-request metadata — today
     the resilience layer's ``Deadline`` (remaining seconds budget) and
     ``IdempotencyKey`` (write-deduplication token) elements.
     """
-    if request_id is None and not header_fields:
+    out = [_ENVELOPE_OPEN]
+    if request_id is not None or header_fields:
+        out.append("<Header>")
+        if request_id is not None:
+            _text_element(out, "RequestId", request_id)
+        for name, value in (header_fields or {}).items():
+            _text_element(out, name, value)
+        out.append("</Header>")
+    out.append("<Body>")
+    return out
+
+
+def _close_envelope(out: list[str]) -> bytes:
+    out.append("</Body></Envelope>")
+    # As ElementTree writes: a lone surrogate becomes a character reference.
+    return "".join(out).encode("utf-8", "xmlcharrefreplace")
+
+
+def _encode_call(out: list[str], method: str, args: dict[str, Any]) -> None:
+    if not args:
+        out.append('<Call method="' + escape_attr(method) + '" />')
         return
-    header = ET.SubElement(envelope, "Header")
-    if request_id is not None:
-        rid = ET.SubElement(header, "RequestId")
-        rid.text = request_id
-    for name, value in (header_fields or {}).items():
-        element = ET.SubElement(header, name)
-        element.text = value
+    out.append('<Call method="' + escape_attr(method) + '">')
+    for name, value in args.items():
+        out.append('<arg name="' + escape_attr(name) + '">')
+        encode_value(out, value)
+        out.append("</arg>")
+    out.append("</Call>")
+
+
+def _encode_fault(
+    out: list[str], tag: str, fault: SoapFault, attrs: str = ""
+) -> None:
+    """``<tag{attrs} code=...><message/><detail/></tag>``."""
+    out.append("<" + tag + attrs + ' code="' + escape_attr(fault.code) + '">')
+    _text_element(out, "message", fault.message)
+    encode_value(out, fault.detail, "detail")
+    out.append("</" + tag + ">")
 
 
 def build_request(
@@ -92,51 +145,15 @@ def build_request(
 
     ``request_id``, when given, travels in a ``<Header><RequestId>``
     element for end-to-end trace correlation; ``header_fields`` adds
-    further header elements (see :func:`_emit_header`).
+    further header elements (see :func:`_open_envelope`).
     """
     start = time.perf_counter() if OBS.enabled else 0.0
-    envelope = ET.Element("Envelope", {"xmlns": ENVELOPE_NS})
-    _emit_header(envelope, request_id, header_fields)
-    body = ET.SubElement(envelope, "Body")
-    call = ET.SubElement(body, "Call")
-    call.set("method", method)
-    for name, value in args.items():
-        arg = ET.SubElement(call, "arg")
-        arg.set("name", name)
-        encode_value(arg, value)
-    out = ET.tostring(envelope, encoding="utf-8")
+    out = _open_envelope(request_id, header_fields)
+    _encode_call(out, method, args)
+    data = _close_envelope(out)
     if OBS.enabled:
         _ENCODE_REQUEST.observe(time.perf_counter() - start)
-    return out
-
-
-def parse_request_full(data: bytes) -> tuple[str, dict[str, Any], Optional[str]]:
-    """Parse a request document; returns (method, args, request_id)."""
-    start = time.perf_counter() if OBS.enabled else 0.0
-    try:
-        envelope = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise EncodingError(f"malformed request envelope: {exc}") from exc
-    call = _find_in_body(envelope, "Call")
-    method = call.get("method")
-    if not method:
-        raise EncodingError("request missing method name")
-    args: dict[str, Any] = {}
-    for arg in call:
-        name = arg.get("name")
-        if name is None or len(arg) != 1:
-            raise EncodingError("malformed request argument")
-        args[name] = decode_value(arg[0])
-    request_id = _header_request_id(envelope)
-    if OBS.enabled:
-        _DECODE_REQUEST.observe(time.perf_counter() - start)
-    return method, args, request_id
-
-
-def parse_request(data: bytes) -> tuple[str, dict[str, Any]]:
-    """Parse a request document; returns (method, args)."""
-    method, args, _ = parse_request_full(data)
-    return method, args
+    return data
 
 
 # --------------------------------------------------------------------------
@@ -182,21 +199,18 @@ def build_bulk_request(
 ) -> bytes:
     """Serialize N method calls into one ``<BulkRequest>`` document."""
     start = time.perf_counter() if OBS.enabled else 0.0
-    envelope = ET.Element("Envelope", {"xmlns": ENVELOPE_NS})
-    _emit_header(envelope, request_id, header_fields)
-    body = ET.SubElement(envelope, "Body")
-    bulk = ET.SubElement(body, "BulkRequest")
-    for method, args in operations:
-        call = ET.SubElement(bulk, "Call")
-        call.set("method", method)
-        for name, value in args.items():
-            arg = ET.SubElement(call, "arg")
-            arg.set("name", name)
-            encode_value(arg, value)
-    out = ET.tostring(envelope, encoding="utf-8")
+    out = _open_envelope(request_id, header_fields)
+    if operations:
+        out.append("<BulkRequest>")
+        for method, args in operations:
+            _encode_call(out, method, args)
+        out.append("</BulkRequest>")
+    else:
+        out.append("<BulkRequest />")
+    data = _close_envelope(out)
     if OBS.enabled:
         _ENCODE_BULK_REQUEST.observe(time.perf_counter() - start)
-    return out
+    return data
 
 
 def _parse_call(call: ET.Element) -> tuple[str, dict[str, Any]]:
@@ -251,42 +265,30 @@ def parse_any_request(data: bytes) -> ParsedRequest:
     raise EncodingError("Body missing Call")
 
 
-def parse_bulk_request(
-    data: bytes,
-) -> tuple[list[tuple[str, dict[str, Any]]], Optional[str]]:
-    """Parse a ``<BulkRequest>`` document; returns (operations, request_id)."""
-    parsed = parse_any_request(data)
-    if not parsed.bulk:
-        raise EncodingError("expected a BulkRequest body")
-    return parsed.calls, parsed.request_id
-
-
 def build_bulk_response(
     items: Sequence[BulkItem],
     header_fields: Optional[dict[str, str]] = None,
 ) -> bytes:
     """Serialize per-operation outcomes into one ``<BulkResponse>``."""
     start = time.perf_counter() if OBS.enabled else 0.0
-    envelope = ET.Element("Envelope", {"xmlns": ENVELOPE_NS})
-    _emit_header(envelope, None, header_fields)
-    body = ET.SubElement(envelope, "Body")
-    bulk = ET.SubElement(body, "BulkResponse")
-    for item in items:
-        element = ET.SubElement(bulk, "Item")
-        if item.ok:
-            element.set("ok", "1")
-            encode_value(element, item.result, "result")
-        else:
-            fault = item.fault if item.fault is not None else SoapFault("Server", "")
-            element.set("ok", "0")
-            element.set("code", fault.code)
-            message = ET.SubElement(element, "message")
-            message.text = fault.message
-            encode_value(element, fault.detail, "detail")
-    out = ET.tostring(envelope, encoding="utf-8")
+    out = _open_envelope(None, header_fields)
+    if items:
+        out.append("<BulkResponse>")
+        for item in items:
+            if item.ok:
+                out.append('<Item ok="1">')
+                encode_value(out, item.result, "result")
+                out.append("</Item>")
+            else:
+                fault = item.fault if item.fault is not None else SoapFault("Server", "")
+                _encode_fault(out, "Item", fault, ' ok="0"')
+        out.append("</BulkResponse>")
+    else:
+        out.append("<BulkResponse />")
+    data = _close_envelope(out)
     if OBS.enabled:
         _ENCODE_BULK_RESPONSE.observe(time.perf_counter() - start)
-    return out
+    return data
 
 
 def parse_bulk_response(data: bytes) -> list[BulkItem]:
@@ -342,31 +344,25 @@ def build_response(
     notably the ``IdempotencyKey`` it deduplicated on.
     """
     start = time.perf_counter() if OBS.enabled else 0.0
-    envelope = ET.Element("Envelope", {"xmlns": ENVELOPE_NS})
-    _emit_header(envelope, None, header_fields)
-    body = ET.SubElement(envelope, "Body")
-    response = ET.SubElement(body, "Response")
-    encode_value(response, result, "result")
-    out = ET.tostring(envelope, encoding="utf-8")
+    out = _open_envelope(None, header_fields)
+    out.append("<Response>")
+    encode_value(out, result, "result")
+    out.append("</Response>")
+    data = _close_envelope(out)
     if OBS.enabled:
         _ENCODE_RESPONSE.observe(time.perf_counter() - start)
-    return out
+    return data
 
 
 def build_fault(fault: SoapFault) -> bytes:
     """Serialize a fault response."""
     start = time.perf_counter() if OBS.enabled else 0.0
-    envelope = ET.Element("Envelope", {"xmlns": ENVELOPE_NS})
-    body = ET.SubElement(envelope, "Body")
-    element = ET.SubElement(body, "Fault")
-    element.set("code", fault.code)
-    message = ET.SubElement(element, "message")
-    message.text = fault.message
-    encode_value(element, fault.detail, "detail")
-    out = ET.tostring(envelope, encoding="utf-8")
+    out = _open_envelope(None, None)
+    _encode_fault(out, "Fault", fault)
+    data = _close_envelope(out)
     if OBS.enabled:
         _ENCODE_FAULT.observe(time.perf_counter() - start)
-    return out
+    return data
 
 
 def parse_response(data: bytes) -> Any:
@@ -378,16 +374,6 @@ def parse_response(data: bytes) -> Any:
         return _parse_response(data)
     finally:
         _DECODE_RESPONSE.observe(time.perf_counter() - start)
-
-
-def parse_response_full(data: bytes) -> tuple[Any, dict[str, str]]:
-    """Like :func:`parse_response`, but also returns the response headers
-    (e.g. the server's ``IdempotencyKey`` echo)."""
-    try:
-        envelope = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise EncodingError(f"malformed response envelope: {exc}") from exc
-    return _parse_response(data), _header_fields(envelope)
 
 
 def _parse_response(data: bytes) -> Any:
@@ -448,11 +434,3 @@ def _body(envelope: ET.Element) -> ET.Element:
         if _local(child.tag) == "Body":
             return child
     raise EncodingError("envelope missing Body")
-
-
-def _find_in_body(envelope: ET.Element, tag: str) -> ET.Element:
-    body = _body(envelope)
-    for child in body:
-        if _local(child.tag) == tag:
-            return child
-    raise EncodingError(f"Body missing {tag}")

@@ -44,7 +44,6 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.soap.envelope import (
-    ParsedRequest,
     SoapFault,
     build_bulk_response,
     build_fault,
@@ -56,12 +55,6 @@ from repro.soap.wsdl import ServiceDescription, generate_wsdl
 
 Handler = Callable[[str, dict[str, Any]], Any]
 FaultMapper = Callable[[Exception], Optional[SoapFault]]
-#: Optional fast-path envelope decoder: returns a ParsedRequest for the
-#: shapes it understands, or None to fall back to the full XML parse.
-Scanner = Callable[[bytes], Optional[ParsedRequest]]
-#: Optional fast-path response encoder: returns pre-serialized bytes for
-#: the result shapes it has templates for, or None for the generic path.
-Responder = Callable[[Any], Optional[bytes]]
 
 
 def _parse_budget(raw: Optional[str]) -> Optional[float]:
@@ -113,6 +106,10 @@ _BULK_ITEMS = _obs_counter(
 _IDEM_REPLAYS = _obs_counter(
     "mcs_soap_idempotent_replays_total",
     "Requests answered from the idempotency cache (duplicate suppressed)",
+)
+_CLIENT_DISCONNECTS = _obs_counter(
+    "mcs_soap_client_disconnects_total",
+    "Replies the threaded server could not write: the client had hung up",
 )
 
 
@@ -214,12 +211,11 @@ class SoapDispatcher:
     call :meth:`dispatch` from worker threads, so chaos and obs semantics
     are identical under either server.
 
-    ``scanner`` / ``responder`` are the asyncio front end's hot-path
-    hooks: a streaming envelope scanner that skips the full-tree XML
-    parse for common request shapes, and pre-serialized response
-    templates for hot operations.  Either may decline (return ``None``)
-    and the generic codec path runs instead — they are accelerators, not
-    a second protocol implementation.
+    Envelopes are read and written by :mod:`repro.soap.envelope` alone
+    (``parse_any_request``, ``build_response``, ``build_bulk_response``,
+    ``build_fault``), so both front ends put the same bytes on the wire.
+    They are looked up in this module's globals at call time, where
+    ``perf/trace.py`` wraps them.
     """
 
     def __init__(
@@ -228,8 +224,6 @@ class SoapDispatcher:
         fault_mapper: Optional[FaultMapper] = None,
         max_bulk_items: int = 1024,
         idempotency_cache_size: int = 1024,
-        scanner: Optional[Scanner] = None,
-        responder: Optional[Responder] = None,
     ) -> None:
         self._handler = handler
         self._fault_mapper = fault_mapper
@@ -244,8 +238,6 @@ class SoapDispatcher:
         self._idem_cache: OrderedDict[str, bytes] = OrderedDict()
         self._idem_cache_size = idempotency_cache_size
         self._idem_lock = threading.Lock()
-        self._scanner = scanner
-        self._responder = responder
 
     # -- accounting ----------------------------------------------------------
 
@@ -282,22 +274,6 @@ class SoapDispatcher:
 
     # -- the dispatch path ---------------------------------------------------
 
-    def _parse(self, payload: bytes) -> ParsedRequest:
-        if self._scanner is not None:
-            parsed = self._scanner(payload)
-            if parsed is not None:
-                return parsed
-        return parse_any_request(payload)
-
-    def _encode_response(
-        self, result: Any, echo: Optional[dict[str, str]]
-    ) -> bytes:
-        if self._responder is not None and echo is None:
-            body = self._responder(result)
-            if body is not None:
-                return body
-        return build_response(result, echo)
-
     def dispatch(
         self,
         payload: bytes,
@@ -321,7 +297,7 @@ class SoapDispatcher:
         slo_bad = False
         try:
             try:
-                parsed = self._parse(payload)
+                parsed = parse_any_request(payload)
                 request_id = parsed.request_id
                 if request_id is not None:
                     rid_token = _trace.set_request_id(request_id)
@@ -368,7 +344,7 @@ class SoapDispatcher:
                         else:
                             ((method, args),) = parsed.calls
                             result = self._handler(method, args)
-                            body = self._encode_response(result, echo)
+                            body = build_response(result, echo)
                         if idem_key is not None:
                             self._idem_put(idem_key, body)
                 status = 200
@@ -528,20 +504,23 @@ class SoapServer:
                     )
                 finally:
                     outer._worker_slots.release()
-                self.send_response(result.status)
-                self.send_header("Content-Type", "text/xml; charset=utf-8")
-                self.send_header("Content-Length", str(len(result.body)))
-                self.end_headers()
-                self.wfile.write(result.body)
+                self._send(result.status, "text/xml; charset=utf-8", result.body)
 
             def _send(
                 self, status: int, content_type: str, body: bytes
             ) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Type", content_type)
+                    self.send_header("Content-Length", str(len(body)))
+                    self.end_headers()
+                    self.wfile.write(body)
+                except (BrokenPipeError, ConnectionResetError):
+                    # The client hung up before its answer: nothing to
+                    # report to it, and not a server error (the base
+                    # class would print a traceback to stderr).
+                    _CLIENT_DISCONNECTS.inc()
+                    self.close_connection = True
 
             def do_GET(self) -> None:
                 parts = urllib.parse.urlsplit(self.path)

@@ -1,4 +1,4 @@
-"""Typed Python value <-> XML element codec.
+"""Typed Python value <-> XML codec.
 
 Mirrors SOAP section-5 encoding: every element carries an ``xsi:type``-like
 ``t`` attribute so values round-trip with their types::
@@ -8,6 +8,15 @@ Mirrors SOAP section-5 encoding: every element carries an ``xsi:type``-like
 
 Supported types: None, bool, int, float, str, date, time, datetime,
 list/tuple, dict (string keys).
+
+Encoding builds the text directly: :func:`encode_value` appends string
+pieces whose concatenation is byte-for-byte what ``ET.tostring`` writes
+for the same element tree — its escaping, its ``<tag t="null" />``
+self-closing form — except that ``\\r`` in text is written as ``&#13;``
+so it survives the parser (see :func:`escape_text`).  Decoding walks the
+element tree expat builds (:func:`decode_value`): on nested values a
+pure-Python parser is slower than expat, so the wire format has one
+writer and one reader.
 """
 
 from __future__ import annotations
@@ -23,51 +32,88 @@ _DATE_FMT = "%Y-%m-%d"
 _TIME_FMT = "%H:%M:%S.%f"
 
 
-def encode_value(parent: ET.Element, value: Any, tag: str = "value") -> ET.Element:
-    """Append *value* to *parent* as a typed element and return it."""
-    element = ET.SubElement(parent, tag)
+def escape_text(text: str) -> str:
+    """Character data: ElementTree's escaping, plus ``\\r`` as ``&#13;``.
+
+    A bare ``\\r`` (and ``\\r\\n``) in text reaches the reader as ``\\n``:
+    XML parsers normalize line ends.  A character reference does not.
+    """
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    return text
+
+
+def escape_attr(text: str) -> str:
+    """An attribute value, escaped exactly as ElementTree escapes it."""
+    text = escape_text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
+def encode_value(out: list[str], value: Any, tag: str = "value") -> None:
+    """Append *value*, as one typed ``<tag>`` element, to the pieces in *out*."""
     if value is None:
-        element.set("t", "null")
-    elif isinstance(value, bool):
-        element.set("t", "boolean")
-        element.text = "1" if value else "0"
+        out.append("<" + tag + ' t="null" />')
+        return
+    if isinstance(value, bool):
+        kind, text = "boolean", "1" if value else "0"
     elif isinstance(value, int):
-        element.set("t", "int")
-        element.text = str(value)
+        kind, text = "int", str(value)
     elif isinstance(value, float):
-        element.set("t", "double")
-        element.text = repr(value)
+        kind, text = "double", repr(value)
     elif isinstance(value, str):
-        element.set("t", "string")
-        element.text = value
+        kind, text = "string", escape_text(value)
     elif isinstance(value, _dt.datetime):
-        element.set("t", "dateTime")
-        element.text = value.strftime(_DATETIME_FMT)
+        kind, text = "dateTime", value.strftime(_DATETIME_FMT)
     elif isinstance(value, _dt.date):
-        element.set("t", "date")
-        element.text = value.strftime(_DATE_FMT)
+        kind, text = "date", value.strftime(_DATE_FMT)
     elif isinstance(value, _dt.time):
-        element.set("t", "time")
-        element.text = value.strftime(_TIME_FMT)
+        kind, text = "time", value.strftime(_TIME_FMT)
     elif isinstance(value, (list, tuple)):
-        element.set("t", "array")
+        if not value:
+            out.append("<" + tag + ' t="array" />')
+            return
+        out.append("<" + tag + ' t="array">')
         for item in value:
-            encode_value(element, item, "item")
+            encode_value(out, item, "item")
+        out.append("</" + tag + ">")
+        return
     elif isinstance(value, dict):
-        element.set("t", "struct")
+        if not value:
+            out.append("<" + tag + ' t="struct" />')
+            return
+        out.append("<" + tag + ' t="struct">')
         for key, item in value.items():
             if not isinstance(key, str):
                 raise EncodingError(f"struct keys must be strings, got {key!r}")
-            member = ET.SubElement(element, "member")
-            member.set("name", key)
-            encode_value(member, item)
+            out.append('<member name="' + escape_attr(key) + '">')
+            encode_value(out, item)
+            out.append("</member>")
+        out.append("</" + tag + ">")
+        return
     else:
         raise EncodingError(f"cannot encode value of type {type(value).__name__}")
-    return element
+    # ``+``, not an f-string: a str subclass (an enum) must contribute
+    # its characters, never its ``__format__``.
+    if text:
+        out.append("<" + tag + ' t="' + kind + '">' + text + "</" + tag + ">")
+    else:
+        out.append("<" + tag + ' t="' + kind + '" />')
 
 
 def decode_value(element: ET.Element) -> Any:
-    """Inverse of :func:`encode_value`."""
+    """Inverse of :func:`encode_value`, over the parsed element."""
     kind = element.get("t")
     text = element.text or ""
     if kind == "null":
@@ -97,18 +143,3 @@ def decode_value(element: ET.Element) -> Any:
             out[name] = decode_value(member[0])
         return out
     raise EncodingError(f"unknown encoded type {kind!r}")
-
-
-def dumps(value: Any, tag: str = "payload") -> bytes:
-    """Serialize one value to a standalone XML document."""
-    root = ET.Element("root")
-    encode_value(root, value, tag)
-    return ET.tostring(root[0], encoding="utf-8")
-
-
-def loads(data: bytes) -> Any:
-    """Parse a document produced by :func:`dumps`."""
-    try:
-        return decode_value(ET.fromstring(data))
-    except ET.ParseError as exc:
-        raise EncodingError(f"malformed XML: {exc}") from exc

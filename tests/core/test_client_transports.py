@@ -56,6 +56,20 @@ class TestTransportParity:
         assert isinstance(created, dt.datetime)
         client.close()
 
+    def test_carriage_returns_cross_every_transport(self, http_setup):
+        """A string attribute set over SOAP reads back as it would in
+        process: ``\\r`` and ``\\r\\n`` are not normalized to ``\\n``."""
+        for label, client in make_clients(http_setup).items():
+            aname = f"note_{label}"
+            fname = f"cr-{label}"
+            client.define_attribute(aname, "string")
+            client.create_logical_file(fname)
+            client.set_attributes("file", fname, {aname: "a\rb"})
+            assert client.get_attributes("file", fname) == {aname: "a\rb"}, label
+            client.set_attributes("file", fname, {aname: "a\r\nb"})
+            assert client.get_attributes("file", fname) == {aname: "a\r\nb"}, label
+            client.close()
+
     def test_typed_errors_cross_http(self, http_setup):
         service, server = http_setup
         client = MCSClient.connect(*server.endpoint, caller="t")

@@ -40,10 +40,19 @@ string_values = st.text(
     max_size=12,
 )
 
+# Exponent-form floats up to the largest double, where one more decimal
+# exponent would overflow: each prints as repr and lexes back exactly.
+exponent_floats = st.builds(
+    lambda mantissa, exponent: float(f"{mantissa}e{exponent}"),
+    st.integers(min_value=1, max_value=17976931348623157),
+    st.integers(min_value=-324, max_value=292),
+)
+
 scalar_values = st.one_of(
     st.booleans(),
     st.integers(min_value=-(10**12), max_value=10**12),
     st.floats(allow_nan=False, allow_infinity=False),
+    exponent_floats,
     string_values,
     st.dates(),
     st.times(),
@@ -185,6 +194,8 @@ ERROR_CORPUS = [
         (2, 16),
         "invalid ISO datetime",
     ),
+    # A float literal past the largest double is refused where it stands.
+    ("files where a = 1e999", (1, 17), "float literal out of range"),
 ]
 
 

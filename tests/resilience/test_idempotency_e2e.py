@@ -9,12 +9,19 @@ retry into a replay of the original response.
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from repro.core import ClientConfig, MCSClient, MCSService
 from repro.faults import FaultPlan, FaultRule
 from repro.resilience import RetryPolicy
-from repro.soap.envelope import SoapFault, build_request, parse_response_full
+from repro.soap.envelope import (
+    ENVELOPE_NS,
+    SoapFault,
+    build_request,
+    parse_response,
+)
 from repro.soap.errors import TransportError
 from repro.soap.server import _IDEM_REPLAYS, SoapServer
 from repro.soap.transport import HttpTransport
@@ -92,11 +99,12 @@ class TestHeaderEchoAndReplay:
                 payload = build_request(
                     "ping", {}, "rid-1", {"IdempotencyKey": "tok-123"}
                 )
-                result, headers = parse_response_full(
-                    transport._post(payload, "ping")
+                body = transport._post(payload, "ping")
+                assert parse_response(body)["method"] == "ping"
+                echo = ET.fromstring(body).find(
+                    f"{{{ENVELOPE_NS}}}Header/{{{ENVELOPE_NS}}}IdempotencyKey"
                 )
-                assert result["method"] == "ping"
-                assert headers["IdempotencyKey"] == "tok-123"
+                assert echo is not None and echo.text == "tok-123"
             finally:
                 transport.close()
 
@@ -145,8 +153,8 @@ class TestHeaderEchoAndReplay:
                     "warm", {}, "rid-4", {"IdempotencyKey": "tok-f"}
                 )
                 with pytest.raises(SoapFault):
-                    parse_response_full(transport._post(payload, "warm"))
-                result, _ = parse_response_full(transport._post(payload, "warm"))
+                    parse_response(transport._post(payload, "warm"))
+                result = parse_response(transport._post(payload, "warm"))
                 assert result == "ready"  # retried for real, not replayed
             finally:
                 transport.close()

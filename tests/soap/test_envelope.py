@@ -7,7 +7,7 @@ from repro.soap.envelope import (
     build_fault,
     build_request,
     build_response,
-    parse_request,
+    parse_any_request,
     parse_response,
 )
 from repro.soap.errors import EncodingError
@@ -16,28 +16,30 @@ from repro.soap.errors import EncodingError
 class TestRequests:
     def test_round_trip(self):
         data = build_request("create", {"name": "f1", "count": 3, "flags": [1, 2]})
-        method, args = parse_request(data)
-        assert method == "create"
-        assert args == {"name": "f1", "count": 3, "flags": [1, 2]}
+        parsed = parse_any_request(data)
+        assert parsed.calls == [
+            ("create", {"name": "f1", "count": 3, "flags": [1, 2]})
+        ]
+        assert not parsed.bulk
 
     def test_no_args(self):
-        method, args = parse_request(build_request("ping", {}))
-        assert method == "ping" and args == {}
+        parsed = parse_any_request(build_request("ping", {}))
+        assert parsed.calls == [("ping", {})]
 
     def test_malformed_request(self):
         with pytest.raises(EncodingError):
-            parse_request(b"not xml at all")
+            parse_any_request(b"not xml at all")
 
     def test_missing_method(self):
         with pytest.raises(EncodingError):
-            parse_request(
+            parse_any_request(
                 b'<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/">'
                 b"<Body><Call/></Body></Envelope>"
             )
 
     def test_missing_body(self):
         with pytest.raises(EncodingError):
-            parse_request(
+            parse_any_request(
                 b'<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/">'
                 b"</Envelope>"
             )

@@ -1,6 +1,9 @@
 """Integration tests for the HTTP SOAP server + client + WSDL."""
 
+import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -12,6 +15,8 @@ from repro.soap import (
     SoapServer,
 )
 from repro.soap.client import fetch_wsdl, from_wsdl
+from repro.soap.envelope import build_request
+from repro.soap.server import _CLIENT_DISCONNECTS
 from repro.soap.wsdl import (
     OperationDef,
     ServiceDescription,
@@ -94,6 +99,37 @@ class TestHttpRoundTrip:
         conn.request("POST", "/other", body=b"")
         assert conn.getresponse().status == 404
         conn.close()
+
+    def test_client_hang_up_is_counted_not_printed(self, capsys):
+        """A client that resets its connection while the handler runs
+        costs the server a counter tick, not a traceback on stderr."""
+        running = threading.Event()
+
+        def slow(method, args):
+            running.set()
+            time.sleep(0.2)
+            return "too late"
+
+        before = _CLIENT_DISCONNECTS.value
+        with SoapServer(slow) as srv:
+            body = build_request("slow", {})
+            sock = socket.create_connection(srv.endpoint, timeout=5)
+            sock.sendall(
+                b"POST /soap HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: text/xml; charset=utf-8\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            assert running.wait(5)
+            # Linger 0: close() sends RST, so the server's write fails.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            deadline = time.monotonic() + 5
+            while _CLIENT_DISCONNECTS.value == before and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert _CLIENT_DISCONNECTS.value == before + 1
+        assert capsys.readouterr().err == ""
 
 
 class TestTransports:

@@ -1,4 +1,4 @@
-"""Tests for the typed XML value codec."""
+"""Tests for the typed XML value codec, through the envelope it rides in."""
 
 import datetime as dt
 
@@ -6,8 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.soap.envelope import (
+    BulkItem,
+    SoapFault,
+    build_bulk_request,
+    build_bulk_response,
+    build_request,
+    build_response,
+    parse_any_request,
+    parse_bulk_response,
+    parse_response,
+)
 from repro.soap.errors import EncodingError
-from repro.soap.xmlcodec import dumps, loads
+
+
+def round_trip(value):
+    return parse_response(build_response(value))
 
 
 ROUND_TRIP_VALUES = [
@@ -33,47 +47,54 @@ ROUND_TRIP_VALUES = [
     {"a": 1, "b": [True, None]},
     {"nested": {"deep": {"deeper": "x"}}},
     [{"list": ["of", {"dicts": 1}]}],
+    "tab\tnewline\ncarriage\rreturn",
+    "crlf\r\nstays two characters",
 ]
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("value", ROUND_TRIP_VALUES, ids=repr)
     def test_round_trip(self, value):
-        assert loads(dumps(value)) == value
+        assert round_trip(value) == value
 
     def test_bool_not_confused_with_int(self):
-        assert loads(dumps(True)) is True
-        assert loads(dumps(1)) == 1
-        assert not isinstance(loads(dumps(1)), bool)
+        assert round_trip(True) is True
+        assert round_trip(1) == 1
+        assert not isinstance(round_trip(1), bool)
 
     def test_tuple_becomes_list(self):
-        assert loads(dumps((1, 2))) == [1, 2]
+        assert round_trip((1, 2)) == [1, 2]
 
 
 class TestErrors:
     def test_unencodable_type(self):
         with pytest.raises(EncodingError):
-            dumps(object())
+            build_response(object())
 
     def test_non_string_dict_key(self):
         with pytest.raises(EncodingError):
-            dumps({1: "x"})
+            build_response({1: "x"})
 
     def test_malformed_xml(self):
         with pytest.raises(EncodingError):
-            loads(b"<unclosed")
+            parse_response(b"<unclosed")
 
     def test_unknown_type_tag(self):
         with pytest.raises(EncodingError):
-            loads(b'<value t="quux">x</value>')
+            parse_response(
+                b'<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/">'
+                b'<Body><Response><result t="quux">x</result></Response></Body>'
+                b"</Envelope>"
+            )
 
 
-# XML 1.0 cannot carry control characters, surrogates, or the noncharacters
-# U+FFFE/U+FFFF (they are outside the Char production even when escaped);
-# \r is normalized by parsers.
+# XML 1.0 cannot carry the other control characters, surrogates, or the
+# noncharacters U+FFFE/U+FFFF (they are outside the Char production even
+# when escaped).  \t, \n and \r are XML characters and must survive.
 _xml_chars = st.characters(
     blacklist_categories=("Cs", "Cc"),
     blacklist_characters="\ufffe\uffff",
+    whitelist_characters="\t\n\r",
 )
 _xml_text = st.text(alphabet=_xml_chars, max_size=40)
 
@@ -101,23 +122,12 @@ json_like = st.recursive(
 @settings(max_examples=80, deadline=None)
 @given(json_like)
 def test_property_round_trip(value):
-    assert loads(dumps(value)) == value
+    assert round_trip(value) == value
 
 
 # --------------------------------------------------------------------------
 # <BulkRequest> / <BulkResponse> codec fuzzing
 # --------------------------------------------------------------------------
-
-from repro.soap.envelope import (  # noqa: E402 - grouped with their tests
-    BulkItem,
-    SoapFault,
-    build_bulk_request,
-    build_bulk_response,
-    build_request,
-    parse_any_request,
-    parse_bulk_request,
-    parse_bulk_response,
-)
 
 _method_name = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")),
@@ -139,9 +149,10 @@ class TestBulkCodec:
     @given(_operations)
     def test_bulk_request_round_trip(self, operations):
         data = build_bulk_request(operations, request_id="rid-1")
-        parsed, request_id = parse_bulk_request(data)
-        assert request_id == "rid-1"
-        assert [(m, a) for m, a in parsed] == [(m, a) for m, a in operations]
+        parsed = parse_any_request(data)
+        assert parsed.bulk
+        assert parsed.request_id == "rid-1"
+        assert parsed.calls == [(m, a) for m, a in operations]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -199,8 +210,7 @@ class TestBulkCodec:
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=200))
     def test_random_bytes_never_crash_bulk_parsers(self, data):
-        for parser in (parse_any_request, parse_bulk_request,
-                       parse_bulk_response):
+        for parser in (parse_any_request, parse_bulk_response):
             try:
                 parser(data)
             except (EncodingError, SoapFault):
@@ -212,7 +222,8 @@ class TestBulkCodec:
         data = build_bulk_request(operations)
         truncated = data[: max(0, len(data) - cut)]
         try:
-            parsed, _rid = parse_bulk_request(truncated)
+            parsed = parse_any_request(truncated)
         except EncodingError:
             return
-        assert len(parsed) == len(operations)  # only intact payloads parse
+        # Only intact payloads parse.
+        assert parsed.bulk and len(parsed.calls) == len(operations)
