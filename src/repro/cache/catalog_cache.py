@@ -19,6 +19,12 @@ write to any dependent table invalidates the entry atomically (the
 engine bumps generations before releasing write locks — see
 :mod:`repro.cache.generations` for the strictness argument).
 
+Two kinds of entry are keyed by rows instead (:mod:`repro.cache.keyed`):
+name resolutions, and query leaves with user-attribute conditions.  They
+carry a :class:`~repro.cache.keyed.KeyedDependency` that a commit's
+published row images invalidate only when they can change the entry, and
+stamp only the counters of the changes no row image explains.
+
 Mid-transaction rule: a connection inside an explicit transaction that
 has already written table T must neither hit nor populate the shared
 cache for results depending on T — its own uncommitted writes are
@@ -30,9 +36,10 @@ attribute load), which keeps bulk ingest fast.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional, Tuple
 
 from repro.cache.generations import GenerationMap
+from repro.cache.keyed import OBJECT_TYPES, KeyedDependency, KeyedRegistry, rows_counter
 from repro.cache.lru import LRUCache
 from repro.obs.metrics import counter as _obs_counter, gauge as _obs_gauge
 
@@ -44,6 +51,13 @@ _REQUESTS = _obs_counter(
     "Cache lookups by cache and outcome (hit / miss / bypass)",
     labels=("cache", "outcome"),
 )
+_ENTRY_INVALIDATIONS = _obs_counter(
+    "mcs_cache_entry_invalidations_total",
+    "Lookups that found their entry invalidated, by cache and cause "
+    "(row: a committed row the entry is keyed on; table: a table-level "
+    "generation bump)",
+    labels=("cache", "cause"),
+)
 _HIT_RATIO = _obs_gauge(
     "mcs_cache_hit_ratio",
     "hits / (hits + misses) since process start, per cache",
@@ -52,21 +66,31 @@ _HIT_RATIO = _obs_gauge(
 
 _GAUGE_REFRESH_MASK = 1023  # refresh the ratio gauge every 1024 lookups
 
+#: What a name resolution stamps: only the changes to its object table
+#: that published no row images.
+_NAME_COUNTERS = {table: (rows_counter(table),) for table in OBJECT_TYPES}
+
 
 class _Entry:
-    """One cached value plus the generation snapshot it was read under."""
+    """One cached value plus the generation snapshot it was read under.
 
-    __slots__ = ("tables", "generations", "value")
+    ``generations`` snapshots the generation counters named by
+    ``counters``; a row-keyed entry also holds its ``dependency``.
+    """
+
+    __slots__ = ("counters", "generations", "value", "dependency")
 
     def __init__(
         self,
-        tables: Tuple[str, ...],
+        counters: Tuple[str, ...],
         generations: Tuple[int, ...],
         value: Any,
+        dependency: Optional[KeyedDependency] = None,
     ) -> None:
-        self.tables = tables
+        self.counters = counters
         self.generations = generations
         self.value = value
+        self.dependency = dependency
 
 
 class LookupToken:
@@ -77,7 +101,7 @@ class LookupToken:
     :meth:`store`).  A bypassed lookup stores nothing.
     """
 
-    __slots__ = ("hit", "value", "_store", "_key", "_tables", "_generations")
+    __slots__ = ("hit", "value", "_store", "_key", "_entry", "_registry", "_since")
 
     def __init__(
         self,
@@ -85,36 +109,55 @@ class LookupToken:
         value: Any = None,
         store: Optional[LRUCache[Any, _Entry]] = None,
         key: Optional[Hashable] = None,
-        tables: Tuple[str, ...] = (),
-        generations: Tuple[int, ...] = (),
+        entry: Optional[_Entry] = None,
+        registry: Optional[KeyedRegistry] = None,
+        since: int = 0,
     ) -> None:
         self.hit = hit
         self.value = value
         self._store = store
         self._key = key
-        self._tables = tables
-        self._generations = generations
+        self._entry = entry
+        self._registry = registry
+        self._since = since
 
     def store(self, value: Any) -> None:
-        """Publish *value* under the snapshot taken before the read."""
-        if self._store is None:
+        """Publish *value* under the snapshot taken before the read.
+
+        A row-keyed entry is stored only if no row published since that
+        snapshot changes it (:meth:`KeyedRegistry.register`).
+        """
+        entry, store, registry = self._entry, self._store, self._registry
+        if entry is None or store is None or registry is None:
             return
-        self._store.put(self._key, _Entry(self._tables, self._generations, value))
+        entry.value = value
+        if entry.dependency is not None and not registry.register(
+            entry.dependency, self._since
+        ):
+            return
+        for displaced in store.put(self._key, entry):
+            if displaced.dependency is not None:
+                registry.unregister(displaced.dependency)
 
 
 class _CacheStats:
     """Racy per-cache counters — lost updates only skew the ratio gauge."""
 
-    __slots__ = ("hits", "misses", "bypasses", "_hit_child", "_miss_child",
-                 "_bypass_child", "_ratio_child")
+    __slots__ = ("hits", "misses", "bypasses", "row_invalidations",
+                 "table_invalidations", "_hit_child", "_miss_child",
+                 "_bypass_child", "_row_child", "_table_child", "_ratio_child")
 
     def __init__(self, name: str) -> None:
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
+        self.row_invalidations = 0
+        self.table_invalidations = 0
         self._hit_child = _REQUESTS.labels(name, "hit")
         self._miss_child = _REQUESTS.labels(name, "miss")
         self._bypass_child = _REQUESTS.labels(name, "bypass")
+        self._row_child = _ENTRY_INVALIDATIONS.labels(name, "row")
+        self._table_child = _ENTRY_INVALIDATIONS.labels(name, "table")
         self._ratio_child = _HIT_RATIO.labels(name)
 
     def hit(self) -> None:
@@ -130,6 +173,14 @@ class _CacheStats:
     def bypass(self) -> None:
         self.bypasses += 1
         self._bypass_child.inc()
+
+    def invalidated(self, by_row: bool) -> None:
+        if by_row:
+            self.row_invalidations += 1
+            self._row_child.inc()
+        else:
+            self.table_invalidations += 1
+            self._table_child.inc()
 
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
@@ -186,32 +237,48 @@ class CatalogCache:
         key: Hashable,
         tables: Tuple[str, ...],
         generations: Optional[Tuple[int, ...]] = None,
+        counters: Optional[Tuple[str, ...]] = None,
+        dependency: Optional[Callable[[], KeyedDependency]] = None,
     ) -> LookupToken:
+        """Look *key* up; *tables* decide the mid-transaction bypass.
+
+        The entry is stamped with the generations of *counters* (default:
+        *tables*); a row-keyed entry passes the counters of what its rows
+        cannot explain and a *dependency* factory, called on a miss.
+        """
         stats = self._stats[cache_name]
         if not self.enabled or self._must_bypass(conn, tables):
             stats.bypass()
             return LookupToken(hit=False)
+        if counters is None:
+            counters = tables
         if generations is None:
-            generations = self.generations.snapshot(tables)
+            generations = self.generations.snapshot(counters)
         try:
             entry = store.get(key)
         except TypeError:  # unhashable key component
             stats.bypass()
             return LookupToken(hit=False)
-        if (
-            entry is not None
-            and entry.tables == tables
-            and entry.generations == generations
-        ):
-            stats.hit()
-            return LookupToken(hit=True, value=entry.value)
+        if entry is not None and entry.counters == counters:
+            if entry.generations != generations:
+                stats.invalidated(by_row=False)
+            elif entry.dependency is not None and not entry.dependency.valid:
+                stats.invalidated(by_row=True)
+            else:
+                stats.hit()
+                return LookupToken(hit=True, value=entry.value)
         stats.miss()
+        registry = self.generations.keyed
+        keyed = None if dependency is None else dependency()
         return LookupToken(
             hit=False,
             store=store,
             key=key,
-            tables=tables,
-            generations=generations,
+            entry=_Entry(counters, generations, None, keyed),
+            registry=registry,
+            # Before the read, like the generations: a commit after this
+            # point is replayed against the dependency when it is stored.
+            since=0 if keyed is None else registry.seq,
         )
 
     @staticmethod
@@ -240,8 +307,16 @@ class CatalogCache:
         name: str,
         version: Optional[int],
     ) -> LookupToken:
+        """Name resolution, keyed by name: only a committed change to an
+        object row named *name* (any version) invalidates it."""
         return self._lookup(
-            "object", self._objects, conn, (table, name, version), (table,)
+            "object",
+            self._objects,
+            conn,
+            (table, name, version),
+            (table,),
+            counters=_NAME_COUNTERS[table],
+            dependency=lambda: KeyedDependency(names=((table, name),)),
         )
 
     def lookup_query(
@@ -250,17 +325,27 @@ class CatalogCache:
         key: Hashable,
         tables: Tuple[str, ...],
         generations: Optional[Tuple[int, ...]] = None,
+        counters: Optional[Tuple[str, ...]] = None,
+        dependency: Optional[Callable[[], KeyedDependency]] = None,
     ) -> LookupToken:
         """Query-result lookup.
 
-        Pass ``generations`` captured *before* preparing the query when
-        preparation itself reads the catalog (it resolves attribute and
-        collection ids): a snapshot taken afterwards could stamp a
-        result computed from pre-commit state with post-commit
-        generations.
+        Pass ``generations`` (of ``counters``, default ``tables``)
+        captured *before* preparing the query when preparation itself
+        reads the catalog (it resolves attribute and collection ids): a
+        snapshot taken afterwards could stamp a result computed from
+        pre-commit state with post-commit generations.  A leaf keyed by
+        its rows passes its ``dependency`` factory.
         """
         return self._lookup(
-            "query", self._queries, conn, key, tables, generations=generations
+            "query",
+            self._queries,
+            conn,
+            key,
+            tables,
+            generations=generations,
+            counters=counters,
+            dependency=dependency,
         )
 
     def lookup_collection_parent(
@@ -282,10 +367,11 @@ class CatalogCache:
     # -- management ----------------------------------------------------------
 
     def clear(self) -> None:
-        self._attr_defs.clear()
-        self._objects.clear()
-        self._queries.clear()
-        self._authz.clear()
+        registry = self.generations.keyed
+        for store in (self._attr_defs, self._objects, self._queries, self._authz):
+            for entry in store.clear():
+                if entry.dependency is not None:
+                    registry.unregister(entry.dependency)
 
     def stats(self) -> dict[str, Any]:
         """Per-cache counters for ``mcs stats`` and ``op_stats``."""
@@ -306,5 +392,7 @@ class CatalogCache:
                 "hit_ratio": round(stats.hit_ratio(), 4),
                 "entries": len(store),
                 "evictions": store.evictions,
+                "invalidated_by_row": stats.row_invalidations,
+                "invalidated_by_table": stats.table_invalidations,
             }
         return out

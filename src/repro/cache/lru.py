@@ -32,21 +32,30 @@ class LRUCache(Generic[K, V]):
                 self._entries.move_to_end(key)
             return value
 
-    def put(self, key: K, value: V) -> None:
+    def put(self, key: K, value: V) -> list[V]:
+        """Store *value*; returns the values it displaced (the one it
+        replaced under *key*, the one it evicted), oldest first."""
         with self._guard:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            entries = self._entries
+            replaced = entries.get(key)
+            displaced = [] if replaced is None or replaced is value else [replaced]
+            entries[key] = value
+            entries.move_to_end(key)
+            if len(entries) > self.capacity:
+                displaced.append(entries.popitem(last=False)[1])
                 self.evictions += 1
+            return displaced
 
     def discard(self, key: K) -> None:
         with self._guard:
             self._entries.pop(key, None)
 
-    def clear(self) -> None:
+    def clear(self) -> list[V]:
+        """Drop every entry; returns the dropped values."""
         with self._guard:
+            values = list(self._entries.values())
             self._entries.clear()
+            return values
 
     def __len__(self) -> int:
         with self._guard:

@@ -468,6 +468,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                               f"bypasses={c['bypasses']} entries={c['entries']} "
                               f"evictions={c['evictions']} "
                               f"hit_ratio={c['hit_ratio']:.3f}")
+                        print(f"  {'':<10} invalidated by row="
+                              f"{c.get('invalidated_by_row', 0)} "
+                              f"by table={c.get('invalidated_by_table', 0)}")
                 if metrics:
                     print()
                     print(format_snapshot(metrics))

@@ -45,7 +45,7 @@ from repro.db.engine import Connection
 from repro.mql import compiler as mql_compiler
 from repro.mql import executor as mql_executor
 from repro.mql import planner as mql_planner
-from repro.mql.compiler import Leaf
+from repro.mql.compiler import CompiledStatement, Leaf
 from repro.mql.planner import StatementPlan
 from repro.obs.metrics import counter as _obs_counter
 from repro.security.acl import EMPTY_ACL, AccessControlList, FrozenACL, Permission
@@ -982,8 +982,13 @@ class MetadataCatalog:
         each conjunctive leaf against the current statistics and routes
         it through the chosen strategy (see :mod:`repro.mql.executor`).
         """
+        return self.query_compiled(self._mql_shapes.compile(text))
+
+    def query_compiled(self, compiled: CompiledStatement) -> list[str]:
+        """:meth:`query_mql` for a statement compiled already (the shard
+        router compiles once for the whole fleet)."""
         _MQL_QUERIES.labels("query").inc()
-        return self._run_plan(self._plan_mql(text))
+        return self._run_plan(self._plan_compiled(compiled))
 
     def explain_mql(self, text: str) -> list[str]:
         """Physical plan of an MQL statement, one line per plan element.
@@ -992,8 +997,12 @@ class MetadataCatalog:
         their generated SQL (indented), so the whole path down to the
         B-tree access method is visible from one call.
         """
+        return self.explain_compiled(self._mql_shapes.compile(text))
+
+    def explain_compiled(self, compiled: CompiledStatement) -> list[str]:
+        """:meth:`explain_mql` for a statement compiled already."""
         _MQL_QUERIES.labels("explain").inc()
-        return self._explain_plan(self._plan_mql(text))
+        return self._explain_plan(self._plan_compiled(compiled))
 
     def mql_leaf_rows(
         self, leaf: Leaf, strategy: Optional[str] = None
@@ -1016,8 +1025,11 @@ class MetadataCatalog:
         return mql_planner.StatementPlan(compiled, [leaf_plan])
 
     def _plan_mql(self, text: str) -> StatementPlan:
+        return self._plan_compiled(self._mql_shapes.compile(text))
+
+    def _plan_compiled(self, compiled: CompiledStatement) -> StatementPlan:
         return mql_planner.plan_statement(
-            self, self._mql_shapes.compile(text), strategy=self.mql_strategy
+            self, compiled, strategy=self.mql_strategy
         )
 
     def _run_plan(self, plan: StatementPlan) -> list[str]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.cache.keyed import leaf_counters
 from repro.core.errors import QueryError
 from repro.core.model import ObjectType
 
@@ -145,6 +146,19 @@ class ObjectQuery:
         if self.collection is not None:
             tables.add("logical_collection")
         return tuple(sorted(tables))
+
+    def cache_counters(self) -> tuple[str, ...]:
+        """The generation counters a cached answer of this query stamps.
+
+        With user-attribute conditions the answer is keyed by rows
+        (:mod:`repro.cache.keyed`): committed attribute rows invalidate it
+        only where they satisfy a condition, so it stamps just the
+        counters of what no row image explains.  Without, it stays
+        table-level: :meth:`touched_tables`.
+        """
+        if not self.conditions:
+            return self.touched_tables()
+        return leaf_counters(self.touched_tables(), _OBJECT_TABLE[self.object_type])
 
 
 def _predefined_column(object_type: ObjectType, fieldname: str) -> str:

@@ -513,8 +513,12 @@ class Connection:
 
     def _bump_generations(self) -> None:
         tables = {r["table"] for r in self._txn.wal_records if "table" in r}
-        if tables:
-            self._db.generations.bump(tables)
+        if not tables:
+            return
+        generations = self._db.generations
+        keyed = generations.keyed_tables & tables
+        images = self._txn.undo.changed_rows(keyed, self._db.catalog) if keyed else {}
+        generations.publish(tables, images, self._db.catalog)
 
     def _rollback_txn(self) -> ResultSet:
         if not self._txn.explicit and not self._txn.held:
@@ -672,9 +676,10 @@ class Connection:
         undo_mark = self._txn.undo.mark()
         wal_mark = len(self._txn.wal_records)
         try:
+            auto_column = table.definition.auto_column
             auto_index = (
-                table.definition.column_index(table.definition.auto_column)
-                if table.definition.auto_column is not None
+                table.definition.column_index(auto_column)
+                if auto_column is not None
                 else None
             )
             for params in param_sets:
@@ -684,7 +689,11 @@ class Connection:
                         bound_expr = bind_parameters(expr, params)
                         values[col] = bound_expr.eval({})
                     rowid, stored = table.insert(values)
-                    self._txn.undo.record_insert(stmt.table, rowid)
+                    self._txn.undo.record_insert(
+                        stmt.table,
+                        rowid,
+                        auto_column is not None and values.get(auto_column) is not None,
+                    )
                     self._db.fk.check_insert(table, stored)
                     self._txn.wal_records.append(
                         {

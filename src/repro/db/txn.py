@@ -241,8 +241,9 @@ class UndoLog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record_insert(self, table: str, rowid: int) -> None:
-        self._entries.append(("insert", table, rowid))
+    def record_insert(self, table: str, rowid: int, explicit: bool = False) -> None:
+        """*explicit*: the caller supplied the auto-increment column."""
+        self._entries.append(("insert", table, rowid, explicit))
 
     def record_update(self, table: str, rowid: int, old_row: tuple) -> None:
         self._entries.append(("update", table, rowid, old_row))
@@ -273,6 +274,34 @@ class UndoLog:
 
     def clear(self) -> None:
         self._entries.clear()
+
+    def changed_rows(
+        self, tables: frozenset[str], catalog: Catalog
+    ) -> dict[str, tuple[tuple[str, ...], list[tuple[Any, Any, bool]]]]:
+        """The net change of every row of *tables* this log covers.
+
+        Per table: its column names and, per row, ``(image before the
+        transaction or None, image now or None, inserted with an explicit
+        auto-column value)``.  A row inserted and deleted again is left
+        out.
+        """
+        first: dict[tuple[str, int], tuple] = {}
+        for entry in self._entries:
+            if entry[1] in tables:
+                first.setdefault((entry[1], entry[2]), entry)
+        out: dict[str, tuple[tuple[str, ...], list[tuple[Any, Any, bool]]]] = {}
+        for (name, rowid), entry in first.items():
+            table = catalog.table(name)
+            inserted = entry[0] == "insert"
+            old = None if inserted else entry[3]
+            new = table.rows.get(rowid)
+            if old is None and new is None:
+                continue
+            change = out.get(name)
+            if change is None:
+                change = out[name] = (table.definition.column_names, [])
+            change[1].append((old, new, inserted and entry[3]))
+        return out
 
 
 def _raw_replace(table: Table, rowid: int, old_row: tuple) -> None:

@@ -154,6 +154,9 @@ def write_snapshot(catalog: Catalog, directory: str) -> None:
                     if not d.name.startswith("__")
                 ],
                 "rows": [[rid, encode_row(row)] for rid, row in table.scan()],
+                # Auto-increment ids are never reused, not even the ids
+                # of rows deleted before the snapshot.
+                "next_auto": table._next_auto,
             }
         )
     os.makedirs(directory, exist_ok=True)
@@ -189,6 +192,7 @@ def load_snapshot(catalog: Catalog, directory: str) -> bool:
             )
         for rid, row in entry.get("rows", []):
             table.insert_row_with_id(rid, decode_row(row))
+        table._next_auto = max(table._next_auto, entry.get("next_auto", 1))
     return True
 
 

@@ -24,8 +24,10 @@ catalog answers.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
+from repro.cache.keyed import KeyedDependency
 from repro.core.errors import QueryError
 from repro.core.model import AttributeDef, ObjectType
 from repro.core.query import _OBJECT_TABLE, AttributeCondition, _predefined_column
@@ -131,15 +133,91 @@ def run_leaf(catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan) -> LeafRows
     key = ("leaf", plan.strategy, _leaf_key(leaf, plan))
     # The plan's snapshot precedes every catalog read the rows depend
     # on: the definitions (read by the planner) and the collection id
-    # (read by lowering).
+    # (read by lowering).  A leaf with user conditions is keyed by rows.
     token = catalog.cache.lookup_query(
-        catalog._conn, key, leaf.query.touched_tables(), generations=plan.generations
+        catalog._conn,
+        key,
+        leaf.query.touched_tables(),
+        generations=plan.generations,
+        counters=plan.counters,
+        dependency=(
+            (lambda: _leaf_dependency(leaf, plan)) if plan.definitions else None
+        ),
     )
     if token.hit:
         return token.value
     rows = tuple(_STRATEGIES[plan.strategy](catalog, _lower(catalog, leaf, plan)))
     token.store(rows)
     return rows
+
+
+def _leaf_dependency(leaf: Leaf, plan: LeafPlan) -> KeyedDependency:
+    """What committed attribute rows can change the leaf's answer.
+
+    A changed row of attribute B alters a conjunctive leaf only if the
+    leaf has a condition on B that the row's old or new value satisfies;
+    invalidating on any one of several conditions on B is correct.
+    ``=`` is matched by value (Python equality contains the engine's,
+    which compares sort keys), every other operator by a test.
+    """
+    equalities = []
+    tests = []
+    for condition, definition in zip(leaf.query.conditions, plan.definitions):
+        value = condition.value
+        if condition.op == "=" and _hashable(value):
+            equalities.append((definition.id, value))
+        else:
+            tests.append((definition.id, _value_test(condition)))
+    return KeyedDependency(equalities=equalities, tests=tests)
+
+
+def _hashable(value: Any) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+_COMPARE: dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _value_test(condition: AttributeCondition) -> Callable[[Any], bool]:
+    """Whether a stored non-NULL value satisfies *condition*, erring
+    towards yes.
+
+    Residual filters evaluate :mod:`repro.db.expr`; index probes compare
+    sort keys, which differ from it only where a bool or a NULL bound
+    meets a value, so those count as satisfied.  A comparison that
+    raises (incomparable types) counts as satisfied too.
+    """
+    op, wanted = condition.op, condition.value
+    if op == "like":
+        expr = _condition_expr(condition)
+        return lambda value: expr.eval({"v": value}) is True
+    bounds = tuple(wanted) if op == "between" else (wanted,)
+    if any(bound is None or isinstance(bound, bool) for bound in bounds):
+        return lambda value: True
+    if op == "between":
+        low, high = bounds
+
+        def between(value: Any) -> bool:
+            return isinstance(value, bool) or low <= value <= high
+
+        return between
+    compare = _COMPARE[op]
+
+    def test(value: Any) -> bool:
+        return isinstance(value, bool) or compare(value, wanted)
+
+    return test
 
 
 def join_plan_lines(

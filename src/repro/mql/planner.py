@@ -83,8 +83,10 @@ class LeafPlan(NamedTuple):
     estimates: tuple[ConditionEstimate, ...]  # in ``order``
     #: The attribute definition of each user condition, in leaf order.
     definitions: tuple[AttributeDef, ...]
-    #: Generations of the leaf's tables, taken before the definitions
-    #: were read: what the leaf's result is stamped with.
+    #: What the leaf's result is stamped with: the generations of its
+    #: cache counters (``ObjectQuery.cache_counters``), taken before the
+    #: definitions were read.
+    counters: tuple[str, ...]
     generations: tuple[int, ...]
 
 
@@ -121,7 +123,8 @@ def plan_leaf(
     # Snapshot before the definitions are read: a later snapshot could
     # stamp a result built on pre-commit definitions with post-commit
     # generations.
-    generations = catalog.cache.generations.snapshot(leaf.query.touched_tables())
+    counters = leaf.query.cache_counters()
+    generations = catalog.cache.generations.snapshot(counters)
     eav_total = object_type_rows(catalog, leaf.object_type)
     scan = ("scan", eav_total + max(eav_total, 1.0))
     conditions = leaf.query.conditions
@@ -167,7 +170,8 @@ def plan_leaf(
     else:
         strategy, cost = forced, dict(costs)[forced]
     return LeafPlan(
-        strategy, cost, costs, order, tuple(estimates), definitions, generations
+        strategy, cost, costs, order, tuple(estimates), definitions, counters,
+        generations,
     )
 
 

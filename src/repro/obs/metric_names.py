@@ -29,6 +29,7 @@ DECLARED_METRICS: frozenset[str] = frozenset(
         "mcs_aserve_parse_errors_total",
         "mcs_aserve_pipeline_depth",
         # -- cache (repro.cache) ------------------------------------------
+        "mcs_cache_entry_invalidations_total",
         "mcs_cache_hit_ratio",
         "mcs_cache_invalidations_total",
         "mcs_cache_requests_total",

@@ -694,17 +694,19 @@ class ShardedCatalog:
         on any replica."""
         compiled = self._compile_mql(text)
         if ObjectType.FILE not in compiled.object_types:
-            return self._replicated_read("query_mql", lambda s: s.query_mql(text))
+            return self._replicated_read(
+                "query_mql", lambda s: s.query_compiled(compiled)
+            )
         return self._scatter(compiled)
 
     def explain_mql(self, text: str) -> list[str]:
         compiled = self._compile_mql(text)
         if ObjectType.FILE not in compiled.object_types:
             return self._replicated_read(
-                "explain_mql", lambda s: s.explain_mql(text)
+                "explain_mql", lambda s: s.explain_compiled(compiled)
             )
         return self._explain_scatter(
-            "explain_mql", lambda s: s.explain_mql(text), compiled.order_field
+            "explain_mql", lambda s: s.explain_compiled(compiled), compiled.order_field
         )
 
     # ======================================================================

@@ -413,7 +413,8 @@ def _header_request_id(envelope: ET.Element) -> Optional[str]:
         if _local(child.tag) == "Header":
             for sub in child:
                 if _local(sub.tag) == "RequestId":
-                    return sub.text
+                    # <RequestId /> is an empty id, not an absent one.
+                    return sub.text or ""
     return None
 
 

@@ -486,8 +486,25 @@ class SoapServer:
                     self.send_error(404)
                     return
                 start = time.perf_counter() if OBS.enabled else 0.0
-                length = int(self.headers.get("Content-Length", "0"))
-                payload = self.rfile.read(length)
+                try:
+                    length = int(self.headers.get("Content-Length", "0"))
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    # The body's end is unknowable: refuse and close.
+                    outer._dispatcher.count_request(fault=False)
+                    self.send_error(400, "malformed Content-Length")
+                    return
+                try:
+                    payload = self.rfile.read(length)
+                except (ConnectionResetError, BrokenPipeError):
+                    payload = b""
+                if len(payload) < length:
+                    # The client went away mid-body: nobody is left to
+                    # answer, and the base class would print a traceback.
+                    _CLIENT_DISCONNECTS.inc()
+                    self.close_connection = True
+                    return
                 if not outer._worker_slots.acquire(blocking=False):
                     _WORKER_SATURATION.inc()
                     _QUEUE_DEPTH.inc()

@@ -11,6 +11,14 @@ Queries are issued inside the rules as well as the invariants so cache
 entries are hot (and therefore *could* serve stale data) at the moment
 each write lands.
 
+Row-keyed invalidation is stressed the same way: writes whose values do
+and do not match the cached ``=`` and ``between`` leaves (strings, ints,
+and a float attribute against int literals), values moving into and out
+of ranges, invalidated and moved files under ``valid_only`` and
+collection leaves, and a file row deleted by raw SQL without its
+attribute rows (then re-inserted under its old id) — the two object-row
+changes no attribute row explains.
+
 Authorization rides the same machine: grants and revokes, file moves and
 collection re-parents change what the §5 union up the collection
 hierarchy decides, and every decision must be the same from the cached
@@ -31,6 +39,7 @@ pytestmark = pytest.mark.cache
 
 STR_VALUES = ("x", "y", "z")
 INT_VALUES = (1, 2, 3)
+FLOAT_VALUES = (0.5, 1.0, 2.0, 3.0)
 COLLECTIONS = ("c0", "c1", "c2")
 PRINCIPALS = ("/CN=p0", "/CN=p1")
 GRANTS = (Permission.NONE, Permission.READ, Permission.READ | Permission.WRITE)
@@ -40,6 +49,7 @@ def _make_catalog(cache: bool) -> MetadataCatalog:
     catalog = MetadataCatalog(cache=cache)
     catalog.define_attribute("a_str", "string")
     catalog.define_attribute("a_int", "int")
+    catalog.define_attribute("a_flt", "float")
     for name in COLLECTIONS:
         catalog.create_collection(name)
     return catalog
@@ -66,6 +76,13 @@ def _queries():
     yield ObjectQuery().where_field("name", "=", "file-0001")
     yield ObjectQuery().where("a_int", ">", 1).order_by("name")
     yield ObjectQuery().where("a_int", ">=", 1).limit(3)
+    yield ObjectQuery().where("a_int", "between", [2, 3])
+    yield ObjectQuery().where("a_str", "between", ["x", "y"]).where("a_int", "=", 1)
+    yield ObjectQuery().where("a_flt", "=", 2)
+    yield ObjectQuery().where("a_flt", "between", [1, 2])
+    yield ObjectQuery().where("a_flt", "<", 1).where("a_str", "!=", "z")
+    yield ObjectQuery(valid_only=True).where("a_str", "=", "x")
+    yield ObjectQuery(collection="c1").where("a_int", ">=", 2)
 
 
 class CachedEquivalenceMachine(RuleBasedStateMachine):
@@ -75,6 +92,8 @@ class CachedEquivalenceMachine(RuleBasedStateMachine):
         self.plain = _make_catalog(cache=False)
         self.names: list[str] = []
         self._counter = 0
+        # Files whose logical_file row raw SQL deleted: (name, id).
+        self.orphans: list[tuple[str, int]] = []
 
     def _fresh_name(self) -> str:
         self._counter += 1
@@ -98,13 +117,16 @@ class CachedEquivalenceMachine(RuleBasedStateMachine):
     @rule(
         s=st.sampled_from(STR_VALUES),
         i=st.sampled_from(INT_VALUES),
+        f=st.sampled_from(FLOAT_VALUES),
         collection=st.sampled_from((None, *COLLECTIONS)),
     )
-    def create_one(self, s, i, collection):
+    def create_one(self, s, i, f, collection):
         name = self._fresh_name()
         ok, _ = self._both(
             lambda c: c.create_file(
-                name, collection=collection, attributes={"a_str": s, "a_int": i}
+                name,
+                collection=collection,
+                attributes={"a_str": s, "a_int": i, "a_flt": f},
             )
         )
         if ok:
@@ -118,6 +140,57 @@ class CachedEquivalenceMachine(RuleBasedStateMachine):
         self._both(
             lambda c: c.set_attributes(ObjectType.FILE, name, {"a_str": s})
         )
+
+    @rule(
+        index=st.integers(min_value=0, max_value=5),
+        attribute=st.sampled_from(("a_str", "a_int", "a_flt")),
+        choice=st.integers(min_value=0, max_value=3),
+    )
+    def set_value(self, index, attribute, choice):
+        # Values move into and out of the cached ranges and equalities.
+        if not self.names:
+            return
+        name = self.names[index % len(self.names)]
+        values = {"a_str": STR_VALUES, "a_int": INT_VALUES, "a_flt": FLOAT_VALUES}
+        value = values[attribute][choice % len(values[attribute])]
+        self._both(
+            lambda c: c.set_attributes(ObjectType.FILE, name, {attribute: value})
+        )
+
+    @rule(index=st.integers(min_value=0, max_value=5))
+    def invalidate(self, index):
+        if not self.names:
+            return
+        name = self.names[index % len(self.names)]
+        self._both(lambda c: c.invalidate_file(name))
+
+    @rule(index=st.integers(min_value=0, max_value=5))
+    def raw_delete_file_row(self, index):
+        # The object row goes, its attribute rows stay behind.
+        if not self.names:
+            return
+        name = self.names.pop(index % len(self.names))
+        ids = self._both(lambda c: c.get_file(name).id)[1]
+        self._both(
+            lambda c: c._conn.execute("DELETE FROM logical_file WHERE id = ?", (ids,))
+        )
+        self.orphans.append((name, ids))
+
+    @rule()
+    def reinsert_file_row(self):
+        # An explicit id brings the orphaned attribute rows back.
+        if not self.orphans:
+            return
+        name, file_id = self.orphans.pop()
+        ok, _ = self._both(
+            lambda c: c._conn.execute(
+                "INSERT INTO logical_file (id, name, version, valid, "
+                "audit_enabled) VALUES (?, ?, 1, TRUE, FALSE)",
+                (file_id, name),
+            )
+        )
+        if ok:
+            self.names.append(name)
 
     @rule()
     def delete_one(self):

@@ -119,6 +119,19 @@ class TestRecovery:
         rows = db2.connect().execute("SELECT id FROM t ORDER BY id").fetchall()
         assert rows == [(1,), (2,)]
 
+    def test_auto_ids_of_deleted_rows_are_not_reused_after_a_snapshot(self, tmp_path):
+        db = Database(directory=str(tmp_path))
+        c = db.connect()
+        c.execute("CREATE TABLE t (id INTEGER AUTOINCREMENT PRIMARY KEY, v STRING)")
+        c.execute("INSERT INTO t (v) VALUES ('a'), ('b'), ('c')")
+        c.execute("DELETE FROM t WHERE id = 3")
+        db.checkpoint()
+        db.close()
+        db2 = Database(directory=str(tmp_path))
+        result = db2.connect().execute("INSERT INTO t (v) VALUES ('d')")
+        assert result.lastrowid == 4
+        db2.close()
+
     def test_uncommitted_txn_not_recovered(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()

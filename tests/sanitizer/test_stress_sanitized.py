@@ -1,5 +1,7 @@
 """The ``pytest -m sanitizer`` lane: the existing bulk/cache concurrency
-stress suites re-run with the runtime lock-order sanitizer installed.
+stress suites (the cache's twice: hot-writer churn, and the bystander
+churn that drives row-keyed invalidation) re-run with the runtime
+lock-order sanitizer installed.
 
 The stress tests assert their own invariants (no stale reads, no torn
 batches, no wedged threads); this lane adds the sanitizer's: while all
@@ -15,6 +17,7 @@ from repro.analysis import sanitizer
 from repro.core import MCSService
 
 from tests.cache.test_cache_concurrency import (
+    test_bystander_churn_keeps_unrelated_entries_hot as _bystander_churn,
     test_readers_never_see_stale_values_under_write_churn as _cache_churn,
 )
 from tests.integration.test_bulk_concurrency import (
@@ -32,6 +35,13 @@ def san():
 
 def test_cache_churn_under_sanitizer(san) -> None:
     _cache_churn()
+    assert san.violations == 0
+    assert san.timeouts_observed == 0
+    assert san.order_graph(), "stress never touched instrumented locks"
+
+
+def test_bystander_churn_under_sanitizer(san) -> None:
+    _bystander_churn()
     assert san.violations == 0
     assert san.timeouts_observed == 0
     assert san.order_graph(), "stress never touched instrumented locks"

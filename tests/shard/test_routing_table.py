@@ -23,7 +23,13 @@ from repro.shard.router import _FORWARDED, ShardedCatalog
 pytestmark = pytest.mark.shard
 
 #: Run on a shard by the router itself; no caller sends them to the fleet.
-SHARD_INTERNAL = {"export_file_state", "import_file_state", "mql_leaf_rows"}
+SHARD_INTERNAL = {
+    "explain_compiled",
+    "export_file_state",
+    "import_file_state",
+    "mql_leaf_rows",
+    "query_compiled",
+}
 
 CATALOG_METHODS = {
     name

@@ -75,3 +75,32 @@ def test_duplicate_keys_and_nulls_match_single(catalogs, descending, limit, offs
     )
     for n, catalog in sharded:
         assert catalog.query(query) == expected, f"{n} shards diverge"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ("files where run = 1", "collections where run = 1", "views where run = 1"),
+)
+@pytest.mark.parametrize("method", ("query_mql", "explain_mql"))
+def test_router_compiles_a_statement_once(monkeypatch, text, method):
+    """The router compiles through shard 0's shape cache and hands the
+    compiled statement on: no shard compiles the text a second time."""
+    from repro.mql.compiler import ShapeCache
+
+    catalog = build_sharded_catalog(2)
+    try:
+        catalog.define_attribute("run", "int")
+        catalog.create_collection("c0", attributes={"run": 1})
+        catalog.create_file("f0", collection="c0", attributes={"run": 1})
+        calls = []
+        real = ShapeCache.compile
+
+        def counting(self, statement):
+            calls.append(statement)
+            return real(self, statement)
+
+        monkeypatch.setattr(ShapeCache, "compile", counting)
+        getattr(catalog, method)(text)
+        assert calls == [text]
+    finally:
+        catalog.close()

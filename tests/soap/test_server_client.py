@@ -131,6 +131,42 @@ class TestHttpRoundTrip:
         assert _CLIENT_DISCONNECTS.value == before + 1
         assert capsys.readouterr().err == ""
 
+    def test_reset_mid_body_is_counted_not_printed(self, capsys):
+        """A client that resets while its request body is still arriving
+        costs a counter tick and a closed connection, nothing on stderr."""
+        before = _CLIENT_DISCONNECTS.value
+        with SoapServer(echo_handler) as srv:
+            sock = socket.create_connection(srv.endpoint, timeout=5)
+            sock.sendall(
+                b"POST /soap HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: text/xml; charset=utf-8\r\n"
+                b"Content-Length: 1000\r\n\r\n<?xml ver"
+            )
+            time.sleep(0.3)  # the handler is now blocked reading the body
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            deadline = time.monotonic() + 5
+            while _CLIENT_DISCONNECTS.value == before and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert _CLIENT_DISCONNECTS.value == before + 1
+        assert capsys.readouterr().err == ""
+
+    def test_malformed_content_length_is_a_400(self, capsys):
+        with SoapServer(echo_handler) as srv:
+            sock = socket.create_connection(srv.endpoint, timeout=5)
+            sock.sendall(
+                b"POST /soap HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: abc\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+            sock.close()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert capsys.readouterr().err == ""
+
 
 class TestTransports:
     def test_direct(self):

@@ -188,7 +188,7 @@ CALL_CORPUS = [
 ]
 
 #: (request_id, header_fields) pairs.  An empty RequestId is written as
-#: ``<RequestId />`` and reads back as absent.
+#: ``<RequestId />`` and reads back as ``""``, like every other header field.
 HEADER_CORPUS = [
     (None, None),
     ("rid-123", None),
@@ -235,7 +235,7 @@ class TestCorpora:
         parsed = parse_any_request(data)
         assert not parsed.bulk
         assert parsed.calls == [(method, args)]
-        assert parsed.request_id == (request_id or None)
+        assert parsed.request_id == request_id
         assert parsed.headers == (header_fields or {})
 
     @pytest.mark.parametrize("request_id,header_fields", HEADER_CORPUS)
@@ -244,6 +244,7 @@ class TestCorpora:
         assert data == ref_bulk_request(CALL_CORPUS, request_id, header_fields)
         parsed = parse_any_request(data)
         assert parsed.bulk and parsed.calls == CALL_CORPUS
+        assert parsed.request_id == request_id
 
     @pytest.mark.parametrize("result", RESULT_CORPUS, ids=repr)
     def test_response(self, result):
@@ -353,7 +354,7 @@ _header_fields = st.none() | st.dictionaries(
     _xml_text,
     max_size=3,
 )
-_request_ids = st.none() | _xml_text.filter(bool)
+_request_ids = st.none() | _xml_text
 _faults = st.builds(
     SoapFault, _names, _xml_text, st.dictionaries(_keys, values, max_size=2)
 )
