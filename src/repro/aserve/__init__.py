@@ -9,7 +9,7 @@ either front end.  See :mod:`repro.aserve.server` for the architecture
 notes.
 """
 
-from repro.aserve.httpproto import (
+from repro.soap.framing import (
     DEFAULT_MAX_BODY_BYTES,
     DEFAULT_MAX_HEADER_BYTES,
     HttpProtocolError,

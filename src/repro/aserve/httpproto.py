@@ -1,276 +1,25 @@
-"""Sans-IO incremental HTTP/1.1 request parser for the asyncio front end.
+"""Re-export of :mod:`repro.soap.framing`, which both servers now share.
 
-The parser owns no socket: the server feeds it whatever bytes arrived
-and asks for complete requests, so thousands of mostly-idle keep-alive
-connections cost one small buffer each, and the framing logic is
-fuzzable byte-by-byte without any event loop (see
-``tests/aserve/test_httpproto.py``).
-
-Properties the front end's robustness rests on:
-
-* **Bounded buffers.**  A header section larger than
-  ``max_header_bytes`` or a declared body larger than
-  ``max_body_bytes`` raises :class:`HttpProtocolError` (431/413) the
-  moment the bound is crossed — a slowloris drip or an oversized upload
-  can never grow the buffer past the caps.
-* **Pipelining.**  Bytes beyond the current request stay buffered;
-  :meth:`RequestParser.next_request` yields back-to-back requests
-  without further ``feed`` calls, in arrival order.
-* **Fail-closed.**  Any malformed framing raises; the connection is
-  answered with the carried status code and closed.  The parser is
-  single-use after an error.
+``perf/trace.py`` imports :class:`RequestParser` from here; the name
+stays until the benchmark moves to the new module.
 """
 
-from __future__ import annotations
+from repro.soap.framing import (
+    DEFAULT_MAX_BODY_BYTES,
+    DEFAULT_MAX_HEADER_BYTES,
+    HttpProtocolError,
+    HttpRequest,
+    RequestParser,
+    reason_for,
+    render_response,
+)
 
-from dataclasses import dataclass
-from typing import Optional
-
-#: Conservative default caps; generous for SOAP envelopes, small enough
-#: that an abusive connection cannot balloon server memory.
-DEFAULT_MAX_HEADER_BYTES = 16 * 1024
-DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
-class HttpProtocolError(Exception):
-    """Malformed or abusive framing; carries the HTTP status to answer."""
-
-    def __init__(self, status: int, reason: str, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.reason = reason
-
-
-@dataclass
-class HttpRequest:
-    """One fully-framed request, ready for routing."""
-
-    method: str
-    target: str
-    version: str
-    headers: dict[str, str]
-    body: bytes
-    keep_alive: bool
-
-
-def _decode_latin1(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("latin-1")
-    except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 is total
-        raise HttpProtocolError(400, "Bad Request", f"undecodable {what}") from exc
-
-
-class RequestParser:
-    """Incremental request framing over a byte stream.
-
-    Usage::
-
-        parser.feed(chunk)
-        while (request := parser.next_request()) is not None:
-            ...handle...
-
-    ``next_request`` returns ``None`` when more bytes are needed and
-    raises :class:`HttpProtocolError` on malformed input.
-    """
-
-    def __init__(
-        self,
-        max_header_bytes: int = DEFAULT_MAX_HEADER_BYTES,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    ) -> None:
-        self.max_header_bytes = max_header_bytes
-        self.max_body_bytes = max_body_bytes
-        self._buf = bytearray()
-        #: Parsed head waiting for its body: (request-sans-body, length).
-        self._pending: Optional[tuple[HttpRequest, int]] = None
-        self._broken = False
-
-    # -- feeding -------------------------------------------------------------
-
-    def feed(self, data: bytes) -> None:
-        if self._broken:
-            raise HttpProtocolError(
-                400, "Bad Request", "parser already failed; connection must close"
-            )
-        self._buf.extend(data)
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes held for requests not yet yielded (pipelining depth proxy)."""
-        return len(self._buf)
-
-    @property
-    def mid_request(self) -> bool:
-        """True when a request's framing has started but not completed.
-
-        The idle-vs-slowloris distinction: an empty buffer between
-        requests is a healthy keep-alive connection, while a partial
-        request that stops progressing deserves a read deadline.
-        """
-        return bool(self._buf) or self._pending is not None
-
-    # -- extraction ----------------------------------------------------------
-
-    def next_request(self) -> Optional[HttpRequest]:
-        try:
-            return self._next_request()
-        except HttpProtocolError:
-            self._broken = True
-            raise
-
-    def _next_request(self) -> Optional[HttpRequest]:
-        if self._pending is not None:
-            return self._finish_body()
-        # Tolerate inter-request CRLF padding (RFC 9112 §2.2).
-        while self._buf[:2] == b"\r\n":
-            del self._buf[:2]
-        while self._buf[:1] == b"\n":
-            del self._buf[:1]
-        if not self._buf:
-            return None
-        end, body_at = self._find_header_end()
-        if end < 0:
-            if len(self._buf) > self.max_header_bytes:
-                raise HttpProtocolError(
-                    431,
-                    "Request Header Fields Too Large",
-                    f"header section exceeds {self.max_header_bytes} bytes",
-                )
-            return None
-        if end > self.max_header_bytes:
-            raise HttpProtocolError(
-                431,
-                "Request Header Fields Too Large",
-                f"header section exceeds {self.max_header_bytes} bytes",
-            )
-        head = bytes(self._buf[:end])
-        del self._buf[:body_at]
-        request, length = self._parse_head(head)
-        self._pending = (request, length)
-        return self._finish_body()
-
-    def _finish_body(self) -> Optional[HttpRequest]:
-        assert self._pending is not None
-        request, length = self._pending
-        if len(self._buf) < length:
-            return None
-        request.body = bytes(self._buf[:length])
-        del self._buf[:length]
-        self._pending = None
-        return request
-
-    def _find_header_end(self) -> tuple[int, int]:
-        """Locate the head/body boundary: ``(head_end, body_start)``.
-
-        Accepts both CRLF and bare-LF line endings (curl and test
-        harnesses produce either); returns ``(-1, -1)`` when the
-        terminator has not arrived yet.
-        """
-        crlf = self._buf.find(b"\r\n\r\n")
-        lf = self._buf.find(b"\n\n")
-        candidates = []
-        if crlf >= 0:
-            candidates.append((crlf, crlf + 4))
-        if lf >= 0:
-            candidates.append((lf + 1, lf + 2))
-        if not candidates:
-            return -1, -1
-        return min(candidates, key=lambda pair: pair[1])
-
-    def _parse_head(self, head: bytes) -> tuple[HttpRequest, int]:
-        lines = head.replace(b"\r\n", b"\n").split(b"\n")
-        request_line = _decode_latin1(lines[0], "request line")
-        parts = request_line.split(" ")
-        if len(parts) != 3:
-            raise HttpProtocolError(
-                400, "Bad Request", f"malformed request line {request_line!r}"
-            )
-        method, target, version = parts
-        if not method.isalpha() or not method.isupper():
-            raise HttpProtocolError(
-                400, "Bad Request", f"malformed method {method!r}"
-            )
-        if version not in ("HTTP/1.1", "HTTP/1.0"):
-            raise HttpProtocolError(
-                505, "HTTP Version Not Supported", f"unsupported {version!r}"
-            )
-        headers: dict[str, str] = {}
-        for raw in lines[1:]:
-            if not raw:
-                continue
-            line = _decode_latin1(raw, "header line")
-            name, sep, value = line.partition(":")
-            if not sep or not name or name != name.strip() or " " in name:
-                raise HttpProtocolError(
-                    400, "Bad Request", f"malformed header line {line!r}"
-                )
-            headers[name.lower()] = value.strip()
-        if "transfer-encoding" in headers:
-            # Our clients always frame with Content-Length; a chunked
-            # request is answered 501 rather than mis-framed.
-            raise HttpProtocolError(
-                501, "Not Implemented", "Transfer-Encoding is not supported"
-            )
-        raw_length = headers.get("content-length", "0")
-        if not raw_length.isdigit():
-            raise HttpProtocolError(
-                400, "Bad Request", f"malformed Content-Length {raw_length!r}"
-            )
-        length = int(raw_length)
-        if length > self.max_body_bytes:
-            raise HttpProtocolError(
-                413,
-                "Content Too Large",
-                f"declared body of {length} bytes exceeds {self.max_body_bytes}",
-            )
-        connection = headers.get("connection", "").lower()
-        if version == "HTTP/1.1":
-            keep_alive = connection != "close"
-        else:
-            keep_alive = connection == "keep-alive"
-        request = HttpRequest(
-            method=method,
-            target=target,
-            version=version,
-            headers=headers,
-            body=b"",
-            keep_alive=keep_alive,
-        )
-        return request, length
-
-
-def render_response(
-    status: int,
-    reason: str,
-    content_type: str,
-    body: bytes,
-    keep_alive: bool,
-) -> bytes:
-    """Frame one HTTP/1.1 response (always with Content-Length)."""
-    connection = "keep-alive" if keep_alive else "close"
-    head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: {connection}\r\n"
-        "\r\n"
-    )
-    return head.encode("latin-1") + body
-
-
-#: Reason phrases for the statuses the front end emits.
-REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    413: "Content Too Large",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-    501: "Not Implemented",
-    503: "Service Unavailable",
-    505: "HTTP Version Not Supported",
-}
-
-
-def reason_for(status: int) -> str:
-    return REASONS.get(status, "Unknown")
+__all__ = [
+    "DEFAULT_MAX_BODY_BYTES",
+    "DEFAULT_MAX_HEADER_BYTES",
+    "HttpProtocolError",
+    "HttpRequest",
+    "RequestParser",
+    "reason_for",
+    "render_response",
+]

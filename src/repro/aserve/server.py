@@ -11,7 +11,7 @@ changes connection mechanics and nothing else.
 The division of labor per connection:
 
 * the **event loop** owns every socket: it feeds arriving bytes to a
-  sans-IO :class:`~repro.aserve.httpproto.RequestParser`, frames
+  sans-IO :class:`~repro.soap.framing.RequestParser`, frames
   responses, and enforces read deadlines.  An idle keep-alive connection
   costs one parser buffer and no thread, which is what lets one process
   hold thousands of mostly-idle clients;
@@ -35,7 +35,6 @@ import asyncio
 import socket
 import threading
 import time
-import urllib.parse
 from typing import Any, Optional, Union
 
 from repro.obs.log import get_logger
@@ -48,19 +47,20 @@ from repro.soap.server import (
     FaultMapper,
     Handler,
     SoapDispatcher,
-    collection_get,
+    get_reply,
+    protocol_error_reply,
 )
-from repro.soap.wsdl import ServiceDescription
-
-from repro.aserve.httpproto import (
+from repro.soap.framing import (
     DEFAULT_MAX_BODY_BYTES,
     DEFAULT_MAX_HEADER_BYTES,
+    RECV_BYTES,
     HttpProtocolError,
     HttpRequest,
     RequestParser,
     reason_for,
     render_response,
 )
+from repro.soap.wsdl import ServiceDescription
 
 _log = get_logger("repro.aserve")
 
@@ -292,10 +292,7 @@ class AsyncSoapServer:
                     "protocol error from %s: %s", peer, err,
                     extra={"client": peer, "status": err.status},
                 )
-                body = (str(err) + "\n").encode("utf-8", "replace")
-                await queue.put(
-                    (render_response(err.status, err.reason, _TEXT, body, False), True)
-                )
+                await queue.put((protocol_error_reply(err), True))
                 return True
             if request is not None:
                 item = self._start_request(request, peer)
@@ -310,7 +307,7 @@ class AsyncSoapServer:
                 else self._idle_timeout_s
             )
             try:
-                chunk = await asyncio.wait_for(reader.read(65536), timeout)
+                chunk = await asyncio.wait_for(reader.read(RECV_BYTES), timeout)
             except asyncio.TimeoutError:
                 if parser.mid_request:
                     # Slowloris: a request that started framing and then
@@ -400,20 +397,18 @@ class AsyncSoapServer:
             )
             return self._frame_dispatch(future, keep), not keep
         if request.method == "GET":
-            parts = urllib.parse.urlsplit(request.target)
-            query = urllib.parse.parse_qs(parts.query)
             assert self._executor is not None
-            # collection_get may block (/profile samples the process), so
-            # it runs on a worker thread like everything else that might.
+            # A GET may block (/profile samples the process), so it runs
+            # on a worker thread like everything else that might.
             future = loop.run_in_executor(
                 self._executor,
-                collection_get,
-                parts.path,
-                query,
+                get_reply,
+                request.target,
                 self._description,
                 (self.host, self.port),
+                keep,
             )
-            return self._frame_get(future, keep), not keep
+            return future, not keep
         return (
             render_response(
                 501, "Not Implemented", _TEXT, b"method not implemented\n", keep
@@ -429,27 +424,10 @@ class AsyncSoapServer:
         except Exception:
             _log.exception("dispatch raised past the fault mapper")
             return render_response(
-                500, "Internal Server Error", _TEXT, b"internal error\n", False
+                500, "Internal Server Error", _TEXT, b"internal error\n", keep
             )
         finally:
             _INFLIGHT.dec()
         return render_response(
             result.status, reason_for(result.status), _XML, result.body, keep
         )
-
-    async def _frame_get(
-        self, future: "asyncio.Future[Any]", keep: bool
-    ) -> bytes:
-        try:
-            routed = await future
-        except Exception:
-            _log.exception("collection GET raised")
-            return render_response(
-                500, "Internal Server Error", _TEXT, b"internal error\n", False
-            )
-        if routed is None:
-            return render_response(
-                404, "Not Found", _TEXT, b"not found\n", keep
-            )
-        status, ctype, body = routed
-        return render_response(status, reason_for(status), ctype, body, keep)

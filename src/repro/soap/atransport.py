@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import http.client
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro import faults as _faults
-from repro.soap.errors import TransportError
+from repro.soap.framing import RECV_BYTES, HttpResponse, ResponseParser, render_request
 from repro.soap.transport import Codec, DirectTransport, EnvelopeTransport, PostState
 
 
 class _Conn(NamedTuple):
     reader: asyncio.StreamReader
     writer: asyncio.StreamWriter
+    parser: ResponseParser
 
     def close(self) -> None:
         self.writer.close()
@@ -101,69 +101,43 @@ class AsyncHttpTransport(EnvelopeTransport):
         )
 
     async def _post(self, payload: bytes, label: str) -> bytes:
-        request = (
-            f"POST /soap HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Type: text/xml; charset=utf-8\r\n"
-            f"SOAPAction: {label}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"\r\n"
-        ).encode("latin-1") + payload
+        request = render_request(f"{self.host}:{self.port}", "/soap", payload, label)
         if self._sem is None:
             self._sem = asyncio.Semaphore(self.pool_size)
         async with self._sem:
             state = PostState(self._idle.pop() if self._idle else None)
             while True:
-                if state.conn is None:
-                    state.conn = await self._dial()
                 with state:
-                    status, body, keep = await self._roundtrip(state.conn, request)
+                    if state.conn is None:
+                        state.conn = await self._dial()
+                    response = await self._roundtrip(state.conn, request)
                     break
-            if keep and not self._closed and len(self._idle) < self.pool_size:
+            if (
+                response.keep_alive
+                and not self._closed
+                and len(self._idle) < self.pool_size
+            ):
                 self._idle.append(state.conn)
             else:
                 state.conn.close()
-        return state.answered(status, body)
+        return state.answered(response.status, response.body)
 
     async def _dial(self) -> _Conn:
-        try:
-            return _Conn(
-                *await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port), self.connect_timeout
-                )
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise TransportError(f"connect failed: {exc}") from exc
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(self.host, self.port), self.connect_timeout
+        )
+        return _Conn(reader, writer, ResponseParser())
 
-    async def _roundtrip(self, conn: _Conn, request: bytes) -> tuple[int, bytes, bool]:
-        reader, writer = conn
-
-        def timed(awaitable: Any) -> Any:
-            return asyncio.wait_for(awaitable, self.read_timeout)
-
+    async def _roundtrip(self, conn: _Conn, request: bytes) -> HttpResponse:
+        reader, writer, parser = conn
         writer.write(request)
-        await timed(writer.drain())
-        status_line = await timed(reader.readline())
-        if not status_line:
-            # EOF before any response byte: the keep-alive race, spelled
-            # the way http.client spells it for the sync shell.
-            raise http.client.RemoteDisconnected("server closed the connection")
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise TransportError(f"malformed status line {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            line = await timed(reader.readline())
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise TransportError("connection closed mid-headers")
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length_raw = headers.get("content-length", "0")
-        if not length_raw.isdigit():
-            raise TransportError(f"malformed Content-Length {length_raw!r}")
-        body = await timed(reader.readexactly(int(length_raw)))
-        keep = headers.get("connection", "").lower() != "close"
-        return status, body, keep
+        await asyncio.wait_for(writer.drain(), self.read_timeout)
+        while (response := parser.next_response()) is None:
+            try:
+                data = await asyncio.wait_for(
+                    reader.read(RECV_BYTES), self.read_timeout
+                )
+            except ConnectionResetError:
+                data = b""  # stale or torn: the parser knows which
+            parser.feed(data)
+        return response

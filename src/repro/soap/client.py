@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.soap.transport import HttpTransport, Transport
+from repro.soap.errors import TransportError
+from repro.soap.framing import render_request
+from repro.soap.transport import WIRE_ERRORS, HttpTransport, SocketConnection, Transport
 from repro.soap.wsdl import generate_client_stubs, parse_wsdl
 
 
@@ -63,19 +65,17 @@ class SoapClient:
 
 def fetch_wsdl(host: str, port: int, timeout: float = 10.0) -> bytes:
     """Download a service's WSDL document."""
-    import http.client
-
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
     try:
-        conn.request("GET", "/wsdl")
-        response = conn.getresponse()
-        if response.status != 200:
-            from repro.soap.errors import TransportError
-
-            raise TransportError(f"WSDL fetch failed with status {response.status}")
-        return response.read()
-    finally:
-        conn.close()
+        conn = SocketConnection(host, port, timeout, timeout)
+        try:
+            response = conn.roundtrip(render_request(f"{host}:{port}", "/wsdl"))
+        finally:
+            conn.close()
+    except WIRE_ERRORS as exc:
+        raise TransportError(f"WSDL fetch failed: {exc}") from exc
+    if response.status != 200:
+        raise TransportError(f"WSDL fetch failed with status {response.status}")
+    return response.body
 
 
 def from_wsdl(host: str, port: int) -> Any:

@@ -6,28 +6,34 @@ TraceParent adoption, fault mapping, SLO accounting — shared verbatim by
 the thread-per-connection :class:`SoapServer` here and the asyncio front
 end (:class:`repro.aserve.AsyncSoapServer`).  Hosting semantics (chaos
 injection sites, obs metrics, span parenting) therefore hold unchanged
-whichever front end terminates the connection.
+whichever front end terminates the connection.  Both also frame HTTP
+with the same sans-IO :mod:`repro.soap.framing`, so they answer every
+request with the same bytes.
 
 :class:`SoapServer` keeps the servlet-container shape the paper measured:
-one handler thread per connection (ThreadingHTTPServer) with a bounded
-worker pool.  Application exceptions are mapped to SOAP faults;
-registered fault mappers let services expose typed errors.
+one handler thread per connection (a ``socketserver.ThreadingTCPServer``
+accept loop) with a bounded worker pool.  Each connection thread feeds
+received bytes to a :class:`~repro.soap.framing.RequestParser` and
+writes each answer with one ``sendall``.  Application exceptions are
+mapped to SOAP faults; registered fault mappers let services expose
+typed errors.
 
 Observability: ``GET /metrics`` renders the process metrics registry in
 Prometheus text format, every request feeds the ``mcs_soap_*`` metric
-families, and the access log is emitted as DEBUG-level structured JSON
-(see :mod:`repro.obs.log`) instead of raw stderr lines.
+families, and each dispatch is logged as DEBUG-level structured JSON
+(see :mod:`repro.obs.log`).
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import socketserver
 import threading
 import time
 import urllib.parse
 from collections import OrderedDict
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
 from repro import faults as _faults
@@ -49,6 +55,14 @@ from repro.soap.envelope import (
     build_fault,
     build_response,
     parse_any_request,
+)
+from repro.soap.framing import (
+    RECV_BYTES,
+    HttpProtocolError,
+    HttpRequest,
+    RequestParser,
+    reason_for,
+    render_response,
 )
 from repro.soap.transport import execute_bulk
 from repro.soap.wsdl import ServiceDescription, generate_wsdl
@@ -436,6 +450,63 @@ class SoapDispatcher:
         return SoapFault("Server", f"{type(exc).__name__}: {exc}")
 
 
+_TEXT = "text/plain; charset=utf-8"
+_XML = "text/xml; charset=utf-8"
+
+
+def get_reply(
+    target: str,
+    description: Optional[ServiceDescription],
+    endpoint: tuple[str, int],
+    keep_alive: bool,
+) -> bytes:
+    """Both servers' answer to a GET: a collection endpoint, or 404.
+
+    May block (``/profile``): run it on a worker thread, never an event
+    loop.
+    """
+    parts = urllib.parse.urlsplit(target)
+    try:
+        routed = collection_get(
+            parts.path, urllib.parse.parse_qs(parts.query), description, endpoint
+        )
+    except Exception:
+        _log.exception("collection GET raised")
+        return render_response(
+            500, "Internal Server Error", _TEXT, b"internal error\n", keep_alive
+        )
+    if routed is None:
+        return render_response(404, "Not Found", _TEXT, b"not found\n", keep_alive)
+    status, ctype, body = routed
+    return render_response(status, reason_for(status), ctype, body, keep_alive)
+
+
+def protocol_error_reply(err: HttpProtocolError) -> bytes:
+    """Both servers' answer to malformed framing; the connection closes."""
+    body = (str(err) + "\n").encode("utf-8", "replace")
+    return render_response(err.status, err.reason, _TEXT, body, False)
+
+
+class _ConnectionServer(socketserver.ThreadingTCPServer):
+    """Accept loop: one daemon thread per connection, running
+    ``serve(sock, addr)``; :class:`SoapServer` tracks and joins them."""
+
+    daemon_threads = True
+    allow_reuse_address = True  # a restarted server rebinds its port
+    request_queue_size = 128  # many client hosts connect at once
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        serve: Callable[[socket.socket, Any], None],
+    ) -> None:
+        super().__init__(address, socketserver.BaseRequestHandler)
+        self._serve = serve
+
+    def finish_request(self, request: Any, client_address: Any) -> None:
+        self._serve(request, client_address)
+
+
 class SoapServer:
     """Hosts one dispatch handler at ``POST /soap`` (WSDL at ``GET /wsdl``,
     metrics at ``GET /metrics``)."""
@@ -463,120 +534,134 @@ class SoapServer:
         # max_workers requests are *processed* concurrently.  (Unbounded
         # concurrency degrades badly under the GIL on multicore hosts.)
         self._worker_slots = threading.Semaphore(max_workers)
+        # Open connections and their threads, so stop() can end them:
+        # after it returns no request is read or dispatched.
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
+        self._stopping = False
+        self._tcp = _ConnectionServer((host, port), self._serve)
+        self.host, self.port = self._tcp.server_address[:2]
+        self._thread: Optional[threading.Thread] = None
 
-        outer = self
+    # -- per-connection protocol --------------------------------------------
 
-        class _RequestHandler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
+    def _serve(self, conn: socket.socket, address: Any) -> None:
+        with self._conns_lock:
+            if self._stopping:
+                return
+            self._conns[conn] = threading.current_thread()
+        try:
             # Small request/response pairs suffer the Nagle + delayed-ACK
             # interaction (~40 ms/request) unless TCP_NODELAY is set.
-            disable_nagle_algorithm = True
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._converse(conn, address[0])
+        finally:
+            with self._conns_lock:
+                del self._conns[conn]
 
-            def log_message(self, fmt: str, *args: Any) -> None:
-                # Route the stock access log to the structured logger at
-                # DEBUG instead of silencing it (or spamming stderr).
-                _log.debug(
-                    fmt % args if args else fmt,
-                    extra={"client": self.address_string()},
-                )
+    def _converse(self, conn: socket.socket, peer: str) -> None:
+        """Read, answer and write requests in order until the connection ends.
 
-            def do_POST(self) -> None:
-                if self.path != "/soap":
-                    outer._dispatcher.count_request(fault=False)
-                    self.send_error(404)
-                    return
-                start = time.perf_counter() if OBS.enabled else 0.0
+        Each answer goes out in one ``sendall``.  A client that hangs up
+        mid-request or before its answer costs a counter tick, nothing on
+        stderr.
+        """
+        parser = RequestParser()
+        while True:
+            try:
+                request = parser.next_request()
+            except HttpProtocolError as err:
+                self._send(conn, protocol_error_reply(err))
+                return
+            if request is None:
                 try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    # The body's end is unknowable: refuse and close.
-                    outer._dispatcher.count_request(fault=False)
-                    self.send_error(400, "malformed Content-Length")
+                    data = conn.recv(RECV_BYTES)
+                except OSError:
+                    data = b""
+                if not data:
+                    if parser.mid_request:
+                        _CLIENT_DISCONNECTS.inc()
                     return
-                try:
-                    payload = self.rfile.read(length)
-                except (ConnectionResetError, BrokenPipeError):
-                    payload = b""
-                if len(payload) < length:
-                    # The client went away mid-body: nobody is left to
-                    # answer, and the base class would print a traceback.
-                    _CLIENT_DISCONNECTS.inc()
-                    self.close_connection = True
-                    return
-                if not outer._worker_slots.acquire(blocking=False):
-                    _WORKER_SATURATION.inc()
-                    _QUEUE_DEPTH.inc()
-                    wait_start = time.perf_counter() if OBS.enabled else 0.0
-                    outer._worker_slots.acquire()
-                    _QUEUE_DEPTH.dec()
-                    if OBS.enabled:
-                        _QUEUE_WAIT_SECONDS.observe(
-                            time.perf_counter() - wait_start
-                        )
-                try:
-                    result = outer._dispatcher.dispatch(
-                        payload, client=self.address_string(), start=start
-                    )
-                finally:
-                    outer._worker_slots.release()
-                self._send(result.status, "text/xml; charset=utf-8", result.body)
+                parser.feed(data)
+                continue
+            if not self._send(conn, self._answer(request, peer)):
+                return
+            if not request.keep_alive:
+                return
 
-            def _send(
-                self, status: int, content_type: str, body: bytes
-            ) -> None:
-                try:
-                    self.send_response(status)
-                    self.send_header("Content-Type", content_type)
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                except (BrokenPipeError, ConnectionResetError):
-                    # The client hung up before its answer: nothing to
-                    # report to it, and not a server error (the base
-                    # class would print a traceback to stderr).
-                    _CLIENT_DISCONNECTS.inc()
-                    self.close_connection = True
+    @staticmethod
+    def _send(conn: socket.socket, reply: bytes) -> bool:
+        try:
+            conn.sendall(reply)
+        except OSError:
+            _CLIENT_DISCONNECTS.inc()
+            return False
+        return True
 
-            def do_GET(self) -> None:
-                parts = urllib.parse.urlsplit(self.path)
-                query = urllib.parse.parse_qs(parts.query)
-                routed = collection_get(
-                    parts.path,
-                    query,
-                    description=outer._description,
-                    endpoint=(outer.host, outer.port),
-                )
-                if routed is None:
-                    self.send_error(404)
-                    return
-                self._send(*routed)
-
-        class _Server(ThreadingHTTPServer):
-            daemon_threads = True
-            request_queue_size = 128  # many client hosts connect at once
-
-        self._httpd = _Server((host, port), _RequestHandler)
-        self.host, self.port = self._httpd.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
+    def _answer(self, request: HttpRequest, peer: str) -> bytes:
+        """Route one framed request; the same answers as ``AsyncSoapServer``."""
+        keep = request.keep_alive
+        if request.method == "POST":
+            if request.target.split("?", 1)[0] != "/soap":
+                self._dispatcher.count_request(fault=False)
+                return render_response(404, "Not Found", _TEXT, b"not found\n", keep)
+            start = time.perf_counter() if OBS.enabled else 0.0
+            if not self._worker_slots.acquire(blocking=False):
+                _WORKER_SATURATION.inc()
+                _QUEUE_DEPTH.inc()
+                wait_start = time.perf_counter() if OBS.enabled else 0.0
+                self._worker_slots.acquire()
+                _QUEUE_DEPTH.dec()
+                if OBS.enabled:
+                    _QUEUE_WAIT_SECONDS.observe(time.perf_counter() - wait_start)
+            try:
+                result = self._dispatcher.dispatch(request.body, peer, start)
+            finally:
+                self._worker_slots.release()
+            return render_response(
+                result.status, reason_for(result.status), _XML, result.body, keep
+            )
+        if request.method == "GET":
+            return get_reply(
+                request.target, self._description, (self.host, self.port), keep
+            )
+        return render_response(
+            501, "Not Implemented", _TEXT, b"method not implemented\n", keep
+        )
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "SoapServer":
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}
+            target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05}
         )
         self._thread.daemon = True
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop accepting, end every open connection, wait for its thread.
+
+        A request already being dispatched finishes, but its answer is
+        lost, as on ``AsyncSoapServer``; nothing is read or dispatched once
+        this returns.
+        """
         if self._thread is not None:
+            self._tcp.shutdown()
             self._thread.join(5)
             self._thread = None
+        with self._conns_lock:
+            self._stopping = True
+            conns = list(self._conns.items())
+        for conn, _ in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)  # a blocked recv returns EOF
+            except OSError:
+                pass
+        for _, thread in conns:
+            if thread is not threading.current_thread():  # stop() from a handler
+                thread.join()
+        self._tcp.server_close()
 
     def __enter__(self) -> "SoapServer":
         return self.start()

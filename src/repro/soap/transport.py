@@ -17,7 +17,6 @@ HttpTransport     SOAP over a real TCP connection — the paper's
 
 from __future__ import annotations
 
-import http.client
 import socket
 from typing import Any, Callable, Optional, Protocol, Sequence
 
@@ -38,6 +37,12 @@ from repro.soap.envelope import (
     parse_response,
 )
 from repro.soap.errors import TransportError
+from repro.soap.framing import (
+    RECV_BYTES,
+    HttpResponse,
+    ResponseParser,
+    render_request,
+)
 
 Handler = Callable[[str, dict[str, Any]], Any]
 FaultMapperFn = Callable[[Exception], Optional[SoapFault]]
@@ -126,17 +131,18 @@ _CLIENT_RECONNECTS = _obs_counter(
 )
 
 #: Everything a wire round trip can fail with, in either I/O flavour:
-#: socket errors and timeouts (``OSError``), a reply cut short
-#: (``EOFError``, ``http.client.IncompleteRead``) and a reply that is not
-#: HTTP (``HTTPException``, or :class:`TransportError` from the asyncio
-#: shell's own parser).  After any of them the connection's framing
-#: state is unknown — a late response could be misread as the answer to
-#: the next request — so the socket is discarded on *every* one.
-WIRE_ERRORS = (OSError, EOFError, http.client.HTTPException, TransportError)
+#: socket errors and timeouts (``OSError``, which includes
+#: :class:`~repro.soap.framing.RemoteClosed`) and a reply that is torn or
+#: not HTTP (:class:`TransportError` from
+#: :class:`~repro.soap.framing.ResponseParser`).  After any of them the
+#: connection's framing state is unknown — a late response could be
+#: misread as the answer to the next request — so the socket is
+#: discarded on *every* one.
+WIRE_ERRORS = (OSError, TransportError)
 
 #: How the stale keep-alive race looks: the server recycled an idle
 #: persistent connection, so the request was torn down *before it
-#: executed* (clean close → ``RemoteDisconnected``, a
+#: executed* (clean close before any reply byte → ``RemoteClosed``, a
 #: ``ConnectionResetError``; racing RST → reset/abort/broken-pipe
 #: during the send).
 STALE_ERRORS = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
@@ -145,8 +151,8 @@ STALE_ERRORS = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
 class PostState:
     """One HTTP POST's walk over connections — every rule, no I/O.
 
-    The I/O shell loops: it dials when :attr:`conn` is ``None`` and runs
-    one round trip under ``with state:``, breaking out on success.  On
+    The I/O shell loops: under ``with state:`` it dials when :attr:`conn`
+    is ``None`` and runs one round trip, breaking out on success.  On
     any of :data:`WIRE_ERRORS` the ``with`` closes the socket, then
     either swallows the error — the loop resends on a fresh connection —
     or raises :class:`TransportError`.
@@ -175,7 +181,8 @@ class PostState:
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
         if not isinstance(exc, WIRE_ERRORS):
             return False
-        self.conn.close()
+        if self.conn is not None:  # None: the dial itself failed
+            self.conn.close()
         if not (self.reused and isinstance(exc, STALE_ERRORS)):
             raise TransportError(f"HTTP request failed: {exc}") from exc
         _CLIENT_RECONNECTS.inc()
@@ -296,19 +303,42 @@ class LoopbackCodecTransport(EnvelopeTransport):
             return build_fault(fault)
 
 
-class _NoDelayConnection(http.client.HTTPConnection):
-    """``timeout`` bounds the TCP handshake, ``read_timeout`` each read."""
+class SocketConnection:
+    """One blocking keep-alive socket and the parser of its replies.
+
+    ``connect_timeout`` bounds the TCP handshake, ``read_timeout`` each
+    read.  A round trip is one ``sendall`` of the framed request, then
+    bounded reads fed to the :class:`~repro.soap.framing.ResponseParser`
+    until the reply is whole.
+    """
+
+    __slots__ = ("sock", "parser")
 
     def __init__(
-        self, host: str, port: int, timeout: float, read_timeout: float
+        self, host: str, port: int, connect_timeout: float, read_timeout: float
     ) -> None:
-        super().__init__(host, port, timeout=timeout)
-        self._read_timeout = read_timeout
-
-    def connect(self) -> None:  # disable Nagle on the client side too
-        super().connect()
+        self.sock = socket.create_connection((host, port), connect_timeout)
+        # Small request/response pairs suffer the Nagle + delayed-ACK
+        # interaction (~40 ms/request) unless TCP_NODELAY is set.
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock.settimeout(self._read_timeout)
+        self.sock.settimeout(read_timeout)
+        self.parser = ResponseParser()
+
+    def roundtrip(self, request: bytes) -> HttpResponse:
+        sock, parser = self.sock, self.parser
+        sock.sendall(request)
+        while (response := parser.next_response()) is None:
+            try:
+                data = sock.recv(RECV_BYTES)
+            except ConnectionResetError:
+                # A reset reads as EOF: the parser tells a stale
+                # connection (nothing received) from a torn reply.
+                data = b""
+            parser.feed(data)
+        return response
+
+    def close(self) -> None:
+        self.sock.close()
 
 
 class HttpTransport(EnvelopeTransport):
@@ -340,23 +370,24 @@ class HttpTransport(EnvelopeTransport):
         self.read_timeout = timeout if read_timeout is None else read_timeout
         # The idle keep-alive connection, once one exchange completed on
         # it; None before the first call and after any failure.
-        self._conn: Optional[_NoDelayConnection] = None
+        self._conn: Optional[SocketConnection] = None
 
     def _post(self, payload: bytes, label: str) -> bytes:
-        headers = {"Content-Type": "text/xml; charset=utf-8", "SOAPAction": label}
+        request = render_request(f"{self.host}:{self.port}", "/soap", payload, label)
         state, self._conn = PostState(self._conn), None
         while True:
-            if state.conn is None:
-                state.conn = _NoDelayConnection(
-                    self.host, self.port, self.connect_timeout, self.read_timeout
-                )
             with state:
-                state.conn.request("POST", "/soap", body=payload, headers=headers)
-                response = state.conn.getresponse()
-                body = response.read()
+                if state.conn is None:
+                    state.conn = SocketConnection(
+                        self.host, self.port, self.connect_timeout, self.read_timeout
+                    )
+                response = state.conn.roundtrip(request)
                 break
-        self._conn = state.conn
-        return state.answered(response.status, body)
+        if response.keep_alive:
+            self._conn = state.conn
+        else:
+            state.conn.close()
+        return state.answered(response.status, response.body)
 
     def close(self) -> None:
         if self._conn is not None:

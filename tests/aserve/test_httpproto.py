@@ -1,7 +1,7 @@
-"""Byte-level tests of the sans-IO HTTP parser.
+"""Byte-level tests of the sans-IO HTTP request parser.
 
-The framing logic is the async front end's exposure to the network, so
-it is exercised the brutal way: every message split at every byte
+The framing logic is both front ends' exposure to the network, so it is
+exercised the brutal way: every message split at every byte
 boundary, pipelined pairs, and the abusive shapes (oversized, slowloris,
 malformed) that must fail closed with the right status.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.aserve.httpproto import (
+from repro.soap.framing import (
     HttpProtocolError,
     HttpRequest,
     RequestParser,

@@ -225,8 +225,8 @@ class TestUnsafeFailuresInvalidateWithoutResend:
         server = ScriptedServer([["reply", reply], ["reply"]])
         transport = connect(server)
         assert call(transport) == "ok"
-        # http.client reads an unparseable Content-Length as "until EOF",
-        # so the blocking shell gets as far as the (empty) envelope.
+        # Both shells' ResponseParser refuses each reply (TransportError,
+        # a SoapError); the socket must be closed all the same.
         with pytest.raises(SoapError) as failure:
             call(transport)
         assert server.client_hung_up.wait(2), "connection left open"
