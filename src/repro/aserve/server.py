@@ -44,6 +44,7 @@ from repro.obs.metrics import (
     gauge as _obs_gauge,
 )
 from repro.soap.server import (
+    HEAD_TIMEOUT_REPLY,
     FaultMapper,
     Handler,
     SoapDispatcher,
@@ -315,18 +316,7 @@ class AsyncSoapServer:
                     # connection never lands here unless idle_timeout_s
                     # is configured.
                     _PARSE_ERRORS.inc()
-                    await queue.put(
-                        (
-                            render_response(
-                                408,
-                                "Request Timeout",
-                                _TEXT,
-                                b"request framing timed out\n",
-                                False,
-                            ),
-                            True,
-                        )
-                    )
+                    await queue.put((HEAD_TIMEOUT_REPLY, True))
                     return True
                 return False
             except (ConnectionError, OSError):

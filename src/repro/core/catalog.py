@@ -87,7 +87,7 @@ class MetadataCatalog:
         # ``self.cache.enabled``) disables lookups.
         self.cache = CatalogCache(self.db, enabled=cache)
         # Query pipeline: optional strategy override (None = cost-based,
-        # or one of "index" / "join" / "scan" — the equivalence lane's axis),
+        # or "index" / "scan" — the equivalence lane's axis),
         # the compiled templates of recent MQL statement shapes
         # (compilation is purely syntactic, so nothing invalidates them;
         # the shard router compiles through shard 0's).
@@ -993,9 +993,9 @@ class MetadataCatalog:
     def explain_mql(self, text: str) -> list[str]:
         """Physical plan of an MQL statement, one line per plan element.
 
-        Join-strategy leaves also include the engine's ``EXPLAIN`` of
-        their generated SQL (indented), so the whole path down to the
-        B-tree access method is visible from one call.
+        Index-strategy leaves also list what they read (indented): the
+        driving index and key, the per-candidate probes and the object
+        fetch, so the whole path down to the B-trees shows in one call.
         """
         return self.explain_compiled(self._mql_shapes.compile(text))
 
@@ -1041,7 +1041,7 @@ class MetadataCatalog:
     def _explain_plan(self, plan: StatementPlan) -> list[str]:
         return mql_planner.explain_lines(
             plan,
-            lambda leaf, leaf_plan: mql_executor.join_plan_lines(self, leaf, leaf_plan),
+            lambda leaf, leaf_plan: mql_executor.index_plan_lines(self, leaf, leaf_plan),
         )
 
     # ======================================================================

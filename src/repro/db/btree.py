@@ -212,12 +212,6 @@ class BPlusTree:
             return list(postings) if type(postings) is list else [postings]
         return []
 
-    def contains_key(self, raw_key: tuple) -> bool:
-        key = make_key(raw_key)
-        leaf = self._find_leaf(key)
-        idx = bisect.bisect_left(leaf.keys, key)
-        return idx < len(leaf.keys) and leaf.keys[idx] == key
-
     def range(
         self,
         low: tuple | None = None,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterator, Optional, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.db import wal as walmod
 from repro.db.errors import (
@@ -46,7 +47,7 @@ from repro.db.sql.ast import (
 )
 from repro.db.sql.lexer import TokenType, tokenize
 from repro.db.sql.parser import parse_statement
-from repro.db.storage import Catalog, ForeignKeyEnforcer
+from repro.db.storage import Catalog, ForeignKeyEnforcer, Table
 from repro.db.txn import LockManager, TransactionState
 from repro.cache.generations import GenerationMap
 from repro.obs.metrics import OBS, counter as _obs_counter, histogram as _obs_histogram
@@ -425,6 +426,19 @@ class Connection:
             return self._db.catalog.table(table).indexes[name].count_leading()
         finally:
             LockManager.release(self._txn, held)
+
+    @contextmanager
+    def read(self, *tables: str) -> Iterator["ReadView"]:
+        """One SELECT's shared locks on *tables*, and no statement: inside,
+        read postings and rows off the trees (:class:`ReadView`).  The
+        locks go at the end, or join an open transaction as a SELECT's do."""
+        if self._closed:
+            raise ProgrammingError("connection is closed")
+        held = self._with_locks(set(tables), set())
+        try:
+            yield ReadView(self._db.catalog, tables)
+        finally:
+            self._statement_done(held, True)
 
     def begin(self) -> None:
         self.execute("BEGIN")
@@ -908,6 +922,47 @@ class Connection:
             return ResultSet(rowcount=0)
         finally:
             self._db.locks.schema_lock.release(owner, True)
+
+
+class IndexView(NamedTuple):
+    """One index's postings: ``get(key)`` lists the row ids of one whole
+    key, ``prefix(key)`` and ``range(low, high)`` yield those of every key
+    that leads with, or lies between, raw values (:class:`~repro.db.btree.BPlusTree`)."""
+
+    name: str
+    get: Callable[[tuple], list[int]]
+    prefix: Callable[[tuple], Iterator[int]]
+    range: Callable[..., Iterator[int]]
+
+
+class ReadView:
+    """The tables one :meth:`Connection.read` locked; good inside that block."""
+
+    def __init__(self, catalog: Catalog, tables: Sequence[str]) -> None:
+        self._catalog, self._tables = catalog, frozenset(tables)
+
+    def _table(self, name: str) -> Table:
+        if name not in self._tables:
+            raise ProgrammingError(f"table {name!r} is not locked by this read")
+        return self._catalog.table(name)
+
+    def columns(self, table: str) -> tuple[str, ...]:
+        return self._table(table).definition.column_names
+
+    def index(self, table: str, leading: tuple[str, ...]) -> IndexView:
+        """The index of *table* whose columns lead with *leading*."""
+        found = self._table(table)
+        name = found.find_index_on(leading)
+        if name is None:
+            raise SchemaError(f"no index on {table}{leading}")
+        tree = found.indexes[name]
+        return IndexView(name, tree.get, tree.prefix, tree.range)
+
+    def fetch(self, table: str) -> Callable[[int], Optional[tuple]]:
+        return self._table(table).rows.get  # row id -> row, None once deleted
+
+    def rows(self, table: str) -> Iterable[tuple]:
+        return self._table(table).rows.values()
 
 
 # --------------------------------------------------------------------------

@@ -265,5 +265,5 @@ def seed_replica(primary: Database, replica: Replica) -> None:
                     unique=index_def.unique,
                 )
             )
-        for rowid, row in table.scan():
+        for rowid, row in table.rows.items():
             new_table.insert_row_with_id(rowid, row)

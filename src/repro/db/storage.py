@@ -9,7 +9,7 @@ consistent; each mutator returns undo information consumed by
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Optional
 
 from repro.db.btree import BPlusTree
 from repro.db.errors import IntegrityError, SchemaError
@@ -202,20 +202,6 @@ class Table:
                         f"unique constraint {name} on {self.name}{index_def.columns} "
                         f"violated by {key!r}"
                     )
-
-    # -- scans -------------------------------------------------------------------
-
-    def scan(self) -> Iterator[tuple[int, tuple]]:
-        """All (rowid, row) pairs in insertion order."""
-        yield from self.rows.items()
-
-    def get_row(self, rowid: int) -> tuple:
-        return self.rows[rowid]
-
-    def rows_as_dicts(self) -> Iterator[dict[str, Any]]:
-        names = self.definition.column_names
-        for row in self.rows.values():
-            yield dict(zip(names, row))
 
 
 class Catalog:

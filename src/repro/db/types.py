@@ -211,11 +211,6 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-def parse_typed_text(text: str, ctype: ColumnType) -> Any:
-    """Parse attribute text (as carried in SOAP messages) into a value."""
-    return coerce(text, ctype)
-
-
 _ORDER_RANK = {
     bool: 0,
     int: 1,

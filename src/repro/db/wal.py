@@ -153,7 +153,7 @@ def write_snapshot(catalog: Catalog, directory: str) -> None:
                     for d in table.index_defs()
                     if not d.name.startswith("__")
                 ],
-                "rows": [[rid, encode_row(row)] for rid, row in table.scan()],
+                "rows": [[rid, encode_row(row)] for rid, row in table.rows.items()],
                 # Auto-increment ids are never reused, not even the ids
                 # of rows deleted before the snapshot.
                 "next_auto": table._next_auto,

@@ -1,4 +1,8 @@
-"""Query execution: three answer-equivalent leaf strategies + set algebra.
+"""Query execution: two answer-equivalent leaf strategies + set algebra.
+
+One index strategy plus the scan oracle: ``index`` reads the engine's
+B+trees under one statement's read locks (``Connection.read``), ``scan``
+is a full pass; both decide every condition with the engine's ``Expr``.
 
 **The equivalence contract.**  Every strategy returns a leaf's matches
 as ``(sort key, name)`` pairs — the key is the statement's ``order by``
@@ -8,12 +12,12 @@ representative key`` (the smallest key under the engine's total order,
 identically everywhere), combined with set algebra over names, then
 ordered by a stable two-pass sort: name ascending first, then a stable
 sort on the key.  Offset/limit slice last.  Because each stage is
-deterministic given the *set* of pairs, indexed vs join vs scan — and
-one shard vs a scatter over many — produce byte-identical answers; the
-``-m mql`` and ``-m shard`` lanes enforce exactly that.
+deterministic given the *set* of pairs, index vs scan — and one shard
+vs a scatter over many — produce byte-identical answers; the ``-m mql``
+and ``-m shard`` lanes enforce exactly that.
 
-Leaf limits are deliberately **not** pushed down: a per-leaf ``LIMIT n``
-under SQL's unspecified tie order could keep different name sets per
+Leaf limits are deliberately **not** pushed down: a per-leaf limit
+under an unspecified tie order could keep different name sets per
 strategy.  Pagination is only applied after the global sort.
 
 Every leaf result, whatever the strategy, is cached through the
@@ -25,12 +29,13 @@ catalog answers.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.cache.keyed import KeyedDependency
 from repro.core.errors import QueryError
 from repro.core.model import AttributeDef, ObjectType
 from repro.core.query import _OBJECT_TABLE, AttributeCondition, _predefined_column
+from repro.db.errors import SchemaError
 from repro.db.expr import Between, Comparison, ColumnRef, Expr, Like, Literal
 from repro.db.types import sort_key
 from repro.mql.compiler import DEFAULT_ORDER_FIELD, Algebra, CompiledStatement, Leaf
@@ -39,20 +44,15 @@ from repro.obs.metrics import counter as _obs_counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.catalog import MetadataCatalog
-    from repro.db.engine import Connection
+    from repro.db.engine import ReadView
 
 _LEAVES = _obs_counter(
     "mcs_mql_leaves_total",
     "MQL leaf executions by chosen strategy",
     labels=("strategy",),
 )
-_INTERSECTIONS = _obs_counter(
-    "mcs_index_intersections_total",
-    "Secondary-index probe-set intersections performed",
-)
-
-#: IN-list chunk size for the index strategy's final fetch.
-_FETCH_CHUNK = 400
+#: The attribute table's primary key: one row per (object, attribute).
+_BY_OBJECT = ("object_type", "object_id", "attr_id")
 
 #: A leaf result: (order-key value, object name) pairs, in no order.
 LeafRows = Sequence[tuple]
@@ -220,14 +220,6 @@ def _value_test(condition: AttributeCondition) -> Callable[[Any], bool]:
     return test
 
 
-def join_plan_lines(
-    catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan
-) -> list[str]:
-    """The engine's EXPLAIN of the join strategy's SQL for *leaf*."""
-    sql, params = _join_sql(_lower(catalog, leaf, plan))
-    return [row[0] for row in catalog._conn.execute("EXPLAIN " + sql, params)]
-
-
 def _leaf_key(leaf: Leaf, plan: LeafPlan) -> tuple:
     """Every field of the leaf that changes its rows, conditions in plan order."""
     query = leaf.query
@@ -266,8 +258,8 @@ class _Lowered(NamedTuple):
 def _lower(catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan) -> _Lowered:
     """Pair conditions with the plan's definitions; resolve the collection id.
 
-    Runs before a strategy opens its read transaction: the lookup is
-    cached and must not race the lock acquisition there.
+    Runs before a strategy takes its read locks: the lookup is cached
+    and must not race the lock acquisition there.
     """
     query = leaf.query
     object_type = query.object_type
@@ -295,125 +287,123 @@ def _lower(catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan) -> _Lowered:
     )
 
 
-def _value_clause(column: str, condition: AttributeCondition) -> tuple[str, list]:
-    if condition.op == "between":
-        low, high = condition.value
-        return f"{column} BETWEEN ? AND ?", [low, high]
-    if condition.op == "like":
-        return f"{column} LIKE ?", [condition.value]
-    return f"{column} {condition.op} ?", [condition.value]
+def _drive_key(condition: AttributeCondition, definition: AttributeDef) -> tuple:
+    """Where the first condition enters its ``av_<type>`` index: the whole
+    ``(attr_id, value)`` key for ``=``, else the ``attr_id`` prefix."""
+    return (definition.id, condition.value) if _exact(condition) else (definition.id,)
 
 
-def _join_sql(leaf: _Lowered) -> tuple[str, tuple]:
-    """The EAV self-join: ``(key, name)`` of every matching object row.
+def _exact(condition: AttributeCondition) -> bool:
+    """An ``=`` a sort-key probe decides like the engine's ``=``: not on
+    NULL or a bool (``1 = true`` holds, their sort keys differ)."""
+    value = condition.value
+    return condition.op == "=" and value is not None and not isinstance(value, bool)
 
-    The first (most selective) condition is the base table, its
-    (attr_id, value) index supplying the candidate set; the object table
-    and the remaining conditions join against it.  An attribute holds
-    one value per object, so the join yields one row per object version;
-    ordering and name dedup happen downstream.
-    """
-    table = _OBJECT_TABLE[leaf.object_type]
-    type_text = leaf.object_type.value
-    select = f"SELECT obj.{leaf.key_column}, obj.name FROM"
-    # Placeholders bind by lexical position: JOIN clauses, then WHERE.
-    join_params: list[Any] = []
-    where_params: list[Any] = []
-    wheres: list[str] = []
-    if leaf.conditions:
-        condition, definition = leaf.conditions[0]
-        clause, params = _value_clause(
-            f"a0.{definition.value_type.value_column}", condition
-        )
-        sql = f"{select} attribute_value a0 JOIN {table} obj ON obj.id = a0.object_id"
-        wheres += ["a0.attr_id = ?", "a0.object_type = ?", clause]
-        where_params += [definition.id, type_text, *params]
-        for pos, (condition, definition) in enumerate(leaf.conditions[1:], start=1):
-            alias = f"a{pos}"
-            clause, params = _value_clause(
-                f"{alias}.{definition.value_type.value_column}", condition
-            )
-            sql += (
-                f" JOIN attribute_value {alias} ON {alias}.object_type = ? "
-                f"AND {alias}.object_id = obj.id AND {alias}.attr_id = ? "
-                f"AND {clause}"
-            )
-            join_params += [type_text, definition.id, *params]
-    else:
-        sql = f"{select} {table} obj"
+
+def _filter_drive(view: "ReadView", table: str, leaf: _Lowered):
+    """(index, key) for the first exact ``=`` filter on an indexed column."""
     for column, condition in leaf.filters:
-        clause, params = _value_clause(f"obj.{column}", condition)
-        wheres.append(clause)
-        where_params += params
-    if wheres:
-        sql += " WHERE " + " AND ".join(wheres)
-    return sql, tuple(join_params + where_params)
-
-
-def _join_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
-    sql, params = _join_sql(leaf)
-    return catalog._conn.execute(sql, params).fetchall()
+        if _exact(condition):
+            try:
+                return view.index(table, (column,)), (condition.value,)
+            except SchemaError:
+                continue
+    return None
 
 
 def _index_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
-    """Probe the av_<type> index per condition, intersect, then fetch."""
-    if not leaf.conditions:
-        raise QueryError(
-            "index strategy requires at least one user-attribute condition"
-        )
+    """Read the engine's trees under one statement's read locks.
+
+    The first (most selective) condition's postings propose candidates;
+    the others are probed through the attribute table's primary key and
+    the object row is fetched through its own.  Without conditions an
+    exact ``=`` filter on an indexed column drives, or the object rows
+    are walked.  :func:`_condition_expr` decides every condition and
+    filter, exactly as in :func:`_scan_leaf`.
+    """
     table = _OBJECT_TABLE[leaf.object_type]
-    conn = catalog._conn
-    # One read transaction around every probe: the intersection must see
-    # a single snapshot, or a concurrent writer could tear the result.
-    conn.begin()
-    try:
-        conn.lock_tables(read=("attribute_value", table))
-        candidate_ids: Optional[set[int]] = None
-        for condition, definition in leaf.conditions:
-            clause, params = _value_clause(
-                definition.value_type.value_column, condition
-            )
-            rows = conn.execute(
-                "SELECT object_id FROM attribute_value WHERE attr_id = ? "
-                f"AND object_type = ? AND {clause}",
-                (definition.id, leaf.object_type.value, *params),
-            ).fetchall()
-            ids = {row[0] for row in rows}
-            if candidate_ids is None:
-                candidate_ids = ids
-            else:
-                candidate_ids &= ids
-                _INTERSECTIONS.inc()
-            if not candidate_ids:
+    tables = (table, "attribute_value") if leaf.conditions else (table,)
+    with catalog._conn.read(*tables) as view:
+        columns = view.columns(table)
+        filters = [(columns.index(c), _condition_expr(f)) for c, f in leaf.filters]
+        if leaf.conditions:
+            objects: Iterable[tuple] = _matching_objects(view, leaf, table)
+        elif (drive := _filter_drive(view, table, leaf)) is not None:
+            objects = map(view.fetch(table), drive[0].prefix(drive[1]))
+        else:
+            objects = view.rows(table)
+        key_pos, name_pos = columns.index(leaf.key_column), columns.index("name")
+        return [
+            (row[key_pos], row[name_pos])
+            for row in objects
+            if all(expr.eval({"v": row[pos]}) is True for pos, expr in filters)
+        ]
+
+
+def _matching_objects(view: "ReadView", leaf: _Lowered, table: str) -> Iterator[tuple]:
+    """Object rows whose attribute rows satisfy every user condition."""
+    columns = view.columns("attribute_value")
+    type_pos, object_pos = columns.index("object_type"), columns.index("object_id")
+    type_text = leaf.object_type.value
+    value_row, object_row = view.fetch("attribute_value"), view.fetch(table)
+    by_object = view.index("attribute_value", _BY_OBJECT).get
+    by_id = view.index(table, ("id",)).get
+    checks = [
+        (d.id, columns.index(d.value_type.value_column), _condition_expr(c))
+        for c, d in leaf.conditions
+    ]
+    (_id, drive_pos, drive_expr), rest = checks[0], checks[1:]
+    condition, definition = leaf.conditions[0]
+    drive = view.index("attribute_value", ("attr_id", definition.value_type.value_column))
+    key = _drive_key(condition, definition)
+    for rowid in drive.get(key) if len(key) == 2 else drive.prefix(key):
+        row = value_row(rowid)
+        if row[type_pos] != type_text or drive_expr.eval({"v": row[drive_pos]}) is not True:
+            continue
+        for attr_id, pos, expr in rest:
+            hits = by_object((type_text, row[object_pos], attr_id))
+            # No row: NULL, three-valued unknown, rejected.
+            if not hits or expr.eval({"v": value_row(hits[0])[pos]}) is not True:
                 break
-        result = _fetch_rows(conn, table, leaf, sorted(candidate_ids or ()))
-    except Exception:
-        conn.rollback()
-        raise
-    conn.commit()
-    return result
+        else:
+            hits = by_id((row[object_pos],))
+            if hits:
+                yield object_row(hits[0])
 
 
-def _fetch_rows(
-    conn: "Connection", table: str, leaf: _Lowered, object_ids: list[int]
-) -> LeafRows:
-    """(key, name) rows for the surviving ids, object-table filters applied."""
-    filters = ""
-    filter_params: list[Any] = []
-    for column, condition in leaf.filters:
-        clause, params = _value_clause(f"obj.{column}", condition)
-        filters += f" AND {clause}"
-        filter_params += params
-    out: list[tuple] = []
-    for start in range(0, len(object_ids), _FETCH_CHUNK):
-        chunk = object_ids[start : start + _FETCH_CHUNK]
-        placeholders = ", ".join("?" for _ in chunk)
-        out += conn.execute(
-            f"SELECT obj.{leaf.key_column}, obj.name FROM {table} obj "
-            f"WHERE obj.id IN ({placeholders}){filters}",
-            (*chunk, *filter_params),
-        ).fetchall()
-    return out
+def index_plan_lines(catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan) -> list[str]:
+    """What :func:`_index_leaf` reads for *leaf*: drive, probes, fetch."""
+    lowered = _lower(catalog, leaf, plan)
+    table = _OBJECT_TABLE[lowered.object_type]
+    checks = " AND ".join(f"{column} {c.op} ?" for column, c in lowered.filters)
+    tail = f" FILTER {checks}" if checks else ""
+    tables = (table, "attribute_value") if lowered.conditions else (table,)
+    with catalog._conn.read(*tables) as view:
+        if not lowered.conditions:
+            drive = _filter_drive(view, table, lowered)
+            if drive is None:
+                return [f"WALK {table}{tail}"]
+            return [f"DRIVE {table} USING {drive[0].name} PREFIX {_key_text(drive[1])}{tail}"]
+        (first, definition), *rest = lowered.conditions
+        leading = ("attr_id", definition.value_type.value_column)
+        names = [view.index("attribute_value", cols).name for cols in (leading, _BY_OBJECT)]
+        names.append(view.index(table, ("id",)).name)
+    key = _drive_key(first, definition)
+    type_text = repr(lowered.object_type.value)
+    return [
+        f"DRIVE attribute_value USING {names[0]} {'KEY' if len(key) == 2 else 'PREFIX'} "
+        f"{_key_text(key)} FILTER object_type = {type_text} AND {first.attribute} {first.op} ?",
+        *(
+            f"PROBE attribute_value USING {names[1]} KEY ({type_text}, object_id, "
+            f"{d.id}) FILTER {c.attribute} {c.op} ?"
+            for c, d in rest
+        ),
+        f"FETCH {table} USING {names[2]} KEY (object_id){tail}",
+    ]
+
+
+def _key_text(key: tuple) -> str:
+    return "(" + ", ".join(map(repr, key)) + ")"
 
 
 _VALUE_COLUMNS = ("string", "int", "float", "date", "time", "datetime")
@@ -433,9 +423,8 @@ def _scan_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
     select_cols = ["id", "name", leaf.key_column, *(col for col, _c in leaf.filters)]
 
     conn = catalog._conn
-    conn.begin()
-    try:
-        conn.lock_tables(read=("attribute_value", table))
+    # Both statements under one hold of the locks: one snapshot.
+    with conn.read("attribute_value", table):
         # The genuine full scan: every attribute_value row, no WHERE.
         value_rows = conn.execute(
             "SELECT attr_id, object_type, object_id, value_string, "
@@ -445,10 +434,6 @@ def _scan_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
         object_rows = conn.execute(
             f"SELECT {', '.join(select_cols)} FROM {table}"
         ).fetchall()
-    except Exception:
-        conn.rollback()
-        raise
-    conn.commit()
 
     by_object: dict[int, dict[int, Any]] = {}
     for row in value_rows:
@@ -468,8 +453,7 @@ def _scan_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
     out: list[tuple[Any, str]] = []
     for row in object_rows:
         attrs = by_object.get(row[0], {})
-        # Missing attribute → NULL → three-valued "unknown" → reject,
-        # exactly like the join's inner-join-on-missing-row.
+        # Missing attribute → NULL → three-valued "unknown" → reject.
         if all(
             expr.eval({"v": attrs.get(attr_id)}) is True
             for attr_id, expr in user_exprs
@@ -494,6 +478,5 @@ def _condition_expr(condition: AttributeCondition) -> Expr:
 
 _STRATEGIES: dict[str, Callable[["MetadataCatalog", _Lowered], LeafRows]] = {
     "index": _index_leaf,
-    "join": _join_leaf,
     "scan": _scan_leaf,
 }

@@ -1,13 +1,13 @@
 """Cost-based strategy selection for compiled leaves.
 
-Each conjunctive leaf can be answered three ways, all returning the
-same ``(sort key, name)`` pairs:
+Each conjunctive leaf can be answered two ways, both returning the same
+``(sort key, name)`` pairs:
 
-* **index** — probe the ``av_<type>`` secondary index once per user
-  condition (``attr_id`` prefix plus the value clause), intersect the
-  object-id sets smallest-first, then fetch the surviving rows;
-* **join** — the classic EAV self-join SQL, driven from the most
-  selective condition's (attr_id, value) index;
+* **index** — read the engine's trees directly: drive from the most
+  selective condition's ``av_<type>`` postings, probe the other
+  conditions through the attribute table's primary key, fetch the
+  object row through its own (a leaf with no user conditions drives
+  from an indexed object column or walks the object rows);
 * **scan** — a genuine full pass over ``attribute_value`` plus the
   object table, evaluated in Python with the engine's own expression
   semantics (the equivalence-lane oracle and the ablation baseline).
@@ -27,16 +27,11 @@ deliberately simple:
 * range / between / prefix-``like`` → ``rows / 3``;
 * ``!=`` and wildcard-leading ``like`` → ``rows``.
 
-Every operator can drive an index probe through the ``attr_id`` prefix
-(the unselective ones just probe many rows), so a leaf with at least
-one user condition always has all three strategies to choose from.
-
-``cost(index) = Σ probe estimates + |conditions| · min estimate``,
-``cost(join) = best estimate · |conditions|`` (the best condition
-drives the join as base table), ``cost(scan) = all EAV rows of the
-object type``.  Ties break index → join → scan.  Statistics are
-advisory (a transaction in flight shows in them until it ends): a bad
-estimate costs time, never correctness.
+``cost(index) = best estimate · |conditions|`` (the best condition
+drives, each candidate probes the rest), ``cost(scan) = all EAV rows of
+the object type``.  Ties break index → scan.  Statistics are advisory
+(a transaction in flight shows in them until it ends): a bad estimate
+costs time, never correctness.
 
 The plan names the order the strategies take the leaf's conditions in
 (most selective first); the leaf itself is never modified, so one leaf
@@ -57,7 +52,7 @@ from repro.mql.compiler import CompiledStatement, Leaf
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.catalog import MetadataCatalog
 
-STRATEGIES = ("index", "join", "scan")
+STRATEGIES = ("index", "scan")
 
 _NO_STATS = (0.0, 0.0)
 
@@ -131,14 +126,8 @@ def plan_leaf(
     order: tuple[int, ...] = ()
     estimates: list[ConditionEstimate] = []
     definitions: tuple[AttributeDef, ...] = ()
-    if not conditions:
-        # The "join" SQL degenerates to a plain object-table query; there
-        # is nothing for probes to intersect, so forcing indexes falls
-        # back to it — still index-backed at the SQL layer.
-        costs: tuple[tuple[str, float], ...] = (("join", eav_total), scan)
-        if forced == "index":
-            forced = "join"
-    else:
+    index_cost = eav_total  # no conditions: drive from or walk the object rows
+    if conditions:
         definitions = resolve_definitions(catalog, leaf)
         estimates = [
             _estimate(condition, attribute_counts(catalog, definition))
@@ -159,24 +148,16 @@ def plan_leaf(
             )
         )
         estimates = [estimates[i] for i in order]
-        best = estimates[0].rows
-        costs = (
-            ("index", sum(e.rows for e in estimates) + len(estimates) * best),
-            ("join", best * len(estimates)),
-            scan,
-        )
-    if forced is None:
-        strategy, cost = min(costs, key=_cheapest_first)
+        index_cost = estimates[0].rows * len(estimates)
+    costs = (("index", index_cost), scan)
+    if forced is None:  # the first of equal costs: index before scan
+        strategy, cost = min(costs, key=lambda item: item[1])
     else:
         strategy, cost = forced, dict(costs)[forced]
     return LeafPlan(
         strategy, cost, costs, order, tuple(estimates), definitions, counters,
         generations,
     )
-
-
-def _cheapest_first(item: tuple[str, float]) -> tuple[float, int]:
-    return item[1], STRATEGIES.index(item[0])
 
 
 def resolve_definitions(
@@ -237,12 +218,12 @@ def _estimate(
 
 
 def explain_lines(
-    plan: StatementPlan, join_detail: Callable[[Leaf, LeafPlan], list[str]]
+    plan: StatementPlan, index_detail: Callable[[Leaf, LeafPlan], list[str]]
 ) -> list[str]:
     """Human-readable physical plan, stable enough for golden tests.
 
-    *join_detail* supplies the engine's own plan of a join leaf's SQL,
-    printed indented under that leaf.
+    *index_detail* supplies what an index leaf reads (its drive, probes
+    and fetch), printed indented under that leaf.
     """
     compiled = plan.compiled
     lines = [f"MQL: {compiled.text}"] if compiled.text else []
@@ -256,8 +237,8 @@ def explain_lines(
             f"strategy={leaf_plan.strategy} cost={leaf_plan.cost:.1f} "
             f"(conditions={conds} predefined={pre})"
         )
-        if leaf_plan.strategy == "join":
-            lines.extend(f"    {line}" for line in join_detail(leaf, leaf_plan))
+        if leaf_plan.strategy == "index":
+            lines.extend(f"    {line}" for line in index_detail(leaf, leaf_plan))
         for estimate in leaf_plan.estimates:
             lines.append(
                 f"  {estimate.attribute} {estimate.op} ? "

@@ -60,7 +60,6 @@ DECLARED_METRICS: frozenset[str] = frozenset(
         # -- fault injection (repro.faults) -------------------------------
         "mcs_faults_injected_total",
         # -- MQL + attribute secondary indexes (repro.mql) ----------------
-        "mcs_index_intersections_total",
         "mcs_mql_leaves_total",
         "mcs_mql_parse_seconds",
         "mcs_mql_plan_cache_total",

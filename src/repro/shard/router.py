@@ -622,7 +622,7 @@ class ShardedCatalog:
     def _scatter(self, compiled: CompiledStatement) -> list[str]:
         """The one scatter/gather: every shard answers each leaf of
         *compiled* with its own planner choice (``mql_leaf_rows``; the
-        three strategies are answer-equivalent, so heterogeneous
+        strategies are answer-equivalent, so heterogeneous
         per-shard choices cannot skew the result), and the router runs
         the dataset algebra, dedup, ordering and pagination over the
         concatenated ``(sort key, name)`` streams."""
@@ -661,7 +661,8 @@ class ShardedCatalog:
 
     @property
     def mql_strategy(self) -> Optional[str]:
-        """Forced per-leaf strategy (None / "index" / "join" / "scan"),
+        """Forced per-leaf strategy (None / "index" / "scan": one index
+        strategy plus the scan oracle),
         forwarded to every shard so equivalence harnesses can pin the
         whole fleet to one execution strategy at once."""
         return self.shards[0].mql_strategy

@@ -10,7 +10,7 @@ SoapServer`, the asyncio :class:`~repro.aserve.AsyncSoapServer`,
 :class:`~repro.soap.atransport.AsyncHttpTransport` all frame through
 this module, so the four differ only in how bytes reach a socket, and
 the framing is testable byte by byte without one (see
-``tests/aserve/test_httpproto.py`` and ``tests/soap/test_framing.py``).
+``tests/soap/test_httpproto.py`` and ``tests/soap/test_framing.py``).
 
 Properties the front ends rest on:
 

@@ -487,6 +487,12 @@ def protocol_error_reply(err: HttpProtocolError) -> bytes:
     return render_response(err.status, err.reason, _TEXT, body, False)
 
 
+#: Both servers' answer to a request that stalled mid-framing.
+HEAD_TIMEOUT_REPLY = render_response(
+    408, "Request Timeout", _TEXT, b"request framing timed out\n", False
+)
+
+
 class _ConnectionServer(socketserver.ThreadingTCPServer):
     """Accept loop: one daemon thread per connection, running
     ``serve(sock, addr)``; :class:`SoapServer` tracks and joins them."""
@@ -509,7 +515,8 @@ class _ConnectionServer(socketserver.ThreadingTCPServer):
 
 class SoapServer:
     """Hosts one dispatch handler at ``POST /soap`` (WSDL at ``GET /wsdl``,
-    metrics at ``GET /metrics``)."""
+    metrics at ``GET /metrics``).  A request that stalls mid-framing for
+    ``header_timeout_s`` is answered 408; an idle connection has no deadline."""
 
     def __init__(
         self,
@@ -521,6 +528,7 @@ class SoapServer:
         max_workers: int = 4,
         max_bulk_items: int = 1024,
         idempotency_cache_size: int = 1024,
+        header_timeout_s: float = 10.0,
     ) -> None:
         self._description = description
         self._dispatcher = SoapDispatcher(
@@ -529,6 +537,7 @@ class SoapServer:
             max_bulk_items=max_bulk_items,
             idempotency_cache_size=idempotency_cache_size,
         )
+        self._header_timeout_s = header_timeout_s
         # Bounded worker pool, like a servlet container's maxThreads: one
         # thread per connection still reads the request, but at most
         # max_workers requests are *processed* concurrently.  (Unbounded
@@ -564,9 +573,10 @@ class SoapServer:
 
         Each answer goes out in one ``sendall``.  A client that hangs up
         mid-request or before its answer costs a counter tick, nothing on
-        stderr.
-        """
+        stderr.  The read deadline is armed only mid-request: a request
+        that arrives in one read costs no extra call."""
         parser = RequestParser()
+        armed = False
         while True:
             try:
                 request = parser.next_request()
@@ -574,8 +584,14 @@ class SoapServer:
                 self._send(conn, protocol_error_reply(err))
                 return
             if request is None:
+                if parser.mid_request != armed:
+                    armed = not armed
+                    conn.settimeout(self._header_timeout_s if armed else None)
                 try:
                     data = conn.recv(RECV_BYTES)
+                except TimeoutError:
+                    self._send(conn, HEAD_TIMEOUT_REPLY)
+                    return
                 except OSError:
                     data = b""
                 if not data:

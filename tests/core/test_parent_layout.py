@@ -112,7 +112,7 @@ def _history(cat: MetadataCatalog, first: bool) -> None:
 
 def _answers(cat: MetadataCatalog) -> dict:
     out = {}
-    for strategy in ("index", "join", "scan", None):
+    for strategy in ("index", "scan", None):
         cat.mql_strategy = strategy
         for text in STATEMENTS:
             out[(strategy, text)] = cat.query_mql(text)

@@ -1,18 +1,23 @@
-"""Stateful equivalence: index-forced vs join-forced vs scan-forced vs planned.
+"""Stateful equivalence: index-forced and planned against the scan oracle.
 
-Four identical catalogs receive the same randomized interleaving of
+Three identical catalogs receive the same randomized interleaving of
 creates (into collections, and of further versions of existing names),
 attribute writes, deletes, invalidations and non-atomic bulk batches
 with poisoned items (exercising savepoint rollback).  After every step,
 a pool of MQL statements — conjunctions, disjunctions, negation,
-``like``, ``between``, boolean sugar, dataset algebra and paging — must
-return *identical ordered answers* on all four, with the execution
-strategy pinned to a different one on three catalogs and left to the
-cost-based planner on the fourth.  A pool of ``ObjectQuery`` questions
-(``collection``, ``valid_only``, ``limit``/``offset``, descending and
-non-name orders) is asked through **both front ends** — ``query`` and,
-where MQL can say it, ``query_mql`` of the same question — and every
-one of those answers must be the same list too.
+``like`` (prefix and wildcard-leading), ``between`` (also with its low
+bound above its high one), a float attribute against int literals, an
+int attribute against ``true`` (``1 = true`` holds), boolean sugar,
+dataset algebra and paging — must return *identical ordered answers*
+on all three, with the execution strategy pinned to ``scan`` (the
+oracle) and ``index`` on two catalogs and left to the cost-based
+planner on the third.  A pool of ``ObjectQuery`` questions
+(``collection``, ``valid_only`` and both together, ``limit``/``offset``,
+descending and non-name orders) is asked through **both front ends** —
+``query`` and, where MQL can say it, ``query_mql`` of the same
+question — and every one of those answers must be the same list too.
+Queries also run inside an open transaction that has written, which
+then commits or rolls back.
 
 A separate seeded test crashes a durable catalog (abandoning it without
 checkpoint), reopens the directory through WAL replay, and asserts the
@@ -21,6 +26,7 @@ successful operations.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
@@ -35,10 +41,12 @@ from tests.recount import assert_counts_exact
 
 pytestmark = pytest.mark.mql
 
-#: One catalog per entry; ``None`` leaves the choice to the planner.
-STRATEGIES = ("index", "join", "scan", None)
+#: One catalog per entry, the scan oracle first; ``None`` leaves the
+#: choice to the planner.
+STRATEGIES = ("scan", "index", None)
 STR_VALUES = ("x", "y", "z")
 INT_VALUES = (1, 2, 3)
+FLT_VALUES = (1.0, 2.5, 3.0)
 COLLECTIONS = ("c0", "c1")
 
 #: MQL statements stressing every leaf shape and the dataset algebra.
@@ -57,6 +65,13 @@ STATEMENTS = (
     "(files where a_int = 1) intersect (files where valid)",
     "(files where a_int = 1) union ((files where a_int = 2) "
     "intersect (files where a_str = \"x\")) order by name limit 6",
+    "files where a_flt = 1",
+    "files where a_flt between 1 and 3 and a_int != 1 order by name",
+    "files where a_flt < 3 and a_flt >= 2",
+    "files where a_str like \"%y\"",
+    "files where a_int between 3 and 1",
+    "files where a_int != 2 order by version desc limit 3 offset 1",
+    "files where a_int = true",
 )
 
 
@@ -76,6 +91,14 @@ QUESTIONS = (
     ObjectQuery().where_field("version", ">", 1).where("a_str", "!=", "z"),
     ObjectQuery().order_by("version", descending=True).limit(4),
     ObjectQuery().where("a_int", ">=", 2).order_by("valid").offset(2),
+    ObjectQuery(collection="c0", valid_only=True).where("a_flt", ">=", 2),
+    ObjectQuery().where("a_flt", "=", 3).where("a_str", "like", "%z"),
+    ObjectQuery().where("a_int", "between", (2, 1)),
+    ObjectQuery()
+    .where("a_int", "!=", 3)
+    .order_by("version", descending=True)
+    .limit(2)
+    .offset(1),
 )
 
 
@@ -106,9 +129,29 @@ def as_mql(query):
     )
 
 
+@contextmanager
+def open_transaction(engines, commit):
+    """One explicit transaction on each engine's connection of this
+    thread; it commits (or rolls back) at the end, and rolls back on error."""
+    for engine in engines:
+        engine._conn.begin()
+    try:
+        yield
+    except BaseException:
+        commit = False
+        raise
+    finally:
+        for engine in engines:
+            if commit:
+                engine._conn.commit()
+            else:
+                engine._conn.rollback()
+
+
 def _prepare(catalog, strategy):
     catalog.define_attribute("a_str", "string")
     catalog.define_attribute("a_int", "int")
+    catalog.define_attribute("a_flt", "float")
     for name in COLLECTIONS:
         catalog.create_collection(name)
     catalog.mql_strategy = strategy
@@ -164,12 +207,13 @@ class MQLEquivalenceMachine(RuleBasedStateMachine):
     @rule(
         s=st.sampled_from(STR_VALUES),
         i=st.sampled_from(INT_VALUES),
+        f=st.sampled_from(FLT_VALUES),
         bare=st.booleans(),
         coll=st.sampled_from(COLLECTIONS + (None,)),
     )
-    def create(self, s, i, bare, coll):
+    def create(self, s, i, f, bare, coll):
         name = self._fresh_name()
-        attrs = None if bare else {"a_str": s, "a_int": i}
+        attrs = None if bare else {"a_str": s, "a_int": i, "a_flt": f}
         ok, _ = self._all_agree(
             f"create {name!r}",
             lambda c: bool(c.create_file(name, attributes=attrs, collection=coll)),
@@ -182,9 +226,10 @@ class MQLEquivalenceMachine(RuleBasedStateMachine):
         version=st.sampled_from((2, 3)),
         s=st.sampled_from(STR_VALUES),
         i=st.sampled_from(INT_VALUES),
+        f=st.sampled_from(FLT_VALUES),
         coll=st.sampled_from(COLLECTIONS + (None,)),
     )
-    def create_version(self, pick, version, s, i, coll):
+    def create_version(self, pick, version, s, i, f, coll):
         """A further version of an existing name, with its own attributes
         and collection: one name, several rows, possibly only some of
         them matching — every strategy must still list the name once."""
@@ -195,7 +240,7 @@ class MQLEquivalenceMachine(RuleBasedStateMachine):
                 c.create_file(
                     name,
                     version=version,
-                    attributes={"a_str": s, "a_int": i},
+                    attributes={"a_str": s, "a_int": i, "a_flt": f},
                     collection=coll,
                 )
             ),
@@ -207,17 +252,21 @@ class MQLEquivalenceMachine(RuleBasedStateMachine):
         pick=st.integers(min_value=0),
         s=st.sampled_from(STR_VALUES),
         i=st.sampled_from(INT_VALUES),
+        f=st.sampled_from(FLT_VALUES),
     )
-    def set_attrs(self, pick, s, i):
+    def set_attrs(self, pick, s, i, f):
         name = self._pick(pick)
         self._all_agree(
             f"set_attributes {name!r}",
             lambda c: c.set_attributes(
-                ObjectType.FILE, name, {"a_str": s, "a_int": i}
+                ObjectType.FILE, name, {"a_str": s, "a_int": i, "a_flt": f}
             ),
         )
 
-    @rule(pick=st.integers(min_value=0), attr=st.sampled_from(("a_str", "a_int")))
+    @rule(
+        pick=st.integers(min_value=0),
+        attr=st.sampled_from(("a_str", "a_int", "a_flt")),
+    )
     def remove_attr(self, pick, attr):
         name = self._pick(pick)
         self._all_agree(
@@ -295,6 +344,24 @@ class MQLEquivalenceMachine(RuleBasedStateMachine):
             assert same == answer, (
                 f"{text!r} answered {same!r}, the ObjectQuery {answer!r}"
             )
+
+    @rule(
+        pick=st.integers(min_value=0),
+        i=st.sampled_from(INT_VALUES),
+        statement=st.sampled_from(STATEMENTS),
+        commit=st.booleans(),
+    )
+    def query_in_transaction(self, pick, i, statement, commit):
+        """A query inside an open transaction sees that transaction's own
+        uncommitted write; the transaction then commits or rolls back."""
+        name = self._pick(pick)
+
+        def run(catalog):
+            with open_transaction([catalog], commit):
+                catalog.set_attributes(ObjectType.FILE, name, {"a_int": i})
+                return catalog.query_mql(statement)
+
+        self._all_agree(f"in a transaction: {statement!r}", run)
 
     # -- invariants ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ from repro.db.engine import Connection
 
 pytestmark = pytest.mark.mql
 
-STRATEGIES = ("index", "join", "scan", None)
+STRATEGIES = ("index", "scan", None)
 
 
 @pytest.fixture(scope="module")
@@ -124,15 +124,21 @@ def test_permuting_conditions_changes_neither_answer_nor_explain(
 
 @pytest.fixture
 def statements(monkeypatch):
-    """Every SQL text any connection executes, in order."""
+    """Every SQL text any connection executes, and every direct read of
+    the engine's trees (``READ`` and its tables), in order."""
     seen = []
-    execute = Connection.execute
+    execute, read = Connection.execute, Connection.read
 
     def counting(self, sql, *args, **kwargs):
         seen.append(sql)
         return execute(self, sql, *args, **kwargs)
 
+    def reading(self, *tables):
+        seen.append("READ " + ", ".join(tables))
+        return read(self, *tables)
+
     monkeypatch.setattr(Connection, "execute", counting)
+    monkeypatch.setattr(Connection, "read", reading)
     return seen
 
 
@@ -140,7 +146,7 @@ def test_planning_issues_no_statement_on_an_unchanged_catalog(catalog, statement
     catalog.query(ObjectQuery().where("run", "=", 0))  # the indexes start counting
     del statements[:]
     # Result-cache misses, through both front ends: the leaf's own
-    # statement runs, the planner adds none.
+    # read runs, the planner adds none.
     catalog.query(ObjectQuery().where("run", "=", 2).where("gain", ">", 2.5))
     catalog.query_mql('files where run = 3 and site = "s1" or gain < 1.5')
     assert statements, "both were expected to miss the result cache"

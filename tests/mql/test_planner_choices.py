@@ -116,12 +116,12 @@ def _leaf_plans(cat, text):
     return [leaf_plan.strategy for leaf_plan in plan.leaf_plans]
 
 
-def test_selective_equality_leaf_prefers_join(catalog):
-    assert _leaf_plans(catalog, "files where run = 2") == ["join"]
+def test_selective_equality_leaf_prefers_index(catalog):
+    assert _leaf_plans(catalog, "files where run = 2") == ["index"]
 
 
 def test_unselective_conjunction_prefers_scan(catalog):
-    # Five != conditions: the join model pays est·n ≈ 5·rows (50), the
+    # Five != conditions: the index model pays est·n ≈ 5·rows (50), the
     # scan pays 2·(all EAV rows) (40) — cheaper once the estimates stop
     # helping.
     strategies = _leaf_plans(
@@ -143,6 +143,13 @@ def test_forced_strategy_wins_over_cost(catalog):
 def test_unknown_strategy_is_a_query_error(catalog):
     catalog.mql_strategy = "turbo"
     with pytest.raises(QueryError):
+        catalog.query_mql("files where run = 2")
+    catalog.mql_strategy = None
+
+
+def test_the_generated_sql_join_strategy_is_gone(catalog):
+    catalog.mql_strategy = "join"
+    with pytest.raises(QueryError, match="unknown MQL strategy 'join'"):
         catalog.query_mql("files where run = 2")
     catalog.mql_strategy = None
 
@@ -220,18 +227,15 @@ def test_planning_never_reorders_the_callers_conditions(catalog):
 
 
 _GOLDEN_PLAN = [
-    "leaf 0 [file]: strategy=join cost=4.0 (conditions=2 predefined=0)",
-    "    INDEX LOOKUP attribute_value AS a0 USING av_int ON (1, 2) "
-    "FILTER (a0.object_type = 'file')",
-    "    INDEX NESTED LOOP JOIN -> INDEX LOOKUP logical_file AS obj "
-    "USING __pk_logical_file ON () KEYS (a0.object_id)",
-    "    INDEX NESTED LOOP JOIN -> INDEX LOOKUP attribute_value AS a1 "
-    "USING __pk_attribute_value ON () KEYS ('file', obj.id, 2) "
-    "ON (a1.value_string LIKE 's%')",
-    "    PROJECT name, name",
+    "leaf 0 [file]: strategy=index cost=4.0 (conditions=2 predefined=0)",
+    "    DRIVE attribute_value USING av_int KEY (1, 2) "
+    "FILTER object_type = 'file' AND run = ?",
+    "    PROBE attribute_value USING __pk_attribute_value "
+    "KEY ('file', object_id, 2) FILTER site like ?",
+    "    FETCH logical_file USING __pk_logical_file KEY (object_id)",
     "  run = ? (est 2.0 rows)",
     "  site like ? (est 3.3 rows)",
-    "  costs: index=9.3, join=4.0, scan=40.0",
+    "  costs: index=4.0, scan=40.0",
     "algebra: leaf0",
     "order by name asc limit 3",
 ]
@@ -246,6 +250,19 @@ def test_explain_query_prints_the_same_plan(catalog):
     # Conditions listed least selective first: the plan is the same.
     query = ObjectQuery().where("site", "like", "s%").where("run", "=", 2).limit(3)
     assert catalog.explain_query(query) == _GOLDEN_PLAN
+
+
+def test_explain_a_leaf_without_conditions(catalog):
+    """An exact ``=`` on an indexed object column drives; otherwise the
+    object rows are walked.  Every filter is still checked per row."""
+    by_name = catalog.explain_query(ObjectQuery().where_field("name", "=", "f3"))
+    assert by_name[:2] == [
+        "leaf 0 [file]: strategy=index cost=20.0 (conditions=0 predefined=1)",
+        "    DRIVE logical_file USING __uq_logical_file_0 PREFIX ('f3') "
+        "FILTER name = ?",
+    ]
+    walked = catalog.explain_query(ObjectQuery(valid_only=True))
+    assert walked[1] == "    WALK logical_file FILTER valid = ?"
 
 
 def test_explain_mql_algebra_golden(catalog):

@@ -32,7 +32,7 @@ from tests.mql.test_parser_roundtrip import ERROR_CORPUS, statements, string_val
 
 pytestmark = pytest.mark.mql
 
-STRATEGIES = (None, "index", "join", "scan")
+STRATEGIES = (None, "index", "scan")
 
 #: Condition fields: the catalog's attributes, predefined columns, and
 #: one name nothing defines.

@@ -4,7 +4,7 @@
 resend rule rests on it: EOF before any byte of a reply is a stale
 connection (``RemoteClosed``, resendable), EOF after some is a torn reply
 (``TransportError``, never resent).  So, like the request parser's tests
-in ``tests/aserve/test_httpproto.py``, every reply is cut at every byte.
+in ``tests/soap/test_httpproto.py``, every reply is cut at every byte.
 """
 
 from __future__ import annotations

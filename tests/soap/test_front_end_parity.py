@@ -3,7 +3,8 @@
 Both servers frame HTTP through :mod:`repro.soap.framing` and dispatch
 through one :class:`~repro.soap.server.SoapDispatcher`, so a client cannot
 tell which one it reached.  A corpus of raw requests — well-formed,
-pipelined, abusive — goes to each, and the reply bytes must be equal.
+pipelined, abusive, stalled mid-head — goes to each, and the reply bytes
+must be equal.
 The two servers listen on the same port in turn, so even the WSDL's
 endpoint address matches.
 """
@@ -65,12 +66,19 @@ CORPUS = {
     "unknown-get": b"GET /nope HTTP/1.1\r\nHost: test\r\n\r\n",
 }
 
+#: Sent without a half-close: the head stops short and the client stays,
+#: so only the server's head deadline can end the exchange.
+STALLED = {"stalled-head": b"POST /soap HTTP/1.1\r\nHost: x\r\n"}
 
-def exchange(endpoint, raw: bytes) -> bytes:
+HEAD_TIMEOUT_S = 0.5
+
+
+def exchange(endpoint, raw: bytes, half_close: bool = True) -> bytes:
     """Send *raw*, half-close, and return every byte until the server hangs up."""
     with socket.create_connection(endpoint, timeout=10) as sock:
         sock.sendall(raw)
-        sock.shutdown(socket.SHUT_WR)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         reply = b""
         while chunk := sock.recv(65536):
             reply += chunk
@@ -80,8 +88,13 @@ def exchange(endpoint, raw: bytes) -> bytes:
 def replies(front_end, port: int) -> dict[str, bytes]:
     description = ServiceDescription("Echo")
     description.add("echo", ("value",))
-    with front_end(echo, port=port, description=description) as server:
-        return {name: exchange(server.endpoint, raw) for name, raw in CORPUS.items()}
+    with front_end(
+        echo, port=port, description=description, header_timeout_s=HEAD_TIMEOUT_S
+    ) as server:
+        got = {name: exchange(server.endpoint, raw) for name, raw in CORPUS.items()}
+        for name, raw in STALLED.items():
+            got[name] = exchange(server.endpoint, raw, half_close=False)
+    return got
 
 
 def test_both_front_ends_answer_the_corpus_with_the_same_bytes():
@@ -90,7 +103,7 @@ def test_both_front_ends_answer_the_corpus_with_the_same_bytes():
     threaded.stop()
     first = replies(SoapServer, port)
     second = replies(AsyncSoapServer, port)
-    for name in CORPUS:
+    for name in (*CORPUS, *STALLED):
         assert first[name] == second[name], name
     # The corpus means what it says: spot-check the shared answers.
     status = {name: reply.split(b"\r\n", 1)[0] for name, reply in first.items()}
@@ -101,6 +114,8 @@ def test_both_front_ends_answer_the_corpus_with_the_same_bytes():
     assert status["17k-header"] == b"HTTP/1.1 431 Request Header Fields Too Large"
     assert status["oversized-body"] == b"HTTP/1.1 413 Content Too Large"
     assert status["post-elsewhere"] == status["unknown-get"] == b"HTTP/1.1 404 Not Found"
+    assert status["stalled-head"] == b"HTTP/1.1 408 Request Timeout"
+    assert b"Connection: close\r\n" in first["stalled-head"]
     assert b"Connection: close\r\n" in first["http-1.0"]
     assert b"Connection: close\r\n" in first["connection-close"]
     assert b"Connection: keep-alive\r\n" in first["keep-alive"]
@@ -130,6 +145,19 @@ def test_expect_100_continue_is_not_answered(front_end):
             sock.sendall(body)
             response = read_reply(sock)
     assert response.status == 200
+
+
+@pytest.mark.parametrize("front_end", FRONT_ENDS)
+def test_the_head_deadline_spares_an_idle_keep_alive_connection(front_end):
+    """The deadline runs only while a request is partly framed: a
+    connection idle between requests for longer is still served."""
+    with front_end(echo, header_timeout_s=0.2) as server:
+        with socket.create_connection(server.endpoint, timeout=10) as sock:
+            sock.sendall(post(ENVELOPE))
+            assert read_reply(sock).status == 200
+            time.sleep(0.5)
+            sock.sendall(post(ENVELOPE))
+            assert read_reply(sock).status == 200
 
 
 @pytest.mark.parametrize("front_end", FRONT_ENDS)

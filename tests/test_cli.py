@@ -93,9 +93,9 @@ class TestCommands:
             server, capsys, "query", "--attr", "xp_attr=5", "--explain"
         )
         assert code == 0
-        # Planner lines, with the join leaf's engine EXPLAIN indented under it.
-        assert plan[0].startswith("leaf 0 [file]: strategy=join")
-        assert any("INDEX LOOKUP" in line for line in plan)
+        # Planner lines, with what the index leaf reads indented under them.
+        assert plan[0].startswith("leaf 0 [file]: strategy=index")
+        assert any(line.startswith("    DRIVE attribute_value") for line in plan)
         assert plan[-1] == "order by name asc"
 
     def test_stats_and_attributes(self, server, capsys):
