@@ -68,8 +68,8 @@ KEYED_TABLES = frozenset((ATTRIBUTE_TABLE, *OBJECT_TYPES))
 RowImages = dict[str, tuple[tuple[str, ...], list[tuple[Any, Any, bool]]]]
 
 #: An event is ``("n", table, name)`` (an object row named *name* changed)
-#: or ``("v", attr_id, values)`` (an attribute row of *attr_id* held, or
-#: now holds, the non-NULL *values*).
+#: or ``("v", attr_id, value)`` (an attribute row of *attr_id* held, or
+#: now holds, *value*; NULL matches no key and no test).
 Event = tuple
 
 #: A publish with more events than this is logged as "everything
@@ -141,23 +141,20 @@ class KeyedDependency:
     def affected_by(self, event: Event) -> bool:
         if event[0] == "n":
             return event in self.keys
-        _kind, attr_id, values = event
-        keys = self.keys
-        for value in values:
-            if ("=", attr_id, value) in keys:
-                return True
-        return self.tested_by(attr_id, values)
+        _kind, attr_id, value = event
+        if value is None:
+            return False
+        return ("=", attr_id, value) in self.keys or self.tested_by(attr_id, value)
 
-    def tested_by(self, attr_id: int, values: Iterable[Any]) -> bool:
-        """True when a value satisfies one of the tests on *attr_id*."""
+    def tested_by(self, attr_id: int, value: Any) -> bool:
+        """True when non-NULL *value* satisfies one of the tests on *attr_id*."""
         for test_attr, test in self.tests:
             if test_attr == attr_id:
-                for value in values:
-                    try:
-                        if test(value):
-                            return True
-                    except Exception:  # noqa: BLE001 - unevaluable: invalidate
+                try:
+                    if test(value):
                         return True
+                except Exception:  # noqa: BLE001 - unevaluable: invalidate
+                    return True
         return False
 
 
@@ -210,15 +207,14 @@ class KeyedRegistry:
                 if event[0] == "n":
                     hit.extend(_deps(index.get(event)))
                     continue
-                attr_id, values = event[1], event[2]
-                for value in values:
-                    slot = index.get(("=", attr_id, value))
-                    if slot is not None:
-                        hit.extend(_deps(slot))
+                _kind, attr_id, value = event
+                if value is None:
+                    continue
+                hit.extend(_deps(index.get(("=", attr_id, value))))
                 slot = index.get(("a", attr_id))
                 if slot is not None:
                     hit.extend(
-                        dep for dep in _deps(slot) if dep.tested_by(attr_id, values)
+                        dep for dep in _deps(slot) if dep.tested_by(attr_id, value)
                     )
             for dep in dict.fromkeys(hit):
                 dep.valid = False
@@ -302,10 +298,7 @@ def row_events(
             for old, new, _explicit in rows:
                 for image in (old, new):
                     if image is not None:
-                        values = [image[i] for i in value_pos]
-                        events.append(
-                            ("v", image[attr_pos], [v for v in values if v is not None])
-                        )
+                        events.append(("v", image[attr_pos], image[value_pos]))
                 if old is not None and new is None:
                     emptied.add((old[type_pos], old[id_pos]))
     for table, object_type in OBJECT_TYPES.items():
@@ -339,21 +332,18 @@ def row_events(
 
 
 @functools.lru_cache(maxsize=8)
-def _attribute_layout(
-    columns: tuple[str, ...],
-) -> Optional[tuple[int, int, int, tuple[int, ...]]]:
-    """Positions of ``attr_id``, ``object_type``, ``object_id`` and the
-    value columns (every other one) in an ``attribute_value`` row."""
+def _attribute_layout(columns: tuple[str, ...]) -> Optional[tuple[int, int, int, int]]:
+    """Positions of ``attr_id``, ``object_type``, ``object_id`` and
+    ``value`` in an ``attribute_value`` row."""
     try:
-        attr_pos = columns.index("attr_id")
-        type_pos = columns.index("object_type")
-        id_pos = columns.index("object_id")
+        return (
+            columns.index("attr_id"),
+            columns.index("object_type"),
+            columns.index("object_id"),
+            columns.index("value"),
+        )
     except ValueError:
         return None
-    fixed = (attr_pos, type_pos, id_pos)
-    return attr_pos, type_pos, id_pos, tuple(
-        i for i in range(len(columns)) if i not in fixed
-    )
 
 
 def _has_attribute_rows(catalog: "Catalog", object_type: str, object_id: Any) -> bool:

@@ -860,8 +860,8 @@ class MetadataCatalog:
         missing = {}
         for definition, value in self._resolve_values(object_type, attributes):
             if not conn.execute(
-                f"UPDATE attribute_value SET {definition.value_type.value_column} "
-                "= ? WHERE object_type = ? AND object_id = ? AND attr_id = ?",
+                "UPDATE attribute_value SET value = ? WHERE object_type = ? "
+                "AND object_id = ? AND attr_id = ?",
                 (value, object_type.value, object_id, definition.id),
             ).rowcount:
                 missing[definition.name] = value
@@ -875,17 +875,16 @@ class MetadataCatalog:
         objects: Iterable[tuple[int, dict[str, Any]]],
     ) -> None:
         """Attribute rows of objects that have none yet: one multi-row
-        ``executemany`` INSERT per value column, however many objects."""
-        rows: dict[str, list[tuple]] = {}
-        for object_id, attributes in objects:
-            for definition, value in self._resolve_values(object_type, attributes):
-                rows.setdefault(definition.value_type.value_column, []).append(
-                    (definition.id, object_type.value, object_id, value)
-                )
-        for column, params in rows.items():
+        ``executemany`` INSERT, however many objects and value types."""
+        params = [
+            (definition.id, object_type.value, object_id, value)
+            for object_id, attributes in objects
+            for definition, value in self._resolve_values(object_type, attributes)
+        ]
+        if params:
             conn.executemany(
-                f"INSERT INTO attribute_value (attr_id, object_type, "
-                f"object_id, {column}) VALUES (?, ?, ?, ?)",
+                "INSERT INTO attribute_value (attr_id, object_type, object_id, "
+                "value) VALUES (?, ?, ?, ?)",
                 params,
             )
 
@@ -913,18 +912,12 @@ class MetadataCatalog:
         conn = self._conn
         object_id = self._object_id(conn, object_type, name, version)
         rows = conn.execute(
-            "SELECT d.name, d.value_type, v.value_string, v.value_int, "
-            "v.value_float, v.value_date, v.value_time, v.value_datetime "
+            "SELECT d.name, v.value "
             "FROM attribute_value v JOIN attribute_def d ON v.attr_id = d.id "
             "WHERE v.object_type = ? AND v.object_id = ?",
             (object_type.value, object_id),
         ).fetchall()
-        out: dict[str, Any] = {}
-        columns = ("string", "int", "float", "date", "time", "datetime")
-        for row in rows:
-            attr_name, value_type = row[0], AttributeType(row[1])
-            out[attr_name] = row[2 + columns.index(value_type.value)]
-        return out
+        return dict(rows)
 
     def remove_attribute(
         self,
@@ -1609,9 +1602,12 @@ def _file_from_row(row: tuple) -> LogicalFile:
 
 
 def _coerce_attr_value(definition: AttributeDef, value: Any) -> Any:
-    """Validate/coerce a user-attribute value against its declared type."""
-    import datetime as dt
+    """Validate/coerce a user-attribute value against its declared type.
 
+    The only place a stored value's type is decided: ``attribute_value``
+    keeps whatever this returns.  A float attribute stores an int (or a
+    bool) as a float, a datetime attribute a date as its midnight.
+    """
     if value is None:
         return None
     vt = definition.value_type
@@ -1619,13 +1615,13 @@ def _coerce_attr_value(definition: AttributeDef, value: Any) -> Any:
         raise InvalidAttributeError(
             f"attribute {definition.name!r} expects int, got bool"
         )
-    if vt is AttributeType.FLOAT and isinstance(value, int) and not isinstance(value, bool):
+    if vt is AttributeType.FLOAT and isinstance(value, int):
         return float(value)
-    if vt is AttributeType.DATETIME and isinstance(value, dt.date) and not isinstance(
-        value, dt.datetime
+    if vt is AttributeType.DATETIME and isinstance(value, _dt.date) and not isinstance(
+        value, _dt.datetime
     ):
-        return dt.datetime(value.year, value.month, value.day)
-    if vt is AttributeType.DATE and isinstance(value, dt.datetime):
+        return _dt.datetime(value.year, value.month, value.day)
+    if vt is AttributeType.DATE and isinstance(value, _dt.datetime):
         raise InvalidAttributeError(
             f"attribute {definition.name!r} expects a date, got datetime"
         )

@@ -105,6 +105,10 @@ class StorageError(MCSError):
     fault_code = "MCS.Storage"
 
 
+class SchemaVersionError(StorageError):
+    """The catalog directory has another schema version; it is not migrated."""
+
+
 FAULT_CODE_TO_ERROR = {
     cls.fault_code: cls
     for cls in (

@@ -42,11 +42,6 @@ class AttributeType(enum.Enum):
         key = text.lower()
         return cls(aliases.get(key, key))
 
-    @property
-    def value_column(self) -> str:
-        """The attribute_value column holding this type."""
-        return f"value_{self.value}"
-
     def python_type(self) -> tuple[type, ...]:
         return {
             AttributeType.STRING: (str,),

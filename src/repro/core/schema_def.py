@@ -6,20 +6,24 @@ user metadata, audit metadata, user-defined attributes, annotations,
 transformation history and external catalog pointers.
 
 User-defined attribute values use an entity-attribute-value (EAV) table
-with one typed column per attribute type, indexed on
-``(attr_id, value_<type>)`` for attribute-match queries and keyed on
+with one untyped ``value`` column — the attribute definition fixes a
+value's type, and the catalog coerces to it before the row is written —
+indexed on ``(attr_id, value)`` for attribute-match queries and keyed on
 ``(object_type, object_id, attr_id)`` for per-object lookups and join
-probes — the same physical design choices whose cost behaviour the
-paper's §7 measures.
+probes: the same physical design choices whose cost behaviour the
+paper's §7 measures.  A row lives in those two trees.  A directory of
+another ``SCHEMA_VERSION`` is refused before any DDL touches it: engine
+DDL commits itself, so a migration could not be atomic.
 """
 
 from __future__ import annotations
 
+from repro.core.errors import SchemaVersionError
 from repro.db import Database
 from repro.db.schema import Column, ForeignKey, IndexDef, TableDef
 from repro.db.types import ColumnType
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _col(name: str, ctype: ColumnType, **kwargs) -> Column:
@@ -27,7 +31,23 @@ def _col(name: str, ctype: ColumnType, **kwargs) -> Column:
 
 
 def install_schema(db: Database) -> None:
-    """Create every MCS table and index (idempotent)."""
+    """Create every MCS table and index (idempotent).
+
+    Raises :class:`SchemaVersionError`, before any DDL, when *db* holds
+    a catalog of another schema version.
+    """
+    conn = db.connect()
+    stored = None
+    if db.catalog.has_table("mcs_meta"):
+        stored = conn.execute(
+            "SELECT meta_value FROM mcs_meta WHERE meta_key = 'schema_version'"
+        ).scalar()
+    if stored is not None and stored != str(SCHEMA_VERSION):
+        conn.close()
+        raise SchemaVersionError(
+            f"catalog directory has schema version {stored}; this build "
+            f"reads version {SCHEMA_VERSION} only and does not migrate"
+        )
     tables = [
         TableDef(
             "mcs_meta",
@@ -122,18 +142,14 @@ def install_schema(db: Database) -> None:
         TableDef(
             # One row per (object, attribute): that triple is the key, so
             # the row needs no surrogate id and one unique index serves
-            # both the per-object probe and the uniqueness check.
+            # both the per-object probe and the uniqueness check.  The
+            # value is stored as the attribute definition coerced it.
             "attribute_value",
             [
                 _col("attr_id", ColumnType.INTEGER, nullable=False),
                 _col("object_type", ColumnType.STRING, nullable=False),
                 _col("object_id", ColumnType.INTEGER, nullable=False),
-                _col("value_string", ColumnType.STRING),
-                _col("value_int", ColumnType.INTEGER),
-                _col("value_float", ColumnType.FLOAT),
-                _col("value_date", ColumnType.DATE),
-                _col("value_time", ColumnType.TIME),
-                _col("value_datetime", ColumnType.DATETIME),
+                _col("value", ColumnType.ANY),
             ],
             primary_key=("object_type", "object_id", "attr_id"),
             foreign_keys=[ForeignKey(("attr_id",), "attribute_def", ("id",))],
@@ -217,22 +233,17 @@ def install_schema(db: Database) -> None:
         db.create_table(definition, if_not_exists=True)
 
     indexes = [
-        # The paper builds indexes on logical file/collection/view names,
-        # on the database-assigned identifiers, and on (name, id) pairs.
-        IndexDef("lf_name", "logical_file", ("name",)),
-        IndexDef("lf_name_id", "logical_file", ("name", "id")),
+        # The paper indexes logical file/collection/view names, the
+        # database-assigned ids and (name, id) pairs: the primary keys and
+        # the unique name trees serve those paths (a file's name lookup
+        # drives the (name) prefix of its (name, version) tree).
         IndexDef("lf_collection", "logical_file", ("collection_id",)),
         IndexDef("lc_parent", "logical_collection", ("parent_id",)),
         IndexDef("vm_view", "view_member", ("view_id",)),
         IndexDef("vm_member", "view_member", ("member_type", "member_id")),
-        # EAV access paths per (attr, value); the per-object probe is the
-        # primary key.  The planner reads its statistics off these trees.
-        IndexDef("av_string", "attribute_value", ("attr_id", "value_string")),
-        IndexDef("av_int", "attribute_value", ("attr_id", "value_int")),
-        IndexDef("av_float", "attribute_value", ("attr_id", "value_float")),
-        IndexDef("av_date", "attribute_value", ("attr_id", "value_date")),
-        IndexDef("av_time", "attribute_value", ("attr_id", "value_time")),
-        IndexDef("av_datetime", "attribute_value", ("attr_id", "value_datetime")),
+        # The EAV access path per (attr, value); the per-object probe is
+        # the primary key.  The planner reads its statistics off both.
+        IndexDef("av_value", "attribute_value", ("attr_id", "value")),
         IndexDef("ann_object", "annotation", ("object_type", "object_id")),
         IndexDef("audit_object", "audit_record", ("object_type", "object_id")),
         IndexDef("tr_file", "transformation", ("file_id",)),
@@ -241,11 +252,7 @@ def install_schema(db: Database) -> None:
     for index_def in indexes:
         db.create_index(index_def, if_not_exists=True)
 
-    conn = db.connect()
-    existing = conn.execute(
-        "SELECT meta_value FROM mcs_meta WHERE meta_key = 'schema_version'"
-    ).scalar()
-    if existing is None:
+    if stored is None:
         conn.execute(
             "INSERT INTO mcs_meta (meta_key, meta_value) VALUES ('schema_version', ?)",
             (str(SCHEMA_VERSION),),

@@ -145,7 +145,7 @@ class Table:
     def _index_row(self, row: tuple, rowid: int) -> None:
         # One sort key per column, shared by every index key of the row:
         # a column in several indexes (attribute_value.attr_id is in
-        # eight) is held once per row, not once per index.
+        # both of its trees) is held once per row, not once per index.
         keys = tuple(map(sort_key, row))
         for name, cols in self._index_cols.items():
             self.indexes[name].insert_key(tuple(keys[i] for i in cols), rowid)

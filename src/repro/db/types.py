@@ -17,6 +17,7 @@ BOOLEAN      bool
 DATE         datetime.date
 TIME         datetime.time
 DATETIME     datetime.datetime
+ANY          as given (the writer decides)
 ===========  =============================
 
 ``None`` is the SQL NULL and is accepted by every type (not-null constraints
@@ -47,6 +48,7 @@ class ColumnType(enum.Enum):
     DATE = "DATE"
     TIME = "TIME"
     DATETIME = "DATETIME"
+    ANY = "ANY"
 
     @classmethod
     def from_name(cls, name: str) -> "ColumnType":
@@ -83,8 +85,8 @@ def coerce(value: Any, ctype: ColumnType) -> Any:
     in the target type without information loss (e.g. ``"abc"`` as INTEGER,
     or ``1.5`` as INTEGER).
     """
-    if value is None:
-        return None
+    if value is None or ctype is ColumnType.ANY:
+        return value
     try:
         if ctype is ColumnType.INTEGER:
             return _coerce_int(value)

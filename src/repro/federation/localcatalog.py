@@ -72,17 +72,18 @@ class LocalMCS:
         string_values: dict[str, list[str]] = {}
         numeric_ranges: dict[str, tuple[float, float]] = {}
         rows = conn.execute(
-            "SELECT d.name, v.value_string, v.value_int, v.value_float "
+            "SELECT d.name, v.value "
             "FROM attribute_value v JOIN attribute_def d ON v.attr_id = d.id"
         ).fetchall()
-        for name, s, i, f in rows:
+        for name, value in rows:
             names.add(name)
-            if s is not None:
-                string_values.setdefault(name, []).append(s)
-            numeric = i if i is not None else f
-            if numeric is not None:
-                low, high = numeric_ranges.get(name, (numeric, numeric))
-                numeric_ranges[name] = (min(low, numeric), max(high, numeric))
+            # Strings go to the Bloom filter, numbers to the range; any
+            # other value (a temporal) only names its attribute.
+            if isinstance(value, str):
+                string_values.setdefault(name, []).append(value)
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                low, high = numeric_ranges.get(name, (value, value))
+                numeric_ranges[name] = (min(low, value), max(high, value))
         blooms = {
             name: BloomFilter.from_items(values)
             for name, values in string_values.items()

@@ -53,6 +53,8 @@ _LEAVES = _obs_counter(
 )
 #: The attribute table's primary key: one row per (object, attribute).
 _BY_OBJECT = ("object_type", "object_id", "attr_id")
+#: ``av_value``: the attribute table's (attribute, value) tree.
+_BY_VALUE = ("attr_id", "value")
 
 #: A leaf result: (order-key value, object name) pairs, in no order.
 LeafRows = Sequence[tuple]
@@ -288,7 +290,7 @@ def _lower(catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan) -> _Lowered:
 
 
 def _drive_key(condition: AttributeCondition, definition: AttributeDef) -> tuple:
-    """Where the first condition enters its ``av_<type>`` index: the whole
+    """Where the first condition enters ``av_value``: the whole
     ``(attr_id, value)`` key for ``=``, else the ``attr_id`` prefix."""
     return (definition.id, condition.value) if _exact(condition) else (definition.id,)
 
@@ -344,26 +346,22 @@ def _matching_objects(view: "ReadView", leaf: _Lowered, table: str) -> Iterator[
     """Object rows whose attribute rows satisfy every user condition."""
     columns = view.columns("attribute_value")
     type_pos, object_pos = columns.index("object_type"), columns.index("object_id")
+    value_pos = columns.index("value")
     type_text = leaf.object_type.value
     value_row, object_row = view.fetch("attribute_value"), view.fetch(table)
     by_object = view.index("attribute_value", _BY_OBJECT).get
     by_id = view.index(table, ("id",)).get
-    checks = [
-        (d.id, columns.index(d.value_type.value_column), _condition_expr(c))
-        for c, d in leaf.conditions
-    ]
-    (_id, drive_pos, drive_expr), rest = checks[0], checks[1:]
-    condition, definition = leaf.conditions[0]
-    drive = view.index("attribute_value", ("attr_id", definition.value_type.value_column))
-    key = _drive_key(condition, definition)
+    (_id, drive_expr), *rest = [(d.id, _condition_expr(c)) for c, d in leaf.conditions]
+    drive = view.index("attribute_value", _BY_VALUE)
+    key = _drive_key(*leaf.conditions[0])
     for rowid in drive.get(key) if len(key) == 2 else drive.prefix(key):
         row = value_row(rowid)
-        if row[type_pos] != type_text or drive_expr.eval({"v": row[drive_pos]}) is not True:
+        if row[type_pos] != type_text or drive_expr.eval({"v": row[value_pos]}) is not True:
             continue
-        for attr_id, pos, expr in rest:
+        for attr_id, expr in rest:
             hits = by_object((type_text, row[object_pos], attr_id))
             # No row: NULL, three-valued unknown, rejected.
-            if not hits or expr.eval({"v": value_row(hits[0])[pos]}) is not True:
+            if not hits or expr.eval({"v": value_row(hits[0])[value_pos]}) is not True:
                 break
         else:
             hits = by_id((row[object_pos],))
@@ -385,8 +383,7 @@ def index_plan_lines(catalog: "MetadataCatalog", leaf: Leaf, plan: LeafPlan) -> 
                 return [f"WALK {table}{tail}"]
             return [f"DRIVE {table} USING {drive[0].name} PREFIX {_key_text(drive[1])}{tail}"]
         (first, definition), *rest = lowered.conditions
-        leading = ("attr_id", definition.value_type.value_column)
-        names = [view.index("attribute_value", cols).name for cols in (leading, _BY_OBJECT)]
+        names = [view.index("attribute_value", cols).name for cols in (_BY_VALUE, _BY_OBJECT)]
         names.append(view.index(table, ("id",)).name)
     key = _drive_key(first, definition)
     type_text = repr(lowered.object_type.value)
@@ -406,9 +403,6 @@ def _key_text(key: tuple) -> str:
     return "(" + ", ".join(map(repr, key)) + ")"
 
 
-_VALUE_COLUMNS = ("string", "int", "float", "date", "time", "datetime")
-
-
 def _scan_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
     """Full EAV + object-table pass, evaluated with engine semantics.
 
@@ -419,7 +413,7 @@ def _scan_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
     """
     table = _OBJECT_TABLE[leaf.object_type]
     type_text = leaf.object_type.value
-    definitions = {definition.id: definition for _c, definition in leaf.conditions}
+    attr_ids = {definition.id for _c, definition in leaf.conditions}
     select_cols = ["id", "name", leaf.key_column, *(col for col, _c in leaf.filters)]
 
     conn = catalog._conn
@@ -427,22 +421,16 @@ def _scan_leaf(catalog: "MetadataCatalog", leaf: _Lowered) -> LeafRows:
     with conn.read("attribute_value", table):
         # The genuine full scan: every attribute_value row, no WHERE.
         value_rows = conn.execute(
-            "SELECT attr_id, object_type, object_id, value_string, "
-            "value_int, value_float, value_date, value_time, value_datetime "
-            "FROM attribute_value"
+            "SELECT attr_id, object_type, object_id, value FROM attribute_value"
         ).fetchall()
         object_rows = conn.execute(
             f"SELECT {', '.join(select_cols)} FROM {table}"
         ).fetchall()
 
     by_object: dict[int, dict[int, Any]] = {}
-    for row in value_rows:
-        attr_id = row[0]
-        if row[1] != type_text or attr_id not in definitions:
-            continue
-        value_type = definitions[attr_id].value_type
-        value = row[3 + _VALUE_COLUMNS.index(value_type.value)]
-        by_object.setdefault(row[2], {})[attr_id] = value
+    for attr_id, object_type, object_id, value in value_rows:
+        if object_type == type_text and attr_id in attr_ids:
+            by_object.setdefault(object_id, {})[attr_id] = value
 
     user_exprs = [
         (definition.id, _condition_expr(condition))

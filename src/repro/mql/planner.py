@@ -4,7 +4,7 @@ Each conjunctive leaf can be answered two ways, both returning the same
 ``(sort key, name)`` pairs:
 
 * **index** — read the engine's trees directly: drive from the most
-  selective condition's ``av_<type>`` postings, probe the other
+  selective condition's ``av_value`` postings, probe the other
   conditions through the attribute table's primary key, fetch the
   object row through its own (a leaf with no user conditions drives
   from an indexed object column or walks the object rows);
@@ -14,12 +14,12 @@ Each conjunctive leaf can be answered two ways, both returning the same
 
 Costs come from counts the engine's B+trees keep as they change
 (:meth:`repro.db.engine.Connection.index_counts`): per attribute, rows
-and distinct non-NULL values from its own ``av_<type>`` index; per
+and distinct non-NULL values under its ``attr_id`` in ``av_value``; per
 object type, all EAV rows from the index that leads with
 ``object_type``.  The counts are exact and reading them is no
 statement, so planning is arithmetic and every query is planned against
 current statistics.  Counts are per attribute, not per (attribute,
-object type): an ``av_<type>`` probe walks every object type's rows of
+object type): an ``av_value`` probe walks every object type's rows of
 the attribute, so that is its true cost.  Selectivity model,
 deliberately simple:
 
@@ -180,9 +180,7 @@ def attribute_counts(
     catalog: "MetadataCatalog", definition: AttributeDef
 ) -> tuple[float, float]:
     """(rows, distinct non-NULL values) of one attribute, all object types."""
-    counts = catalog._conn.index_counts(
-        "attribute_value", ("attr_id", definition.value_type.value_column)
-    )
+    counts = catalog._conn.index_counts("attribute_value", ("attr_id", "value"))
     rows, distinct = counts.get(sort_key(definition.id), _NO_STATS)
     return float(rows), float(distinct)
 

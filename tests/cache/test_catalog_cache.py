@@ -126,6 +126,19 @@ class TestRowKeyedQueryInvalidation:
         cat.set_attributes(ObjectType.FILE, "f1", {"run": 2})
         assert cat.query(query) == ["f1", "f2"]
 
+    def test_a_null_value_matches_no_key_and_no_test(self, cat):
+        # A NULL satisfies no condition, so a row holding one changes no
+        # leaf: neither ``run != 5`` (a test) nor ``run = NULL`` (a key).
+        unequal = ObjectQuery().where("run", "!=", 5)
+        null = ObjectQuery().where("run", "=", None)
+        assert cat.query(unequal) == ["f1", "f2"]
+        assert cat.query(null) == []
+        cat.create_file("f-null", attributes={"run": None})
+        hits = _query_hits(cat)
+        assert cat.query(unequal) == ["f1", "f2"]
+        assert cat.query(null) == []
+        assert _query_hits(cat) == hits + 2
+
     def test_ranges_and_a_float_attribute_against_an_int_literal(self, cat):
         cat.define_attribute("gain", "float")
         cat.set_attributes(ObjectType.FILE, "f1", {"gain": 1.5})

@@ -57,23 +57,23 @@ def _spent(statements, write):
 
 
 def test_create_file_with_ten_attributes(cat, statements):
-    # BEGIN, the file row, one multi-row INSERT per value column, COMMIT.
+    # BEGIN, the file row, one multi-row attribute INSERT, COMMIT.
     spent = _spent(
         statements, lambda: cat.create_file("f", collection="c", attributes=ATTRIBUTES)
     )
-    assert spent <= 9, statements
+    assert spent <= 4, statements
     assert cat.get_attributes(ObjectType.FILE, "f") == ATTRIBUTES
 
 
 def test_bulk_of_sixteen_files(cat, statements):
     entries = [{"name": f"b{i}", "attributes": ATTRIBUTES} for i in range(16)]
     spent = _spent(statements, lambda: cat.bulk_create_files(entries))
-    assert spent <= 9, statements  # the same shape as one create
+    assert spent <= 4, statements  # the same shape as one create
 
 
 def test_set_attributes(cat, statements):
     # BEGIN, the object id, one UPDATE per value held, the rest in one
-    # INSERT per value column, COMMIT.
+    # INSERT, COMMIT.
     spent = _spent(
         statements,
         lambda: cat.set_attributes(ObjectType.FILE, "warm", {"a0": "t", "a1": 2}),

@@ -1,5 +1,7 @@
 """Tests for the federated MCS (§9 future-work design)."""
 
+import datetime as dt
+
 import pytest
 
 from repro.core import ObjectQuery
@@ -47,6 +49,28 @@ class TestSummaries:
         assert not summary.might_match("run", "=", 99)
         assert summary.might_match("run", ">=", 11)
         assert not summary.might_match("run", ">=", 12)
+
+    def test_float_range_prunes_and_date_is_only_named(self):
+        member = make_member("slac", "beam", [1])
+        member.client.define_attribute("energy", "float")
+        member.client.define_attribute("taken", "date")
+        for i, energy in enumerate((1.5, 3)):  # 3 is stored as 3.0
+            member.client.create_logical_file(
+                f"slac-e{i}", attributes={"energy": energy, "taken": dt.date(2003, 11, i + 1)}
+            )
+        summary = member.make_summary()
+        assert summary.numeric_ranges["energy"] == (1.5, 3.0)
+        assert summary.might_match("energy", "=", 2)
+        assert summary.might_match("energy", "<=", 1.5)
+        assert not summary.might_match("energy", "=", 9.5)
+        assert not summary.might_match("energy", ">", 3)
+        assert not summary.might_match("energy", "<", 1.5)
+        assert "taken" in summary.attribute_names
+        assert "taken" not in summary.numeric_ranges
+        assert "taken" not in summary.string_values
+        for op, value in (("=", dt.date(1999, 1, 1)), (">", dt.date(2099, 1, 1)),
+                          ("=", "1999-01-01"), ("=", 5)):
+            assert summary.might_match("taken", op, value)
 
 
 class TestIndexNode:

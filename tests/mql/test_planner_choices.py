@@ -228,7 +228,7 @@ def test_planning_never_reorders_the_callers_conditions(catalog):
 
 _GOLDEN_PLAN = [
     "leaf 0 [file]: strategy=index cost=4.0 (conditions=2 predefined=0)",
-    "    DRIVE attribute_value USING av_int KEY (1, 2) "
+    "    DRIVE attribute_value USING av_value KEY (1, 2) "
     "FILTER object_type = 'file' AND run = ?",
     "    PROBE attribute_value USING __pk_attribute_value "
     "KEY ('file', object_id, 2) FILTER site like ?",

@@ -28,10 +28,9 @@ def recounted(catalog) -> dict:
     try:
         per_attribute = {}
         for d in catalog.list_attribute_defs():
-            column = d.value_type.value_column
             groups = conn.execute(
-                f"SELECT {column}, COUNT(*) FROM attribute_value "
-                f"WHERE attr_id = ? GROUP BY {column}",
+                "SELECT value, COUNT(*) FROM attribute_value "
+                "WHERE attr_id = ? GROUP BY value",
                 (d.id,),
             ).fetchall()
             per_attribute[d.name] = (
