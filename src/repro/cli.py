@@ -121,26 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="dispatch worker threads (both front ends; default 4)",
     )
 
+    # Every argument after ``lint`` goes to repro.analysis.main, which
+    # declares them: no ``-`` prefix here, so none is parsed twice.
     lint = sub.add_parser(
-        "lint", help="run the project-specific concurrency/protocol linter"
+        "lint", prefix_chars="+", add_help=False,
+        help="run the project-specific concurrency/protocol linter"
+             " (mcs lint --help lists its options)",
     )
-    lint.add_argument("paths", nargs="*", default=["src/repro"],
-                      help="files or directories to lint (default: src/repro)")
-    lint.add_argument("--select", action="append", metavar="RULE",
-                      help="run only these rule ids (repeatable)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text", dest="lint_format", help="report format")
-    lint.add_argument("--explain", action="store_true",
-                      help="list every rule and its invariant, then exit")
-    lint.add_argument("--whole-program", action="store_true",
-                      help="also run the interprocedural rules (MCS012-MCS016)"
-                           " over the project call graph")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="suppress findings recorded (and justified) in"
-                           " this baseline file")
-    lint.add_argument("--write-baseline", metavar="FILE",
-                      help="write current findings to FILE as a baseline"
-                           " and exit")
+    lint.add_argument("lint_args", nargs="*", metavar="ARG")
 
     sub.add_parser("ping", help="liveness check")
     stats = sub.add_parser(
@@ -394,19 +382,7 @@ def _serve(args: argparse.Namespace) -> int:
 def _lint(args: argparse.Namespace) -> int:
     from repro.analysis import main as lint_main
 
-    forwarded: list[str] = list(args.paths)
-    for rule in args.select or ():
-        forwarded += ["--select", rule]
-    forwarded += ["--format", args.lint_format]
-    if args.explain:
-        forwarded.append("--explain")
-    if args.whole_program:
-        forwarded.append("--whole-program")
-    if args.baseline:
-        forwarded += ["--baseline", args.baseline]
-    if args.write_baseline:
-        forwarded += ["--write-baseline", args.write_baseline]
-    return lint_main(forwarded)
+    return lint_main(args.lint_args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

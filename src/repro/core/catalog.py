@@ -86,7 +86,7 @@ class MetadataCatalog:
         # generation bumps.  ``cache=False`` (or flipping
         # ``self.cache.enabled``) disables lookups.
         self.cache = CatalogCache(self.db, enabled=cache)
-        # Query pipeline: optional strategy override (None = cost-based,
+        # Query pipeline: optional strategy override (None = "index",
         # or "index" / "scan" — the equivalence lane's axis),
         # the compiled templates of recent MQL statement shapes
         # (compilation is purely syntactic, so nothing invalidates them;

@@ -649,7 +649,7 @@ class MCSService:
         return self.catalog.query_mql(text)
 
     def op_explain_mql(self, caller: str, text: str) -> list[str]:
-        """Per-leaf strategy choice + costs for one MQL statement."""
+        """Per-leaf strategy, condition order and estimates for one MQL statement."""
         return self.catalog.explain_mql(text)
 
     # ======================================================================

@@ -5,20 +5,27 @@ by the paper's Metadata Catalog Service.  It provides:
 
 * a typed relational schema (:mod:`repro.db.schema`),
 * B+tree secondary indexes (:mod:`repro.db.btree`),
-* a SQL subset with lexer, parser and AST (:mod:`repro.db.sql`),
-* a cost-aware planner and iterator-model executor
-  (:mod:`repro.db.planner`, :mod:`repro.db.executor`),
+* a SQL subset with lexer, parser and AST (:mod:`repro.db.sql`): the
+  statements the catalog issues, and no DDL,
+* a planner with three access paths (index equality, sequential scan,
+  empty) and inner index nested-loop joins, and an iterator-model
+  executor (:mod:`repro.db.planner`, :mod:`repro.db.executor`),
 * transactions with rollback and table-level read/write locking
   (:mod:`repro.db.txn`),
 * optional durability via snapshot + write-ahead log (:mod:`repro.db.wal`).
 
-The public entry point is :class:`repro.db.engine.Database`::
+The public entry point is :class:`repro.db.engine.Database`; tables and
+indexes are made through it, statements run on a connection::
 
-    from repro.db import Database
+    from repro.db import Column, ColumnType, Database, TableDef
 
     db = Database()
+    db.create_table(TableDef(
+        "t",
+        [Column("id", ColumnType.INTEGER), Column("name", ColumnType.STRING)],
+        primary_key=("id",),
+    ))
     conn = db.connect()
-    conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name STRING)")
     conn.execute("INSERT INTO t (id, name) VALUES (?, ?)", (1, "x"))
     rows = conn.execute("SELECT name FROM t WHERE id = ?", (1,)).fetchall()
 """

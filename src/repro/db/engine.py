@@ -19,13 +19,12 @@ from repro.db.errors import (
     SchemaError,
     TransactionError,
 )
-from repro.db.expr import Like, Parameter, bind_parameters, conjuncts
+from repro.db.expr import bind_parameters
 from repro.db.executor import execute_select, select_rowids
 from repro.db.planner import (
     bind_access,
     bind_plan,
     describe_plan,
-    is_plain_prefix,
     plan_mutation,
     plan_select,
 )
@@ -34,18 +33,13 @@ from repro.db.sql.ast import (
     BeginTransaction,
     Explain,
     CommitTransaction,
-    CreateIndex,
-    CreateTable,
     Delete,
-    DropIndex,
-    DropTable,
     Insert,
     RollbackTransaction,
     Select,
     Statement,
     Update,
 )
-from repro.db.sql.lexer import TokenType, tokenize
 from repro.db.sql.parser import parse_statement
 from repro.db.storage import Catalog, ForeignKeyEnforcer, Table
 from repro.db.txn import LockManager, TransactionState
@@ -268,7 +262,7 @@ class Database:
         for listener in self._commit_listeners:
             listener(list(records))
 
-    # -- programmatic DDL (used by schema bootstrap code) -----------------------
+    # -- DDL: the only way to make a table or an index ---------------------------
 
     def create_table(self, definition: TableDef, if_not_exists: bool = False) -> None:
         owner = object()
@@ -310,24 +304,6 @@ class Database:
             self.generations.bump((index_def.table,))
         finally:
             self.locks.schema_lock.release(owner, True)
-
-
-def split_statements(sql: str) -> list[str]:
-    """Split a script into statements on top-level ``;`` boundaries."""
-    tokens = tokenize(sql)
-    statements: list[str] = []
-    start = 0
-    for token in tokens:
-        if token.type is TokenType.PUNCT and token.text == ";":
-            piece = sql[start : token.position].strip()
-            if piece:
-                statements.append(piece)
-            start = token.position + 1
-        elif token.type is TokenType.EOF:
-            piece = sql[start : token.position].strip()
-            if piece:
-                statements.append(piece)
-    return statements
 
 
 class Connection:
@@ -377,10 +353,6 @@ class Connection:
             return self._execute_insert_many(stmt, param_sets)
         finally:
             _statement_timer(stmt).observe(time.perf_counter() - start)
-
-    def executescript(self, sql: str) -> None:
-        for piece in split_statements(sql):
-            self.execute(piece)
 
     def lock_tables(
         self,
@@ -499,8 +471,6 @@ class Connection:
             return self._commit_txn()
         if isinstance(stmt, RollbackTransaction):
             return self._rollback_txn()
-        if isinstance(stmt, (CreateTable, CreateIndex, DropTable, DropIndex)):
-            return self._execute_ddl(stmt)
         raise ProgrammingError(f"unsupported statement {type(stmt).__name__}")
 
     # -- transactions ------------------------------------------------------------------
@@ -635,9 +605,9 @@ class Connection:
         """The statement's cached plan template with *params* bound.
 
         A SELECT binds into a :class:`SelectPlan`, an UPDATE/DELETE into
-        its :class:`AccessPath`.  Planning happens on a miss only: per
-        LIKE key and schema epoch.  Called under the statement's shared
-        schema lock, so the epoch cannot move while the plan is in use.
+        its :class:`AccessPath`.  Planning happens on a miss only: once per
+        schema epoch.  Called under the statement's shared schema lock, so
+        the epoch cannot move while the plan is in use.
         """
         query, count = prepared.query, prepared.stmt.param_count
         if len(params) < count:
@@ -645,22 +615,21 @@ class Connection:
                 f"statement requires at least {count} parameters, got {len(params)}"
             )
         bind = bind_plan if isinstance(query, Select) else bind_access
-        key = tuple(i for i in prepared.like_params if is_plain_prefix(params[i]))
         epoch = self._db._schema_epoch
-        cached = prepared.plans.get(key)
+        cached = prepared.plan
         if cached is not None and cached[0] == epoch:
             template = cached[1]
         else:
             start = time.perf_counter()
             if isinstance(query, Select):
-                template = plan_select(self._db.catalog, query, key)
+                template = plan_select(self._db.catalog, query)
             else:
-                template = plan_mutation(self._db.catalog, query.table, query.where, key)
+                template = plan_mutation(self._db.catalog, query.table, query.where)
             if not count:
                 template = bind(template, ())  # no slot left to fill later
             if OBS.enabled:
                 _PLAN_SECONDS.observe(time.perf_counter() - start)
-            prepared.plans[key] = (epoch, template)
+            prepared.plan = (epoch, template)
         return bind(template, params) if count else template
 
     def _execute_explain(self, prepared: "_Prepared", params: tuple) -> ResultSet:
@@ -836,93 +805,6 @@ class Connection:
         finally:
             self._statement_done(held, success)
 
-    # -- DDL ---------------------------------------------------------------------------
-
-    def _execute_ddl(self, stmt: Statement) -> ResultSet:
-        if self._txn.explicit:
-            raise TransactionError("DDL is not allowed inside an explicit transaction")
-        owner = self._txn
-        self._db.locks.schema_lock.acquire_write(owner, self._db.locks.timeout)
-        bump_table: Optional[str] = None
-        try:
-            if isinstance(stmt, CreateTable):
-                if stmt.if_not_exists and self._db.catalog.has_table(stmt.name):
-                    return ResultSet(rowcount=0)
-                definition = TableDef(
-                    name=stmt.name,
-                    columns=stmt.columns,
-                    primary_key=stmt.primary_key,
-                    unique=stmt.unique,
-                    foreign_keys=stmt.foreign_keys,
-                )
-                self._db.catalog.create_table(definition)
-                self._db.wal_commit(
-                    [
-                        {
-                            "op": "create_table",
-                            "def": walmod.table_def_to_dict(definition),
-                        }
-                    ]
-                )
-                bump_table = stmt.name
-            elif isinstance(stmt, CreateIndex):
-                table = self._db.catalog.table(stmt.table)
-                if stmt.if_not_exists and any(
-                    d.name == stmt.name for d in table.index_defs()
-                ):
-                    return ResultSet(rowcount=0)
-                table.create_index(
-                    IndexDef(
-                        name=stmt.name,
-                        table=stmt.table,
-                        columns=stmt.columns,
-                        unique=stmt.unique,
-                    )
-                )
-                self._db.wal_commit(
-                    [
-                        {
-                            "op": "create_index",
-                            "table": stmt.table,
-                            "name": stmt.name,
-                            "columns": list(stmt.columns),
-                            "unique": stmt.unique,
-                        }
-                    ]
-                )
-                bump_table = stmt.table
-            elif isinstance(stmt, DropTable):
-                if stmt.if_exists and not self._db.catalog.has_table(stmt.name):
-                    return ResultSet(rowcount=0)
-                self._db.catalog.drop_table(stmt.name)
-                self._db.wal_commit([{"op": "drop_table", "table": stmt.name}])
-                bump_table = stmt.name
-            elif isinstance(stmt, DropIndex):
-                table_name = stmt.table
-                if table_name is None:
-                    for name in self._db.catalog.table_names():
-                        if any(
-                            d.name == stmt.name
-                            for d in self._db.catalog.table(name).index_defs()
-                        ):
-                            table_name = name
-                            break
-                if table_name is None:
-                    if stmt.if_exists:
-                        return ResultSet(rowcount=0)
-                    raise SchemaError(f"no index {stmt.name!r}")
-                self._db.catalog.table(table_name).drop_index(stmt.name)
-                self._db.wal_commit(
-                    [{"op": "drop_index", "table": table_name, "name": stmt.name}]
-                )
-                bump_table = table_name
-            if bump_table is not None:
-                self._db._schema_changed()
-                self._db.generations.bump((bump_table,))
-            return ResultSet(rowcount=0)
-        finally:
-            self._db.locks.schema_lock.release(owner, True)
-
 
 class IndexView(NamedTuple):
     """One index's postings: ``get(key)`` lists the row ids of one whole
@@ -971,28 +853,19 @@ class ReadView:
 
 
 class _Prepared:
-    """One SQL text: its parsed statement and the plan templates built from it.
+    """One SQL text: its parsed statement and the plan template built from it.
 
     ``query`` is the statement that gets planned (an EXPLAIN's inner
-    SELECT).  ``plans`` maps the LIKE key — which ``LIKE ?`` slots hold a
-    plain prefix this time — to ``(schema epoch, template)``.  Templates
-    are immutable and shared across threads.
+    SELECT).  ``plan`` is ``(schema epoch, template)`` once planned.
+    Templates are immutable and shared across threads.
     """
 
-    __slots__ = ("stmt", "query", "like_params", "plans")
+    __slots__ = ("stmt", "query", "plan")
 
     def __init__(self, stmt: Statement) -> None:
         self.stmt = stmt
-        self.query = query = stmt.inner if isinstance(stmt, Explain) else stmt
-        clauses = [getattr(query, "where", None)]
-        clauses += [join.condition for join in getattr(query, "joins", ())]
-        self.like_params = tuple(
-            part.pattern.index
-            for clause in clauses
-            for part in conjuncts(clause)
-            if isinstance(part, Like) and isinstance(part.pattern, Parameter)
-        )
-        self.plans: dict[tuple, tuple[int, Any]] = {}
+        self.query = stmt.inner if isinstance(stmt, Explain) else stmt
+        self.plan: Optional[tuple[int, Any]] = None
 
 
 def _read_tables(stmt: Select) -> set[str]:

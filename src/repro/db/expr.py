@@ -92,15 +92,6 @@ _CMP_OPS: dict[str, Callable[[Any, Any], bool]] = {
     ">=": lambda a, b: sort_key(a) >= sort_key(b),
 }
 
-_ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-}
-
-
 @dataclass(frozen=True)
 class Comparison(Expr):
     """Binary comparison (=, !=, <, <=, >, >=) with SQL NULL semantics."""
@@ -122,29 +113,6 @@ class Comparison(Expr):
             if self.op in ("=", "!="):
                 return (lhs == rhs) if self.op == "=" else (lhs != rhs)
             raise
-
-    def columns(self) -> Iterator[ColumnRef]:
-        yield from self.left.columns()
-        yield from self.right.columns()
-
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
-
-
-@dataclass(frozen=True)
-class Arithmetic(Expr):
-    """Binary arithmetic (+ - * / %); NULL operands propagate NULL."""
-
-    op: str  # + - * / %
-    left: Expr
-    right: Expr
-
-    def eval(self, scope: Mapping[str, Any]) -> Any:
-        lhs = self.left.eval(scope)
-        rhs = self.right.eval(scope)
-        if lhs is None or rhs is None:
-            return None
-        return _ARITH_OPS[self.op](lhs, rhs)
 
     def columns(self) -> Iterator[ColumnRef]:
         yield from self.left.columns()
@@ -342,29 +310,6 @@ class Like(Expr):
         return f"({self.inner} {'NOT ' if self.negated else ''}LIKE {self.pattern})"
 
 
-@dataclass(frozen=True)
-class FunctionCall(Expr):
-    """Scalar function call (LOWER, UPPER, LENGTH, ABS, COALESCE...)."""
-
-    name: str
-    args: tuple[Expr, ...]
-
-    def eval(self, scope: Mapping[str, Any]) -> Any:
-        from repro.db.functions import SCALAR_FUNCTIONS
-
-        func = SCALAR_FUNCTIONS.get(self.name.upper())
-        if func is None:
-            raise ProgrammingError(f"unknown function {self.name!r}")
-        return func(*[arg.eval(scope) for arg in self.args])
-
-    def columns(self) -> Iterator[ColumnRef]:
-        for arg in self.args:
-            yield from arg.columns()
-
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(str(a) for a in self.args)})"
-
-
 def bind_parameters(expr: Expr, params: Sequence[Any]) -> Expr:
     """Return a copy of *expr* with ``Parameter`` nodes replaced by literals."""
     if isinstance(expr, Parameter):
@@ -375,8 +320,6 @@ def bind_parameters(expr: Expr, params: Sequence[Any]) -> Expr:
         return Literal(params[expr.index])
     if isinstance(expr, Comparison):
         return Comparison(expr.op, bind_parameters(expr.left, params), bind_parameters(expr.right, params))
-    if isinstance(expr, Arithmetic):
-        return Arithmetic(expr.op, bind_parameters(expr.left, params), bind_parameters(expr.right, params))
     if isinstance(expr, And):
         return And(tuple(bind_parameters(p, params) for p in expr.parts))
     if isinstance(expr, Or):
@@ -404,8 +347,6 @@ def bind_parameters(expr: Expr, params: Sequence[Any]) -> Expr:
             bind_parameters(expr.pattern, params),
             expr.negated,
         )
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(expr.name, tuple(bind_parameters(a, params) for a in expr.args))
     return expr
 
 
@@ -431,7 +372,7 @@ def count_parameters(expr: Optional[Expr]) -> int:
         nonlocal highest
         if isinstance(node, Parameter):
             highest = max(highest, node.index)
-        elif isinstance(node, (Comparison, Arithmetic)):
+        elif isinstance(node, Comparison):
             walk(node.left)
             walk(node.right)
         elif isinstance(node, (And, Or)):
@@ -452,9 +393,6 @@ def count_parameters(expr: Optional[Expr]) -> int:
         elif isinstance(node, Like):
             walk(node.inner)
             walk(node.pattern)
-        elif isinstance(node, FunctionCall):
-            for arg in node.args:
-                walk(arg)
 
     walk(expr)
     return highest + 1

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.db.expr import Expr
-from repro.db.schema import ForeignKey, Column
 
 
 class Statement:
@@ -14,46 +13,6 @@ class Statement:
 
     #: Number of ``?`` placeholders in the text (set by the parser).
     param_count = 0
-
-
-@dataclass
-class CreateTable(Statement):
-    """CREATE TABLE statement."""
-
-    name: str
-    columns: list[Column]
-    primary_key: tuple[str, ...]
-    unique: list[tuple[str, ...]]
-    foreign_keys: list[ForeignKey]
-    if_not_exists: bool = False
-
-
-@dataclass
-class CreateIndex(Statement):
-    """CREATE [UNIQUE] INDEX statement."""
-
-    name: str
-    table: str
-    columns: tuple[str, ...]
-    unique: bool = False
-    if_not_exists: bool = False
-
-
-@dataclass
-class DropTable(Statement):
-    """DROP TABLE statement."""
-
-    name: str
-    if_exists: bool = False
-
-
-@dataclass
-class DropIndex(Statement):
-    """DROP INDEX statement."""
-
-    name: str
-    table: Optional[str] = None
-    if_exists: bool = False
 
 
 @dataclass
@@ -96,26 +55,23 @@ class TableRef:
 
 @dataclass
 class Join:
-    """A join step applied to the running FROM result."""
+    """An inner join applied to the running FROM result."""
 
     table: TableRef
-    kind: str  # "inner", "left", "cross"
-    condition: Optional[Expr] = None
+    condition: Expr
 
 
 @dataclass
 class SelectItem:
     """One projection item: expression with optional output alias.
 
-    ``star`` marks ``*`` or ``alias.*``; ``aggregate`` is the aggregate
-    function name when the item is e.g. ``COUNT(x)``.
+    ``star`` marks ``*`` or ``alias.*``; ``count_star`` marks ``COUNT(*)``.
     """
 
     expr: Optional[Expr] = None
     alias: Optional[str] = None
     star: bool = False
     star_table: Optional[str] = None
-    aggregate: Optional[str] = None
     count_star: bool = False
 
 
@@ -129,18 +85,13 @@ class OrderItem:
 
 @dataclass
 class Select(Statement):
-    """SELECT statement with joins, grouping, ordering and limits."""
+    """SELECT statement with inner joins and ordering."""
 
     items: list[SelectItem]
     table: Optional[TableRef] = None
     joins: list[Join] = field(default_factory=list)
     where: Optional[Expr] = None
-    group_by: list[Expr] = field(default_factory=list)
-    having: Optional[Expr] = None
     order_by: list[OrderItem] = field(default_factory=list)
-    limit: Optional[int] = None
-    offset: Optional[int] = None
-    distinct: bool = False
 
 
 @dataclass

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.db.errors import SQLSyntaxError
 
+# Words of clauses the dialect refuses (DDL, GROUP BY, LIMIT, LEFT JOIN,
+# DISTINCT ...) stay reserved: such a statement fails at that word instead
+# of reading it as an alias.
 KEYWORDS = {
     "SELECT", "FROM", "WHERE", "INSERT", "INTO", "VALUES", "UPDATE", "SET",
     "DELETE", "CREATE", "DROP", "TABLE", "INDEX", "UNIQUE", "ON", "PRIMARY",

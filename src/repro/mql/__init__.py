@@ -16,12 +16,14 @@ AMGA did for grid metadata catalogs.  ``repro.mql`` is that layer:
 * a compiler that lowers the predicate tree (through negation push-down
   and DNF expansion) onto the existing conjunctive
   :class:`repro.core.query.ObjectQuery` leaves;
-* a cost-based planner choosing, per leaf, between index-intersection
-  probes, the EAV join, and a full scan — fed by the exact counts the
-  engine's attribute indexes keep (no statistics table, no statement);
-* an executor whose three strategies are answer-equivalent by
-  construction (one shared deterministic ordering/dedup contract),
-  proven by the ``-m mql`` equivalence lane.
+* a planner that orders each leaf's conditions most selective first,
+  from the exact counts the engine's attribute indexes keep (no
+  statistics table, no statement);
+* an executor that answers a leaf by reading the engine's trees
+  (``index``), or, when forced, by a full scan evaluated in Python
+  (``scan``): the two are answer-equivalent by construction (one shared
+  deterministic ordering/dedup contract), proven by the ``-m mql``
+  equivalence lane.
 
 Every syntax error carries a line, a column and a caret snippet
 (:class:`MQLSyntaxError`); semantic errors reuse the core

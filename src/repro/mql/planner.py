@@ -1,4 +1,4 @@
-"""Cost-based strategy selection for compiled leaves.
+"""Strategy and condition order for compiled leaves.
 
 Each conjunctive leaf can be answered two ways, both returning the same
 ``(sort key, name)`` pairs:
@@ -10,28 +10,30 @@ Each conjunctive leaf can be answered two ways, both returning the same
   from an indexed object column or walks the object rows);
 * **scan** — a genuine full pass over ``attribute_value`` plus the
   object table, evaluated in Python with the engine's own expression
-  semantics (the equivalence-lane oracle and the ablation baseline).
+  semantics: the equivalence-lane oracle, used only when forced
+  (``MetadataCatalog.mql_strategy``).
 
-Costs come from counts the engine's B+trees keep as they change
+Every unforced leaf plans ``index``: for the catalogs this service holds
+the index read is the cheaper one on every query the workloads issue
+(at 1 500 files x 10 attributes, at most 750 x 10 = 7 500 postings
+against 2 x 15 000 rows for the scan).
+
+The order the index strategy takes the conditions in comes from counts
+the engine's B+trees keep as they change
 (:meth:`repro.db.engine.Connection.index_counts`): per attribute, rows
-and distinct non-NULL values under its ``attr_id`` in ``av_value``; per
-object type, all EAV rows from the index that leads with
-``object_type``.  The counts are exact and reading them is no
-statement, so planning is arithmetic and every query is planned against
-current statistics.  Counts are per attribute, not per (attribute,
-object type): an ``av_value`` probe walks every object type's rows of
-the attribute, so that is its true cost.  Selectivity model,
-deliberately simple:
+and distinct non-NULL values under its ``attr_id`` in ``av_value``.  The
+counts are exact and reading them is no statement, so planning is
+arithmetic and every query is planned against current statistics.
+Counts are per attribute, not per (attribute, object type): an
+``av_value`` probe walks every object type's rows of the attribute, so
+that is its true cost.  Selectivity model, deliberately simple:
 
 * equality → ``rows / distinct``;
 * range / between / prefix-``like`` → ``rows / 3``;
 * ``!=`` and wildcard-leading ``like`` → ``rows``.
 
-``cost(index) = best estimate · |conditions|`` (the best condition
-drives, each candidate probes the rest), ``cost(scan) = all EAV rows of
-the object type``.  Ties break index → scan.  Statistics are advisory
-(a transaction in flight shows in them until it ends): a bad estimate
-costs time, never correctness.
+Statistics are advisory (a transaction in flight shows in them until it
+ends): a bad estimate costs time, never correctness.
 
 The plan names the order the strategies take the leaf's conditions in
 (most selective first); the leaf itself is never modified, so one leaf
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from repro.core.errors import QueryError
-from repro.core.model import AttributeDef, ObjectType
+from repro.core.model import AttributeDef
 from repro.core.query import AttributeCondition
 from repro.db.types import sort_key
 from repro.mql.compiler import CompiledStatement, Leaf
@@ -71,8 +73,6 @@ class LeafPlan(NamedTuple):
     """The chosen strategy (and its reasoning) for one leaf."""
 
     strategy: str
-    cost: float
-    costs: tuple[tuple[str, float], ...]  # every strategy's modeled cost
     #: Positions in ``leaf.query.conditions``, most selective first.
     order: tuple[int, ...]
     estimates: tuple[ConditionEstimate, ...]  # in ``order``
@@ -101,7 +101,7 @@ def plan_statement(
     compiled: CompiledStatement,
     strategy: Optional[str] = None,
 ) -> StatementPlan:
-    """Choose a strategy per leaf (or force *strategy* everywhere)."""
+    """Plan every leaf (under a forced *strategy*, if given)."""
     return StatementPlan(
         compiled, [plan_leaf(catalog, leaf, strategy) for leaf in compiled.leaves]
     )
@@ -110,7 +110,8 @@ def plan_statement(
 def plan_leaf(
     catalog: "MetadataCatalog", leaf: Leaf, forced: Optional[str] = None
 ) -> LeafPlan:
-    """Pick a strategy and a condition order for one leaf."""
+    """Pick a condition order for one leaf; the strategy is ``index``
+    unless *forced*."""
     if forced is not None and forced not in STRATEGIES:
         raise QueryError(
             f"unknown MQL strategy {forced!r}; expected one of {STRATEGIES}"
@@ -120,13 +121,10 @@ def plan_leaf(
     # generations.
     counters = leaf.query.cache_counters()
     generations = catalog.cache.generations.snapshot(counters)
-    eav_total = object_type_rows(catalog, leaf.object_type)
-    scan = ("scan", eav_total + max(eav_total, 1.0))
     conditions = leaf.query.conditions
     order: tuple[int, ...] = ()
     estimates: list[ConditionEstimate] = []
     definitions: tuple[AttributeDef, ...] = ()
-    index_cost = eav_total  # no conditions: drive from or walk the object rows
     if conditions:
         definitions = resolve_definitions(catalog, leaf)
         estimates = [
@@ -148,15 +146,8 @@ def plan_leaf(
             )
         )
         estimates = [estimates[i] for i in order]
-        index_cost = estimates[0].rows * len(estimates)
-    costs = (("index", index_cost), scan)
-    if forced is None:  # the first of equal costs: index before scan
-        strategy, cost = min(costs, key=lambda item: item[1])
-    else:
-        strategy, cost = forced, dict(costs)[forced]
     return LeafPlan(
-        strategy, cost, costs, order, tuple(estimates), definitions, counters,
-        generations,
+        forced or "index", order, tuple(estimates), definitions, counters, generations
     )
 
 
@@ -183,12 +174,6 @@ def attribute_counts(
     counts = catalog._conn.index_counts("attribute_value", ("attr_id", "value"))
     rows, distinct = counts.get(sort_key(definition.id), _NO_STATS)
     return float(rows), float(distinct)
-
-
-def object_type_rows(catalog: "MetadataCatalog", object_type: ObjectType) -> float:
-    """``attribute_value`` rows of one object type (every attribute)."""
-    counts = catalog._conn.index_counts("attribute_value", ("object_type",))
-    return float(counts.get(sort_key(object_type.value), _NO_STATS)[0])
 
 
 def _estimate(
@@ -232,7 +217,7 @@ def explain_lines(
         pre = len(query.predefined) + (query.collection is not None) + query.valid_only
         lines.append(
             f"leaf {leaf.index} [{leaf.object_type.value}]: "
-            f"strategy={leaf_plan.strategy} cost={leaf_plan.cost:.1f} "
+            f"strategy={leaf_plan.strategy} "
             f"(conditions={conds} predefined={pre})"
         )
         if leaf_plan.strategy == "index":
@@ -242,10 +227,6 @@ def explain_lines(
                 f"  {estimate.attribute} {estimate.op} ? "
                 f"(est {estimate.rows:.1f} rows)"
             )
-        alternatives = ", ".join(
-            f"{name}={cost:.1f}" for name, cost in leaf_plan.costs
-        )
-        lines.append(f"  costs: {alternatives}")
     lines.append(f"algebra: {_algebra_text(compiled.root)}")
     direction = "desc" if compiled.descending else "asc"
     modifiers = f"order by {compiled.order_field} {direction}"

@@ -16,6 +16,7 @@ from repro.core.errors import (
     ObjectNotFoundError,
 )
 from repro.core.replicated import ReplicatedMCS
+from tests.tables import make_index
 
 pytestmark = pytest.mark.cache
 
@@ -205,7 +206,7 @@ class TestRowKeyedQueryInvalidation:
     def test_ddl_invalidates_keyed_entries(self, cat):
         cat.query(_pulsar_query())
         tables_before = cat.cache.stats()["query"]["invalidated_by_table"]
-        cat._conn.execute("CREATE INDEX av_probe ON attribute_value (object_id)")
+        make_index(cat._conn, "av_probe", "attribute_value", ("object_id",))
         hits = _query_hits(cat)
         assert cat.query(_pulsar_query()) == ["f1", "f2"]
         assert _query_hits(cat) == hits

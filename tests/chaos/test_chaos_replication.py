@@ -16,6 +16,7 @@ from repro.db.replication import Replica, ReplicationPublisher
 from repro.faults import FaultPlan
 from repro.resilience import RetryPolicy
 from repro.soap.errors import TransportError
+from tests.tables import make_table
 
 pytestmark = pytest.mark.chaos
 
@@ -28,7 +29,7 @@ def table_rows(database: Database) -> list[tuple]:
 
 def run_commits(primary: Database, n: int = 30) -> None:
     conn = primary.connect()
-    conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v STRING)")
+    make_table(conn, "t", "id INTEGER, v STRING", primary_key=("id",))
     for i in range(n):
         if i % 5 == 4:
             conn.execute(f"UPDATE t SET v = 'u{i}' WHERE id = {i - 2}")
@@ -74,7 +75,7 @@ def test_sync_replica_surfaces_exhausted_retries_to_the_commit(no_faults):
         conn = primary.connect()
         with faults.active(plan):
             with pytest.raises(TransportError):
-                conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+                make_table(conn, "t", "id INTEGER", primary_key=("id",))
         # Nothing half-applied on the replica: the injection point sits
         # before the batch touches any row.
         assert replica.applied_batches == 0
@@ -94,7 +95,7 @@ def test_replica_applies_in_commit_order_under_faults(no_faults):
     try:
         conn = primary.connect()
         with faults.active(plan):
-            conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v STRING)")
+            make_table(conn, "t", "id INTEGER, v STRING", primary_key=("id",))
             conn.execute("INSERT INTO t (id, v) VALUES (1, 'a')")
             for i in range(20):
                 conn.execute(f"UPDATE t SET v = 'step{i}' WHERE id = 1")

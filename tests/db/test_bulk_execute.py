@@ -8,17 +8,16 @@ from repro.db.errors import (
     ProgrammingError,
     TransactionError,
 )
+from tests.tables import make_table
 
 
 @pytest.fixture()
 def db():
     database = Database()
     conn = database.connect()
-    conn.execute(
-        "CREATE TABLE t ("
-        "id INTEGER PRIMARY KEY AUTOINCREMENT, "
-        "name STRING NOT NULL UNIQUE, "
-        "score INTEGER)"
+    make_table(
+        conn, "t", "id INTEGER, name STRING, score INTEGER", primary_key=("id",),
+        unique=[("name",)], autoincrement="id", not_null=("name",),
     )
     conn.close()
     return database

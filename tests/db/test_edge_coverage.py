@@ -1,7 +1,6 @@
 """Edge-case coverage: recovery errors, B+tree boundaries, misc branches."""
 
 import json
-import os
 
 import pytest
 
@@ -10,6 +9,7 @@ from repro.db.btree import BPlusTree
 from repro.db.errors import RecoveryError
 from repro.db.wal import SNAPSHOT_NAME, load_snapshot
 from repro.db.storage import Catalog
+from tests.tables import make_index, make_table
 
 
 class TestRecoveryErrors:
@@ -26,7 +26,7 @@ class TestRecoveryErrors:
 
     def test_unknown_wal_op(self, tmp_path):
         db = Database(directory=str(tmp_path))
-        db.connect().execute("CREATE TABLE t (a INTEGER)")
+        make_table(db.connect(), "t", "a INTEGER")
         db.close()
         wal = tmp_path / "wal.log"
         with open(wal, "a") as fh:
@@ -71,7 +71,7 @@ class TestDatatypeEdges:
     def test_boolean_column_round_trip(self):
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (flag BOOLEAN)")
+        make_table(conn, "t", "flag BOOLEAN")
         conn.execute("INSERT INTO t (flag) VALUES (TRUE), (FALSE), (NULL)")
         rows = conn.execute("SELECT flag FROM t").fetchall()
         assert rows == [(True,), (False,), (None,)]
@@ -84,23 +84,23 @@ class TestDatatypeEdges:
 
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (at TIME)")
+        make_table(conn, "t", "at TIME")
         conn.execute("INSERT INTO t (at) VALUES (?)", (dt.time(10, 30),))
         assert conn.execute("SELECT at FROM t").scalar() == dt.time(10, 30)
 
     def test_very_long_strings(self):
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (v STRING)")
+        make_table(conn, "t", "v STRING")
         big = "x" * 100_000
         conn.execute("INSERT INTO t (v) VALUES (?)", (big,))
-        assert conn.execute("SELECT LENGTH(v) FROM t").scalar() == 100_000
+        assert len(conn.execute("SELECT v FROM t").scalar()) == 100_000
 
     def test_unicode_strings_in_index(self):
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (v STRING)")
-        conn.execute("CREATE INDEX i ON t (v)")
+        make_table(conn, "t", "v STRING")
+        make_index(conn, "i", "t", ("v",))
         conn.execute("INSERT INTO t (v) VALUES ('ünïcødé ✓')")
         assert conn.execute(
             "SELECT COUNT(*) FROM t WHERE v = 'ünïcødé ✓'"

@@ -1,42 +1,50 @@
-"""Engine edge cases: scripts, context managers, cache, misc paths."""
-
-import threading
+"""Engine edge cases: statement boundaries, context managers, cache, misc paths."""
 
 import pytest
 
 from repro.db import Database
-from repro.db.engine import split_statements
 from repro.db.errors import (
     IntegrityError,
     LockTimeoutError,
     ProgrammingError,
     SQLSyntaxError,
 )
+from tests.tables import make_table
 
 
 class TestSplitStatements:
-    def test_basic_split(self):
-        pieces = split_statements("SELECT 1 FROM a; SELECT 2 FROM b;")
-        assert len(pieces) == 2
+    """One statement per ``execute``: a ``;`` ends it, and only outside a
+    string or a comment."""
 
-    def test_semicolon_in_string_not_split(self):
-        pieces = split_statements("INSERT INTO t (v) VALUES ('a;b'); SELECT v FROM t")
-        assert len(pieces) == 2
-        assert "'a;b'" in pieces[0]
+    @pytest.fixture
+    def conn(self):
+        db = Database()
+        make_table(db, "t", "v STRING")
+        return db.connect()
 
-    def test_trailing_whitespace_and_empty(self):
-        assert split_statements("  ;; ; ") == []
-        assert split_statements("") == []
+    def test_basic_split(self, conn):
+        with pytest.raises(SQLSyntaxError, match="trailing"):
+            conn.execute("SELECT v FROM t; SELECT v FROM t;")
 
-    def test_comments_preserved_position(self):
-        pieces = split_statements("SELECT 1 FROM a -- note; not a split\n; SELECT 2 FROM b")
-        assert len(pieces) == 2
+    def test_semicolon_in_string_not_split(self, conn):
+        conn.execute("INSERT INTO t (v) VALUES ('a;b');")
+        assert conn.execute("SELECT v FROM t").scalar() == "a;b"
+
+    def test_trailing_whitespace_and_empty(self, conn):
+        assert conn.execute("SELECT v FROM t ;  \n").fetchall() == []
+        for text in ("", "  ;; ; "):
+            with pytest.raises(SQLSyntaxError):
+                conn.execute(text)
+
+    def test_comments_preserved_position(self, conn):
+        sql = "SELECT v FROM t -- note; not a split\n WHERE v = 'x'"
+        assert conn.execute(sql).fetchall() == []
 
 
 class TestConnectionLifecycle:
     def test_exit_with_exception_rolls_back(self):
         db = Database()
-        db.connect().execute("CREATE TABLE t (a INTEGER)")
+        make_table(db.connect(), "t", "a INTEGER")
         with pytest.raises(RuntimeError):
             with db.connect() as conn:
                 conn.execute("BEGIN")
@@ -46,7 +54,7 @@ class TestConnectionLifecycle:
 
     def test_close_rolls_back_open_txn(self):
         db = Database()
-        db.connect().execute("CREATE TABLE t (a INTEGER)")
+        make_table(db.connect(), "t", "a INTEGER")
         conn = db.connect()
         conn.execute("BEGIN")
         conn.execute("INSERT INTO t (a) VALUES (1)")
@@ -69,7 +77,7 @@ class TestConnectionLifecycle:
 class TestStatementCache:
     def test_cache_shared_across_connections(self):
         db = Database()
-        db.connect().execute("CREATE TABLE t (a INTEGER)")
+        make_table(db.connect(), "t", "a INTEGER")
         sql = "SELECT a FROM t WHERE a = ?"
         db.connect().execute(sql, (1,))
         cached = db.parse(sql)
@@ -77,7 +85,7 @@ class TestStatementCache:
 
     def test_cache_bounded(self):
         db = Database()
-        db.connect().execute("CREATE TABLE t (a INTEGER)")
+        make_table(db.connect(), "t", "a INTEGER")
         for i in range(4100):
             db.parse(f"SELECT a FROM t WHERE a = {i}")
         assert len(db._stmt_cache) <= 4101
@@ -87,7 +95,7 @@ class TestLockTimeouts:
     def test_writer_blocks_writer_with_timeout_error(self):
         db = Database(lock_timeout=0.05)
         conn1 = db.connect()
-        conn1.execute("CREATE TABLE t (a INTEGER)")
+        make_table(conn1, "t", "a INTEGER")
         conn1.execute("BEGIN")
         conn1.execute("INSERT INTO t (a) VALUES (1)")
         conn2 = db.connect()
@@ -99,7 +107,7 @@ class TestLockTimeouts:
     def test_reader_not_blocked_by_reader(self):
         db = Database(lock_timeout=0.2)
         conn1 = db.connect()
-        conn1.execute("CREATE TABLE t (a INTEGER)")
+        make_table(conn1, "t", "a INTEGER")
         conn1.execute("BEGIN")
         conn1.execute("SELECT COUNT(*) FROM t")  # read lock held by txn
         conn2 = db.connect()
@@ -111,21 +119,25 @@ class TestMultiRowAndDefaults:
     def test_insert_with_expression_values(self):
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (a INTEGER)")
-        conn.execute("INSERT INTO t (a) VALUES (1 + 2 * 3)")
-        assert conn.execute("SELECT a FROM t").scalar() == 7
+        make_table(conn, "t", "a INTEGER")
+        # A value is a literal (a negative one too), a ``?`` or either in
+        # parentheses; there is no arithmetic.
+        conn.execute("INSERT INTO t (a) VALUES (-7), ((7)), (?)", (8,))
+        assert conn.execute("SELECT a FROM t ORDER BY a").fetchall() == [(-7,), (7,), (8,)]
+        with pytest.raises(SQLSyntaxError):
+            conn.execute("INSERT INTO t (a) VALUES (1 + 2 * 3)")
 
     def test_update_without_where_touches_all(self):
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (a INTEGER)")
+        make_table(conn, "t", "a INTEGER")
         conn.execute("INSERT INTO t (a) VALUES (1), (2), (3)")
         assert conn.execute("UPDATE t SET a = 0").rowcount == 3
 
     def test_delete_without_where_clears(self):
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (a INTEGER)")
+        make_table(conn, "t", "a INTEGER")
         conn.execute("INSERT INTO t (a) VALUES (1), (2)")
         assert conn.execute("DELETE FROM t").rowcount == 2
         assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 0
@@ -133,14 +145,14 @@ class TestMultiRowAndDefaults:
     def test_default_in_ddl(self):
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (a INTEGER, b STRING DEFAULT 'dflt')")
+        make_table(conn, "t", "a INTEGER, b STRING", defaults={"b": "dflt"})
         conn.execute("INSERT INTO t (a) VALUES (1)")
         assert conn.execute("SELECT b FROM t").scalar() == "dflt"
 
     def test_negative_default(self):
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (a INTEGER DEFAULT -5)")
+        make_table(conn, "t", "a INTEGER", defaults={"a": -5})
         conn.execute("INSERT INTO t (a) VALUES (NULL)")
         # NULL explicitly provided stays NULL; default only fills missing
         assert conn.execute("SELECT a FROM t").scalar() is None
@@ -157,14 +169,14 @@ class TestErrorMessages:
     def test_too_few_parameters(self):
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (a INTEGER)")
+        make_table(conn, "t", "a INTEGER")
         with pytest.raises(ProgrammingError):
             conn.execute("INSERT INTO t (a) VALUES (?)")
 
     def test_unique_violation_names_constraint(self):
         db = Database()
         conn = db.connect()
-        conn.execute("CREATE TABLE t (a INTEGER UNIQUE)")
+        make_table(conn, "t", "a INTEGER", unique=[("a",)])
         conn.execute("INSERT INTO t (a) VALUES (1)")
         with pytest.raises(IntegrityError) as excinfo:
             conn.execute("INSERT INTO t (a) VALUES (1)")

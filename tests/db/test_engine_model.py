@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.db import Database
 from repro.db.types import sort_key
+from tests.tables import make_table
 
 COLUMNS = ("k", "s")
 
@@ -18,11 +19,10 @@ COLUMNS = ("k", "s")
 def fresh():
     db = Database()
     conn = db.connect()
-    conn.execute(
-        "CREATE TABLE m (id INTEGER PRIMARY KEY AUTOINCREMENT, "
-        "k INTEGER, s STRING)"
+    make_table(
+        db, "m", "id INTEGER, k INTEGER, s STRING", primary_key=("id",),
+        autoincrement="id", indexes={"m_k": ("k",)},
     )
-    conn.execute("CREATE INDEX m_k ON m (k)")
     return conn
 
 
@@ -90,7 +90,9 @@ def test_engine_matches_model(ops, probe):
     count = conn.execute("SELECT COUNT(*) FROM m").scalar()
     assert count == len(model)
     if model and any(r["k"] is not None for r in model):
-        got_min = conn.execute("SELECT MIN(k) FROM m").scalar()
+        got_min = conn.execute(
+            "SELECT k FROM m WHERE k IS NOT NULL ORDER BY k"
+        ).scalar()
         want_min = min(
             (r["k"] for r in model if r["k"] is not None), key=sort_key
         )

@@ -5,11 +5,9 @@ import pytest
 from repro.db.errors import ProgrammingError
 from repro.db.expr import (
     And,
-    Arithmetic,
     Between,
     ColumnRef,
     Comparison,
-    FunctionCall,
     InList,
     IsNull,
     Like,
@@ -114,27 +112,6 @@ class TestPredicates:
 
     def test_like_to_regex(self):
         assert like_to_regex("%x_z%").match("AAxYzBB")
-
-
-class TestArithmetic:
-    def test_ops(self):
-        assert Arithmetic("+", Literal(2), Literal(3)).eval({}) == 5
-        assert Arithmetic("*", Literal(2), Literal(3)).eval({}) == 6
-        assert Arithmetic("/", Literal(7), Literal(2)).eval({}) == 3.5
-        assert Arithmetic("%", Literal(7), Literal(2)).eval({}) == 1
-
-    def test_null_propagates(self):
-        assert Arithmetic("+", Literal(None), Literal(3)).eval({}) is None
-
-
-class TestFunctions:
-    def test_known(self):
-        assert FunctionCall("LOWER", (Literal("AbC"),)).eval({}) == "abc"
-        assert FunctionCall("COALESCE", (Literal(None), Literal(2))).eval({}) == 2
-
-    def test_unknown(self):
-        with pytest.raises(ProgrammingError):
-            FunctionCall("NOPE", ()).eval({})
 
 
 class TestColumnRef:

@@ -19,11 +19,7 @@ from repro.db.expr import (
 from repro.db.sql.ast import (
     BeginTransaction,
     CommitTransaction,
-    CreateIndex,
-    CreateTable,
     Delete,
-    DropIndex,
-    DropTable,
     Insert,
     RollbackTransaction,
     Select,
@@ -33,40 +29,40 @@ from repro.db.sql.parser import parse_statement
 from repro.db.types import ColumnType
 
 
+def refused(sql, match=None):
+    """*sql* is outside the dialect: the parser raises, naming where."""
+    with pytest.raises(SQLSyntaxError, match=match):
+        parse_statement(sql)
+
+
 class TestCreateTable:
+    """Tables are made by ``Database.create_table``; every SQL form of
+    CREATE TABLE is refused before anything is parsed from it."""
+
     def test_basic(self):
-        stmt = parse_statement(
+        refused(
             "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, "
-            "name STRING NOT NULL, score FLOAT DEFAULT 1.5)"
+            "name STRING NOT NULL, score FLOAT DEFAULT 1.5)",
+            "no DDL in SQL",
         )
-        assert isinstance(stmt, CreateTable)
-        assert stmt.name == "t"
-        assert stmt.primary_key == ("id",)
-        assert stmt.columns[0].autoincrement
-        assert not stmt.columns[1].nullable
-        assert stmt.columns[2].default == 1.5
 
     def test_table_level_constraints(self):
-        stmt = parse_statement(
+        refused(
             "CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER, "
             "PRIMARY KEY (a, b), UNIQUE (c), "
-            "FOREIGN KEY (c) REFERENCES other (x))"
+            "FOREIGN KEY (c) REFERENCES other (x))",
+            "no DDL in SQL",
         )
-        assert stmt.primary_key == ("a", "b")
-        assert stmt.unique == [("c",)]
-        assert stmt.foreign_keys[0].ref_table == "other"
 
     def test_column_level_references(self):
-        stmt = parse_statement("CREATE TABLE t (a INTEGER REFERENCES p (id))")
-        assert stmt.foreign_keys[0].columns == ("a",)
+        refused("CREATE TABLE t (a INTEGER REFERENCES p (id))", "no DDL in SQL")
 
     def test_if_not_exists(self):
-        stmt = parse_statement("CREATE TABLE IF NOT EXISTS t (a INTEGER)")
-        assert stmt.if_not_exists
+        refused("CREATE TABLE IF NOT EXISTS t (a INTEGER)", "no DDL in SQL")
 
     def test_type_aliases(self):
-        stmt = parse_statement("CREATE TABLE t (a INT, b TEXT, c DOUBLE, d TIMESTAMP)")
-        assert [c.ctype for c in stmt.columns] == [
+        # The type names DDL accepted are still the names ColumnType reads.
+        assert [ColumnType.from_name(n) for n in ("INT", "TEXT", "DOUBLE", "TIMESTAMP")] == [
             ColumnType.INTEGER,
             ColumnType.STRING,
             ColumnType.FLOAT,
@@ -74,27 +70,21 @@ class TestCreateTable:
         ]
 
     def test_duplicate_pk_rejected(self):
-        with pytest.raises(SQLSyntaxError):
-            parse_statement("CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER PRIMARY KEY)")
+        refused("CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER PRIMARY KEY)")
 
 
 class TestCreateDropIndex:
     def test_create_index(self):
-        stmt = parse_statement("CREATE INDEX i ON t (a, b)")
-        assert isinstance(stmt, CreateIndex)
-        assert stmt.columns == ("a", "b")
-        assert not stmt.unique
+        refused("CREATE INDEX i ON t (a, b)", "no DDL in SQL")
 
     def test_create_unique_index(self):
-        assert parse_statement("CREATE UNIQUE INDEX i ON t (a)").unique
+        refused("CREATE UNIQUE INDEX i ON t (a)", "no DDL in SQL")
 
     def test_drop_table(self):
-        stmt = parse_statement("DROP TABLE IF EXISTS t")
-        assert isinstance(stmt, DropTable) and stmt.if_exists
+        refused("DROP TABLE IF EXISTS t", "no DDL in SQL")
 
     def test_drop_index(self):
-        stmt = parse_statement("DROP INDEX i ON t")
-        assert isinstance(stmt, DropIndex) and stmt.table == "t"
+        refused("DROP INDEX i ON t", "no DDL in SQL")
 
 
 class TestInsert:
@@ -119,7 +109,7 @@ class TestInsert:
 
 class TestUpdateDelete:
     def test_update(self):
-        stmt = parse_statement("UPDATE t SET a = 1, b = b + 1 WHERE id = ?")
+        stmt = parse_statement("UPDATE t SET a = 1, b = ? WHERE id = ?")
         assert isinstance(stmt, Update)
         assert stmt.assignments[0][0] == "a"
         assert isinstance(stmt.where, Comparison)
@@ -149,34 +139,32 @@ class TestSelect:
 
     def test_joins(self):
         stmt = parse_statement(
-            "SELECT a FROM t JOIN u ON t.id = u.tid LEFT JOIN v ON v.x = u.id"
+            "SELECT a FROM t JOIN u ON t.id = u.tid INNER JOIN v ON v.x = u.id"
         )
-        assert [j.kind for j in stmt.joins] == ["inner", "left"]
+        assert [j.table.name for j in stmt.joins] == ["u", "v"]
+        refused("SELECT a FROM t LEFT JOIN v ON v.x = t.id", "LEFT")
 
     def test_comma_join_is_cross(self):
-        stmt = parse_statement("SELECT a FROM t, u WHERE t.id = u.tid")
-        assert stmt.joins[0].kind == "cross"
+        refused("SELECT a FROM t, u WHERE t.id = u.tid", "','")
 
     def test_join_requires_on(self):
         with pytest.raises(SQLSyntaxError):
             parse_statement("SELECT a FROM t JOIN u")
 
     def test_group_having_order_limit(self):
-        stmt = parse_statement(
-            "SELECT a, COUNT(*) c FROM t GROUP BY a HAVING c > 1 "
-            "ORDER BY a DESC LIMIT 10 OFFSET 5"
-        )
-        assert stmt.group_by and stmt.having is not None
-        assert stmt.order_by[0].descending
-        assert stmt.limit == 10 and stmt.offset == 5
+        stmt = parse_statement("SELECT a FROM t ORDER BY a DESC, b")
+        assert [o.descending for o in stmt.order_by] == [True, False]
+        refused("SELECT a, COUNT(*) c FROM t GROUP BY a HAVING c > 1", "GROUP")
+        refused("SELECT a FROM t ORDER BY a DESC LIMIT 10 OFFSET 5", "LIMIT")
 
     def test_distinct(self):
-        assert parse_statement("SELECT DISTINCT a FROM t").distinct
+        refused("SELECT DISTINCT a FROM t", "DISTINCT")
 
     def test_aggregates(self):
-        stmt = parse_statement("SELECT COUNT(*), MIN(a), MAX(a), SUM(a), AVG(a) FROM t")
-        assert stmt.items[0].count_star
-        assert [i.aggregate for i in stmt.items] == ["COUNT", "MIN", "MAX", "SUM", "AVG"]
+        stmt = parse_statement("SELECT COUNT(*), COUNT(*) AS n FROM t")
+        assert [(i.count_star, i.alias) for i in stmt.items] == [(True, None), (True, "n")]
+        for other in ("MIN(a)", "MAX(a)", "SUM(a)", "AVG(a)", "COUNT(a)"):
+            refused(f"SELECT {other} FROM t", "only COUNT")
 
 
 class TestExpressions:
@@ -215,18 +203,15 @@ class TestExpressions:
         assert expr.left == ColumnRef("a", table="t")
 
     def test_arithmetic_precedence(self):
-        expr = self.where("a = 1 + 2 * 3")
-        # right side: 1 + (2 * 3)
-        assert expr.right.op == "+"
-        assert expr.right.right.op == "*"
+        # No arithmetic: an operator after a value ends the statement early.
+        refused("SELECT a FROM t WHERE a = 1 + 2 * 3", "'\\+'")
 
     def test_unary_minus_literal_folded(self):
         expr = self.where("a = -5")
         assert expr.right == Literal(-5)
 
     def test_function_call(self):
-        expr = self.where("LOWER(a) = 'x'")
-        assert expr.left.name == "LOWER"
+        refused("SELECT a FROM t WHERE LOWER(a) = 'x'", "no function LOWER")
 
     def test_boolean_literals(self):
         expr = self.where("a = TRUE")

@@ -5,7 +5,6 @@ never IndexError, RecursionError, or silent hangs — and valid statements
 must round-trip through the statement cache deterministically.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +12,7 @@ from repro.db import Database
 from repro.db.errors import DatabaseError, SQLSyntaxError
 from repro.db.sql.lexer import tokenize
 from repro.db.sql.parser import parse_statement
+from tests.tables import make_table
 
 
 @settings(max_examples=200, deadline=None)
@@ -60,7 +60,7 @@ def test_execute_never_corrupts_engine(words):
     database usable and raise only DatabaseError subclasses."""
     db = Database()
     conn = db.connect()
-    conn.execute("CREATE TABLE t (a INTEGER)")
+    make_table(conn, "t", "a INTEGER")
     conn.execute("INSERT INTO t (a) VALUES (1)")
     text = " ".join(words)
     try:

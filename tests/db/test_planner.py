@@ -1,27 +1,33 @@
-"""Unit tests for access-path selection and join planning."""
+"""Unit tests for access-path selection and join planning.
+
+A table is read by ``index_eq`` (``=`` on an index's leading columns),
+``seq`` or ``empty``; every other predicate is a filter, so range, IN
+and LIKE questions run on ``seq`` and are checked for their answers.
+A join is an inner index nested loop or is refused.
+"""
 
 import pytest
 
 from repro.db import Database
-from repro.db.planner import bind_plan, plan_select
-from repro.db.errors import ProgrammingError
+from repro.db.errors import ProgrammingError, SQLSyntaxError
+from repro.db.expr import Like, conjuncts
+from repro.db.planner import bind_plan, choose_access_path, plan_select
+from repro.db.sql.parser import parse_statement
+from tests.tables import make_index, make_table
 
 
 @pytest.fixture
 def db():
     db = Database()
     conn = db.connect()
-    conn.execute(
-        "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, "
-        "a STRING, b INTEGER, c FLOAT)"
+    make_table(
+        db, "t", "id INTEGER, a STRING, b INTEGER, c FLOAT", primary_key=("id",),
+        autoincrement="id", indexes={"t_a": ("a",), "t_ab": ("a", "b")},
     )
-    conn.execute("CREATE INDEX t_a ON t (a)")
-    conn.execute("CREATE INDEX t_ab ON t (a, b)")
-    conn.execute(
-        "CREATE TABLE u (id INTEGER PRIMARY KEY AUTOINCREMENT, "
-        "tid INTEGER, label STRING)"
+    make_table(
+        db, "u", "id INTEGER, tid INTEGER, label STRING", primary_key=("id",),
+        autoincrement="id", indexes={"u_tid": ("tid",)},
     )
-    conn.execute("CREATE INDEX u_tid ON u (tid)")
     for i in range(20):
         conn.execute(
             "INSERT INTO t (a, b, c) VALUES (?, ?, ?)",
@@ -61,25 +67,30 @@ class TestAccessPathSelection:
         assert plan.base.index == "t_a"
 
     def test_range_after_prefix(self, db):
+        # The equality drives; the range after it filters the postings.
         plan = plan_of(db, "SELECT c FROM t WHERE a = 'k1' AND b > 1")
-        assert plan.base.kind == "index_range"
-        assert plan.base.index == "t_ab"
-        assert plan.base.low == 1 and not plan.base.low_inclusive
+        assert (plan.base.kind, plan.base.index) == ("index_eq", "t_a")
+        assert str(plan.base.residual) == "(t.b > 1)"
+        got = db.connect().execute("SELECT id FROM t WHERE a = 'k1' AND b > 1").fetchall()
+        assert sorted(got) == [(i + 1,) for i in range(20) if i % 4 == 1 and i % 5 > 1]
 
     def test_pure_range(self, db):
         plan = plan_of(db, "SELECT a FROM t WHERE id >= 3 AND id <= 7")
-        assert plan.base.kind == "index_range"
-        assert plan.base.low == 3 and plan.base.high == 7
+        assert plan.base.kind == "seq"
+        got = db.connect().execute("SELECT id FROM t WHERE id >= 3 AND id <= 7").fetchall()
+        assert sorted(got) == [(i,) for i in range(3, 8)]
 
     def test_between_is_range(self, db):
         plan = plan_of(db, "SELECT a FROM t WHERE id BETWEEN 3 AND 7")
-        assert plan.base.kind == "index_range"
+        assert plan.base.kind == "seq"
+        got = db.connect().execute("SELECT id FROM t WHERE id BETWEEN 3 AND 7").fetchall()
+        assert sorted(got) == [(i,) for i in range(3, 8)]
 
     def test_in_list_on_indexed_column(self, db):
         plan = plan_of(db, "SELECT b FROM t WHERE a IN ('k1', 'k2')")
-        assert plan.base.kind == "index_in"
-        assert set(plan.base.in_values) == {"k1", "k2"}
-        assert plan.base.residual is None
+        assert plan.base.kind == "seq"
+        got = db.connect().execute("SELECT id FROM t WHERE a IN ('k1', 'k2')").fetchall()
+        assert sorted(got) == [(i + 1,) for i in range(20) if i % 4 in (1, 2)]
 
     def test_unindexed_predicate_is_seq_scan(self, db):
         plan = plan_of(db, "SELECT a FROM t WHERE c > 5.0")
@@ -120,17 +131,17 @@ class TestJoinPlanning:
         assert plan.joins[0].access.index == "u_tid"
 
     def test_hash_join_without_inner_index(self, db):
-        conn = db.connect()
-        conn.execute("CREATE TABLE w (x INTEGER, y STRING)")
-        conn.execute("INSERT INTO w (x, y) VALUES (1, 'a')")
-        plan = plan_of(db, "SELECT w.y FROM t JOIN w ON w.x = t.b")
-        assert plan.joins[0].kind == "hash"
+        # No index on w leads with x: the join is refused, naming what it needs.
+        make_table(db, "w", "x INTEGER, y STRING")
+        with pytest.raises(ProgrammingError, match=r"needs an index on w leading with \(x\)"):
+            plan_of(db, "SELECT w.y FROM t JOIN w ON w.x = t.b")
 
     def test_cross_join_is_nested(self, db):
-        conn = db.connect()
-        conn.execute("CREATE TABLE w2 (x INTEGER)")
-        plan = plan_of(db, "SELECT t.a FROM t, w2")
-        assert plan.joins[0].kind == "nested"
+        make_table(db, "w2", "x INTEGER", indexes={"w2_x": ("x",)})
+        with pytest.raises(SQLSyntaxError):
+            plan_of(db, "SELECT t.a FROM t, w2")
+        with pytest.raises(ProgrammingError, match="no equality with the outer tables"):
+            plan_of(db, "SELECT t.a FROM t JOIN w2 ON w2.x > 1")
 
     def test_where_pushed_into_join(self, db):
         plan = plan_of(
@@ -142,13 +153,13 @@ class TestJoinPlanning:
         assert step.condition is not None and "label" in str(step.condition)
 
     def test_left_join_where_becomes_post_filter(self, db):
+        with pytest.raises(SQLSyntaxError, match="LEFT"):
+            plan_of(db, "SELECT t.a FROM t LEFT JOIN u ON u.tid = t.id")
+        # On an inner join the WHERE predicate joins the ON condition.
         plan = plan_of(
-            db,
-            "SELECT t.a FROM t LEFT JOIN u ON u.tid = t.id WHERE u.label IS NULL",
+            db, "SELECT t.a FROM t JOIN u ON u.tid = t.id WHERE u.label IS NULL"
         )
-        step = plan.joins[0]
-        assert step.left_outer
-        assert step.post_filter is not None
+        assert str(plan.joins[0].condition) == "(u.label IS NULL)"
 
     def test_duplicate_alias_rejected(self, db):
         with pytest.raises(ProgrammingError):
@@ -170,8 +181,8 @@ class TestNameResolution:
             plan_of(db, "SELECT q.a FROM t")
 
     def test_output_names(self, db):
-        plan = plan_of(db, "SELECT a, b AS bee, COUNT(*) FROM t GROUP BY a, b")
-        assert plan.output_names == ("a", "bee", "count(*)")
+        assert plan_of(db, "SELECT a, b AS bee FROM t").output_names == ("a", "bee")
+        assert plan_of(db, "SELECT COUNT(*) FROM t").output_names == ("count(*)",)
 
 
 class TestRangeIntersection:
@@ -203,14 +214,14 @@ class TestRangeIntersection:
 
     def test_range_scan_skips_null_keys(self, db):
         conn = db.connect()
-        conn.execute("CREATE INDEX t_c ON t (c)")
+        make_index(conn, "t_c", "t", ("c",))
         conn.execute("INSERT INTO t (a, b, c) VALUES ('k9', 1, NULL)")
         assert conn.execute("SELECT COUNT(*) FROM t WHERE c < 3.0").scalar() == 3
 
     def test_range_on_composite_index_keeps_its_bound_key(self, db):
         conn = db.connect()
-        conn.execute("CREATE TABLE w (x INTEGER, y INTEGER)")
-        conn.execute("CREATE INDEX w_xy ON w (x, y)")
+        make_table(conn, "w", "x INTEGER, y INTEGER")
+        make_index(conn, "w_xy", "w", ("x", "y"))
         conn.executemany(
             "INSERT INTO w (x, y) VALUES (?, ?)", [(i % 4, i) for i in range(12)]
         )
@@ -234,11 +245,10 @@ class TestRangeIntersection:
 
 class TestLikePrefixOptimization:
     def test_prefix_like_uses_index_range(self, db):
+        # A prefix pattern is a filter like any other LIKE.
         plan = plan_of(db, "SELECT b FROM t WHERE a LIKE 'k1%'")
-        assert plan.base.kind == "index_range"
-        assert plan.base.low == "k1"
-        # LIKE stays as residual for exactness
-        assert plan.base.residual is not None
+        assert plan.base.kind == "seq"
+        assert isinstance(plan.base.residual, Like)
 
     def test_prefix_like_results_correct(self, db):
         conn = db.connect()
@@ -267,3 +277,54 @@ class TestLikePrefixOptimization:
         # would admit longer strings.
         got = conn.execute("SELECT COUNT(*) FROM t WHERE a LIKE 'k1%' AND b = 99").scalar()
         assert got == 1
+
+
+# -- choose_access_path: one fully-covered index, or a scan -------------------
+
+
+@pytest.fixture
+def table():
+    db = Database()
+    make_table(
+        db, "t", "id INTEGER, a INTEGER, b INTEGER", primary_key=("id",),
+        indexes={"t_a": ("a",), "t_b": ("b",)},
+    )
+    return db.catalog.table("t")
+
+
+def _choose(table, sql):
+    return choose_access_path(table, "t", conjuncts(parse_statement(sql).where))
+
+
+def test_single_equality_keeps_single_index(table):
+    path = _choose(table, "SELECT id FROM t WHERE t.a = 1")
+    assert path.kind == "index_eq"
+    assert path.index == "t_a"
+
+
+def test_no_stats_keeps_the_rule_based_default(table):
+    for sql in (
+        "SELECT id FROM t WHERE t.a = 1 AND t.b = 2",
+        "SELECT id FROM t WHERE t.a = 1",
+    ):
+        assert _choose(table, sql).kind == "index_eq"
+
+
+def test_explain_default_engine_keeps_index_lookup():
+    db = Database()
+    make_table(
+        db, "t", "id INTEGER, a INTEGER, b INTEGER, c INTEGER", primary_key=("id",),
+        indexes={"t_a": ("a",), "t_b": ("b",), "t_c": ("c",)},
+    )
+    conn = db.connect()
+    for i in range(500):
+        conn.execute(
+            "INSERT INTO t (id, a, b, c) VALUES (?, ?, ?, ?)",
+            (i, i % 10, i % 7, 1),
+        )
+    for sql in (
+        "SELECT id FROM t WHERE a = 3 AND b = 4",
+        "SELECT id FROM t WHERE c = 1",
+    ):
+        plan = [row[0] for row in conn.execute("EXPLAIN " + sql)]
+        assert plan[0].startswith("INDEX LOOKUP t")

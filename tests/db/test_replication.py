@@ -6,6 +6,7 @@ import pytest
 
 from repro.db import Database
 from repro.db.replication import Replica, ReplicationPublisher, seed_replica
+from tests.tables import make_index, make_table
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ class TestSynchronousShipping:
     def test_ddl_and_dml_replicate(self, primary):
         publisher, replica = attach(primary)
         conn = primary.connect()
-        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v STRING)")
+        make_table(conn, "t", "id INTEGER, v STRING", primary_key=("id",))
         conn.execute("INSERT INTO t (id, v) VALUES (1, 'a'), (2, 'b')")
         conn.execute("UPDATE t SET v = 'B' WHERE id = 2")
         conn.execute("DELETE FROM t WHERE id = 1")
@@ -37,8 +38,8 @@ class TestSynchronousShipping:
     def test_indexes_replicate(self, primary):
         publisher, replica = attach(primary)
         conn = primary.connect()
-        conn.execute("CREATE TABLE t (a INTEGER)")
-        conn.execute("CREATE INDEX i ON t (a)")
+        make_table(conn, "t", "a INTEGER")
+        make_index(conn, "i", "t", ("a",))
         conn.execute("INSERT INTO t (a) VALUES (5)")
         table = replica.database.catalog.table("t")
         assert table.indexes["i"].get((5,)) != []
@@ -47,7 +48,7 @@ class TestSynchronousShipping:
     def test_transaction_ships_as_one_batch(self, primary):
         publisher, replica = attach(primary)
         conn = primary.connect()
-        conn.execute("CREATE TABLE t (a INTEGER)")
+        make_table(conn, "t", "a INTEGER")
         before = publisher.batches_published
         conn.execute("BEGIN")
         conn.execute("INSERT INTO t (a) VALUES (1)")
@@ -62,7 +63,7 @@ class TestSynchronousShipping:
     def test_rolled_back_txn_not_shipped(self, primary):
         publisher, replica = attach(primary)
         conn = primary.connect()
-        conn.execute("CREATE TABLE t (a INTEGER)")
+        make_table(conn, "t", "a INTEGER")
         conn.execute("BEGIN")
         conn.execute("INSERT INTO t (a) VALUES (1)")
         conn.execute("ROLLBACK")
@@ -74,7 +75,9 @@ class TestSynchronousShipping:
     def test_autoincrement_continues_on_replica(self, primary):
         publisher, replica = attach(primary)
         conn = primary.connect()
-        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v STRING)")
+        make_table(
+            conn, "t", "id INTEGER, v STRING", primary_key=("id",), autoincrement="id"
+        )
         conn.execute("INSERT INTO t (v) VALUES ('a')")
         # If promoted, the replica must continue the sequence correctly.
         result = replica.database.connect().execute("INSERT INTO t (v) VALUES ('b')")
@@ -86,7 +89,7 @@ class TestAsynchronousShipping:
     def test_lag_and_flush(self, primary):
         publisher, replica = attach(primary, asynchronous=True)
         conn = primary.connect()
-        conn.execute("CREATE TABLE t (a INTEGER)")
+        make_table(conn, "t", "a INTEGER")
         for i in range(20):
             conn.execute("INSERT INTO t (a) VALUES (?)", (i,))
         replica.flush()
@@ -99,7 +102,7 @@ class TestAsynchronousShipping:
     def test_order_preserved(self, primary):
         publisher, replica = attach(primary, asynchronous=True)
         conn = primary.connect()
-        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        make_table(conn, "t", "id INTEGER, v INTEGER", primary_key=("id",))
         conn.execute("INSERT INTO t (id, v) VALUES (1, 0)")
         for i in range(50):
             conn.execute("UPDATE t SET v = ? WHERE id = 1", (i,))
@@ -111,9 +114,7 @@ class TestAsynchronousShipping:
 
     def test_concurrent_writers_replicate_consistently(self, primary):
         publisher, replica = attach(primary, asynchronous=True)
-        primary.connect().execute(
-            "CREATE TABLE t (id INTEGER PRIMARY KEY, w INTEGER)"
-        )
+        make_table(primary.connect(), "t", "id INTEGER, w INTEGER", primary_key=("id",))
 
         def writer(w):
             conn = primary.connect()
@@ -139,8 +140,10 @@ class TestAsynchronousShipping:
 class TestSeeding:
     def test_seed_copies_existing_state(self, primary):
         conn = primary.connect()
-        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v STRING)")
-        conn.execute("CREATE INDEX by_v ON t (v)")
+        make_table(
+            conn, "t", "id INTEGER, v STRING", primary_key=("id",), autoincrement="id"
+        )
+        make_index(conn, "by_v", "t", ("v",))
         conn.execute("INSERT INTO t (v) VALUES ('pre')")
         publisher = ReplicationPublisher(primary)
         replica = Replica("late")
@@ -156,7 +159,7 @@ class TestSeeding:
 
     def test_seed_requires_empty_replica(self, primary):
         replica = Replica("r")
-        replica.database.connect().execute("CREATE TABLE x (a INTEGER)")
+        make_table(replica.database.connect(), "x", "a INTEGER")
         with pytest.raises(ValueError):
             seed_replica(primary, replica)
 
@@ -178,7 +181,7 @@ class TestFlushTimeout:
         replica.database.locks.schema_lock.acquire_write(blocker, 1)
         try:
             conn = primary.connect()
-            conn.execute("CREATE TABLE t (a INTEGER)")
+            make_table(conn, "t", "a INTEGER")
             with pytest.raises(TimeoutError):
                 replica.flush(timeout=0.2)
         finally:

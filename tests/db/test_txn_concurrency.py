@@ -11,6 +11,7 @@ from repro.db.txn import LockManager, RWLock, UndoLog
 from repro.db.schema import Column, TableDef
 from repro.db.storage import Catalog
 from repro.db.types import ColumnType
+from tests.tables import make_table
 
 
 class TestRWLock:
@@ -203,9 +204,7 @@ class TestUndoLog:
 class TestConcurrentAccess:
     def test_parallel_inserts_distinct_keys(self):
         db = Database()
-        db.connect().execute(
-            "CREATE TABLE t (id INTEGER PRIMARY KEY, thread INTEGER)"
-        )
+        make_table(db.connect(), "t", "id INTEGER, thread INTEGER", primary_key=("id",))
         errors = []
 
         def worker(tid):
@@ -230,7 +229,7 @@ class TestConcurrentAccess:
     def test_readers_run_during_reads(self):
         db = Database()
         c = db.connect()
-        c.execute("CREATE TABLE t (a INTEGER)")
+        make_table(c, "t", "a INTEGER")
         for i in range(100):
             c.execute("INSERT INTO t (a) VALUES (?)", (i,))
         results = []
@@ -250,7 +249,7 @@ class TestConcurrentAccess:
     def test_explicit_txn_blocks_conflicting_writer(self):
         db = Database(lock_timeout=0.1)
         c1 = db.connect()
-        c1.execute("CREATE TABLE t (a INTEGER)")
+        make_table(c1, "t", "a INTEGER")
         c1.execute("BEGIN")
         c1.execute("INSERT INTO t (a) VALUES (1)")
         c2 = db.connect()
@@ -263,7 +262,7 @@ class TestConcurrentAccess:
     def test_mixed_read_write_consistency(self):
         db = Database()
         c = db.connect()
-        c.execute("CREATE TABLE acct (id INTEGER PRIMARY KEY, bal INTEGER)")
+        make_table(c, "acct", "id INTEGER, bal INTEGER", primary_key=("id",))
         c.execute("INSERT INTO acct (id, bal) VALUES (1, 100), (2, 100)")
         stop = threading.Event()
         anomalies = []
@@ -272,14 +271,16 @@ class TestConcurrentAccess:
             conn = db.connect()
             for _ in range(30):
                 conn.execute("BEGIN")
-                conn.execute("UPDATE acct SET bal = bal - 1 WHERE id = 1")
-                conn.execute("UPDATE acct SET bal = bal + 1 WHERE id = 2")
+                conn.lock_tables(write=["acct"])
+                balances = dict(conn.execute("SELECT id, bal FROM acct").fetchall())
+                conn.execute("UPDATE acct SET bal = ? WHERE id = 1", (balances[1] - 1,))
+                conn.execute("UPDATE acct SET bal = ? WHERE id = 2", (balances[2] + 1,))
                 conn.execute("COMMIT")
 
         def auditor():
             conn = db.connect()
             while not stop.is_set():
-                total = conn.execute("SELECT SUM(bal) FROM acct").scalar()
+                total = sum(bal for (bal,) in conn.execute("SELECT bal FROM acct"))
                 if total != 200:
                     anomalies.append(total)
 

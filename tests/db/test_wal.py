@@ -14,7 +14,6 @@ from repro.db.wal import (
     encode_row,
     encode_value,
     load_snapshot,
-    replay_wal,
     table_def_from_dict,
     table_def_to_dict,
     write_snapshot,
@@ -22,6 +21,7 @@ from repro.db.wal import (
 from repro.db.schema import Column, TableDef
 from repro.db.storage import Catalog
 from repro.db.types import ColumnType
+from tests.tables import make_index, make_table
 
 
 class TestValueCodec:
@@ -83,8 +83,8 @@ class TestSnapshot:
     def test_user_indexes_restored(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE t (a INTEGER)")
-        c.execute("CREATE INDEX i ON t (a)")
+        make_table(c, "t", "a INTEGER")
+        make_index(c, "i", "t", ("a",))
         c.execute("INSERT INTO t (a) VALUES (5)")
         db.checkpoint()
         db.close()
@@ -98,7 +98,7 @@ class TestRecovery:
     def test_recover_from_wal_only(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v STRING)")
+        make_table(c, "t", "id INTEGER, v STRING", primary_key=("id",))
         c.execute("INSERT INTO t (id, v) VALUES (1, 'a'), (2, 'b')")
         c.execute("UPDATE t SET v = 'B' WHERE id = 2")
         c.execute("DELETE FROM t WHERE id = 1")
@@ -110,7 +110,7 @@ class TestRecovery:
     def test_recover_snapshot_plus_wal(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        make_table(c, "t", "id INTEGER", primary_key=("id",))
         c.execute("INSERT INTO t (id) VALUES (1)")
         db.checkpoint()
         c.execute("INSERT INTO t (id) VALUES (2)")
@@ -122,7 +122,9 @@ class TestRecovery:
     def test_auto_ids_of_deleted_rows_are_not_reused_after_a_snapshot(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE t (id INTEGER AUTOINCREMENT PRIMARY KEY, v STRING)")
+        make_table(
+            c, "t", "id INTEGER, v STRING", primary_key=("id",), autoincrement="id"
+        )
         c.execute("INSERT INTO t (v) VALUES ('a'), ('b'), ('c')")
         c.execute("DELETE FROM t WHERE id = 3")
         db.checkpoint()
@@ -135,7 +137,7 @@ class TestRecovery:
     def test_uncommitted_txn_not_recovered(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        make_table(c, "t", "id INTEGER", primary_key=("id",))
         c.execute("BEGIN")
         c.execute("INSERT INTO t (id) VALUES (1)")
         # No COMMIT: connection dropped (crash); WAL has no records at all
@@ -147,7 +149,7 @@ class TestRecovery:
     def test_rolled_back_txn_not_recovered(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        make_table(c, "t", "id INTEGER", primary_key=("id",))
         c.execute("BEGIN")
         c.execute("INSERT INTO t (id) VALUES (1)")
         c.execute("ROLLBACK")
@@ -158,7 +160,7 @@ class TestRecovery:
     def test_torn_tail_is_discarded(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        make_table(c, "t", "id INTEGER", primary_key=("id",))
         c.execute("INSERT INTO t (id) VALUES (1)")
         db.close()
         # Simulate a crash mid-append: garbage JSON at the tail.
@@ -174,7 +176,7 @@ class TestRecovery:
         for value in (1, 2, 3):
             db = Database(directory=str(tmp_path))
             c = db.connect()
-            c.execute("CREATE TABLE IF NOT EXISTS t (id INTEGER PRIMARY KEY)")
+            make_table(c, "t", "id INTEGER", primary_key=("id",), if_not_exists=True)
             c.execute("INSERT INTO t (id) VALUES (?)", (value,))
             db.close()
         db = Database(directory=str(tmp_path))
@@ -185,7 +187,7 @@ class TestRecovery:
     def test_a_commit_cut_before_its_marker_is_dropped(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        make_table(c, "t", "id INTEGER", primary_key=("id",))
         db.close()
         # A crash left whole record lines but no commit marker; the next
         # session's commit reuses the txn id.
@@ -204,7 +206,7 @@ class TestRecovery:
     def test_checkpoint_truncates_wal(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        make_table(c, "t", "id INTEGER", primary_key=("id",))
         c.execute("INSERT INTO t (id) VALUES (1)")
         db.checkpoint()
         wal_path = os.path.join(str(tmp_path), WAL_NAME)
@@ -214,7 +216,9 @@ class TestRecovery:
     def test_autoincrement_continues_after_recovery(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v STRING)")
+        make_table(
+            c, "t", "id INTEGER, v STRING", primary_key=("id",), autoincrement="id"
+        )
         c.execute("INSERT INTO t (v) VALUES ('a')")
         c.execute("INSERT INTO t (v) VALUES ('b')")
         db.close()
@@ -225,9 +229,10 @@ class TestRecovery:
     def test_ddl_recovered(self, tmp_path):
         db = Database(directory=str(tmp_path))
         c = db.connect()
-        c.execute("CREATE TABLE a (x INTEGER)")
-        c.execute("CREATE TABLE b (x INTEGER)")
-        c.execute("DROP TABLE b")
+        make_table(c, "a", "x INTEGER")
+        make_table(c, "b", "x INTEGER")
+        # SQL has no DROP; a log written with one still replays it.
+        db.wal_commit([{"op": "drop_table", "table": "b"}])
         db.close()
         db2 = Database(directory=str(tmp_path))
         assert db2.catalog.has_table("a")

@@ -1,54 +1,43 @@
 """The planner's statistics against an exact recount of ``attribute_value``.
 
 The planner reads counts the attribute indexes keep as rows come and go;
-these helpers recount the same figures with ``SELECT … GROUP BY`` so a
-test can hold the two equal after any sequence of writes.
+these helpers recount the same figures in Python over the plain rows, so
+a test can hold the two equal after any sequence of writes without
+trusting the engine's own counting.
 """
 
 from __future__ import annotations
 
-from repro.core import ObjectType
-from repro.mql.planner import attribute_counts, object_type_rows
-
-OBJECT_TYPES = (ObjectType.FILE, ObjectType.COLLECTION, ObjectType.VIEW)
+from repro.db.types import sort_key
+from repro.mql.planner import attribute_counts
 
 
 def planner_counts(catalog) -> dict:
-    """``{attribute: (rows, distinct)}`` plus ``{object type: rows}`` as planned."""
+    """``{attribute: (rows, distinct)}`` as planned."""
     per_attribute = {
         d.name: attribute_counts(catalog, d) for d in catalog.list_attribute_defs()
     }
-    per_type = {t.value: object_type_rows(catalog, t) for t in OBJECT_TYPES}
-    return {"attributes": per_attribute, "object_types": per_type}
+    return {"attributes": per_attribute}
 
 
 def recounted(catalog) -> dict:
-    """The same figures, recounted by SQL over ``attribute_value``."""
+    """The same figures, recounted over ``SELECT attr_id, value`` rows."""
     conn = catalog.db.connect()
     try:
-        per_attribute = {}
-        for d in catalog.list_attribute_defs():
-            groups = conn.execute(
-                "SELECT value, COUNT(*) FROM attribute_value "
-                "WHERE attr_id = ? GROUP BY value",
-                (d.id,),
-            ).fetchall()
-            per_attribute[d.name] = (
-                float(sum(n for _value, n in groups)),
-                float(sum(1 for value, _n in groups if value is not None)),
-            )
-        per_type = {
-            t.value: float(
-                conn.execute(
-                    "SELECT COUNT(*) FROM attribute_value WHERE object_type = ?",
-                    (t.value,),
-                ).scalar()
-            )
-            for t in OBJECT_TYPES
-        }
+        rows = conn.execute("SELECT attr_id, value FROM attribute_value").fetchall()
     finally:
         conn.close()
-    return {"attributes": per_attribute, "object_types": per_type}
+    postings: dict = {}
+    for attr_id, value in rows:
+        counted = postings.setdefault(attr_id, [0, set()])
+        counted[0] += 1
+        if value is not None:
+            counted[1].add(sort_key(value))
+    per_attribute = {}
+    for d in catalog.list_attribute_defs():
+        count, values = postings.get(d.id, (0, ()))
+        per_attribute[d.name] = (float(count), float(len(values)))
+    return {"attributes": per_attribute}
 
 
 def assert_counts_exact(catalog, where: str = "") -> None:

@@ -139,6 +139,11 @@ class TestParser:
         assert args.shards == 4
         assert build_parser().parse_args(["serve"]).shards is None
 
+    def test_lint_flags_reach_the_linter(self, capsys):
+        # mcs lint declares no flag of its own: --explain is the linter's.
+        assert main(["lint", "--explain"]) == 0
+        assert capsys.readouterr().out.startswith("MCS001 storage-encapsulation")
+
 
 class TestShardedServe:
     """The `mcs serve --shards N` stack: CLI client against a SOAP
